@@ -144,8 +144,7 @@ def cmd_family4(args):
 def cmd_solve4(args):
     pairs, _ = _load_dataset(args.data)
     _need_pairs(pairs, 4, "solve4")
-    rep = relativistic.solve_four(pairs, seed=args.seed, starts=args.starts,
-                                  tol=args.tol)
+    rep = relativistic.solve_four(pairs, tol=args.tol)
     out = {"roots": [], "n_starts": rep.n_starts}
     geoms = [pair_geometry(p) for p in pairs]
     for (e, fnorm), res, rdef in zip(rep.roots, rep.per_pair_residuals,
@@ -339,8 +338,10 @@ def _build_parser():
         data=dict(required=True), y=dict(type=float, required=True),
         z=dict(type=float, required=True), w=dict(type=float, required=True))
     add("solve4", cmd_solve4,
-        data=dict(required=True), seed=dict(type=int, default=0),
-        starts=dict(type=int, default=64),
+        data=dict(required=True),
+        seed=dict(type=int, default=0, help="ignored (the solve is exact)"),
+        starts=dict(type=int, default=64,
+                    help="ignored (the solve is exact)"),
         tol=dict(type=float, default=1e-10))
     add("solve6", cmd_solve6,
         data=dict(required=True), tol=dict(type=float, default=1e-6))

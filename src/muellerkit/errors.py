@@ -66,7 +66,7 @@ class NoRealRoot(MuellerKitError):
 
 
 class NoConvergedRoot(MuellerKitError):
-    """Multistart solver exhausted all starts without convergence."""
+    """No candidate root solves every constraint to the requested tolerance."""
 
 
 class OutOfDomain(MuellerKitError):

@@ -1,10 +1,11 @@
-"""Hot numeric kernels with optional numba acceleration.
+"""The factorized Mueller product A(k) conj(A(k)), with optional numba
+acceleration.
 
-Every kernel exists twice: a pure-numpy reference (`*_py`) and, when numba
+Each kernel exists twice: a pure-numpy reference (`*_py`) and, when numba
 is importable and not disabled, an ``@njit`` compiled twin. Set
 ``MUELLERKIT_DISABLE_NUMBA=1`` to force the numpy path (useful on platforms
-where numba is unavailable, and for the benchmark in ``benchmarks/``).
-Both paths perform the identical arithmetic, so results are bit-equal.
+where numba is unavailable). Both paths perform the identical arithmetic,
+so results are bit-equal.
 """
 
 import os
@@ -90,88 +91,6 @@ def mueller_product_py(kre, kim):
     return L.real.copy(), max_im
 
 
-def quad_residual_py(rows, e):
-    """Residuals of the per-pair quadratic constraints at e = (x, y, z, w).
-
-    rows[i] = (a, b, c, alpha, beta, sigma);
-    residual_i = a x^2 + 2b xy + c y^2 - alpha z^2 - 2 beta zw - sigma w^2 - 1.
-    """
-    x, y, z, w = e[0], e[1], e[2], e[3]
-    n = rows.shape[0]
-    out = np.empty(n, np.float64)
-    for i in range(n):
-        a, b, c, al, be, sg = (rows[i, 0], rows[i, 1], rows[i, 2],
-                               rows[i, 3], rows[i, 4], rows[i, 5])
-        out[i] = (a * x * x + 2.0 * b * x * y + c * y * y
-                  - al * z * z - 2.0 * be * z * w - sg * w * w - 1.0)
-    return out
-
-
-def quad_jacobian_py(rows, e):
-    x, y, z, w = e[0], e[1], e[2], e[3]
-    n = rows.shape[0]
-    J = np.empty((n, 4), np.float64)
-    for i in range(n):
-        a, b, c, al, be, sg = (rows[i, 0], rows[i, 1], rows[i, 2],
-                               rows[i, 3], rows[i, 4], rows[i, 5])
-        J[i, 0] = 2.0 * (a * x + b * y)
-        J[i, 1] = 2.0 * (b * x + c * y)
-        J[i, 2] = -2.0 * (al * z + be * w)
-        J[i, 3] = -2.0 * (be * z + sg * w)
-    return J
-
-
-def newton_multistart_py(rows, starts, tol, max_iter):
-    """Damped Newton from every start; returns (roots, residual norms, flags).
-
-    flags[s] = 1 when start s converged to ||residual||_inf <= tol.
-    """
-    n_starts = starts.shape[0]
-    roots = np.zeros((n_starts, 4), np.float64)
-    norms = np.full(n_starts, np.inf, np.float64)
-    flags = np.zeros(n_starts, np.int64)
-    for s in range(n_starts):
-        e = starts[s].copy()
-        f = quad_residual_py(rows, e)
-        fn = np.max(np.abs(f))
-        for _ in range(max_iter):
-            if fn <= tol:
-                break
-            J = quad_jacobian_py(rows, e)
-            # minimum-norm step when J is square-singular (non-isolated
-            # solution manifolds, e.g. repeated measurements); the det
-            # guard matches the compiled twin exactly so both paths take
-            # identical branches
-            det = np.linalg.det(J) if rows.shape[0] == 4 else 0.0
-            if rows.shape[0] == 4 and np.abs(det) > 1e-12:
-                step = np.linalg.solve(J, f)
-            else:
-                step, _, _, _ = np.linalg.lstsq(J, f, rcond=None)
-            if not np.all(np.isfinite(step)):
-                break
-            # backtracking damping on the infinity norm
-            lam = 1.0
-            improved = False
-            for _ in range(25):
-                e_try = e - lam * step
-                f_try = quad_residual_py(rows, e_try)
-                fn_try = np.max(np.abs(f_try))
-                if fn_try < fn:
-                    e = e_try
-                    f = f_try
-                    fn = fn_try
-                    improved = True
-                    break
-                lam *= 0.5
-            if not improved:
-                break
-        roots[s] = e
-        norms[s] = fn
-        if fn <= tol:
-            flags[s] = 1
-    return roots, norms, flags
-
-
 if DISABLE_NUMBA:
     HAS_NUMBA = False
 else:
@@ -186,59 +105,8 @@ if HAS_NUMBA:
     _jit = numba.njit(cache=True)
     factor_matrix_jit = _jit(factor_matrix_py)
     mueller_product_jit = _jit(mueller_product_py)
-    quad_residual_jit = _jit(quad_residual_py)
-    quad_jacobian_jit = _jit(quad_jacobian_py)
-
-    @numba.njit(cache=True)
-    def newton_multistart_jit(rows, starts, tol, max_iter):
-        n_starts = starts.shape[0]
-        roots = np.zeros((n_starts, 4), np.float64)
-        norms = np.full(n_starts, np.inf, np.float64)
-        flags = np.zeros(n_starts, np.int64)
-        for s in range(n_starts):
-            e = starts[s].copy()
-            f = quad_residual_jit(rows, e)
-            fn = np.max(np.abs(f))
-            for _ in range(max_iter):
-                if fn <= tol:
-                    break
-                J = quad_jacobian_jit(rows, e)
-                det = np.linalg.det(J) if rows.shape[0] == 4 else 0.0
-                if rows.shape[0] == 4 and np.abs(det) > 1e-12:
-                    step = np.linalg.solve(J, f)
-                else:
-                    step = np.linalg.lstsq(J, f)[0]
-                if not np.all(np.isfinite(step)):
-                    break
-                lam = 1.0
-                improved = False
-                for _ in range(25):
-                    e_try = e - lam * step
-                    f_try = quad_residual_jit(rows, e_try)
-                    fn_try = np.max(np.abs(f_try))
-                    if fn_try < fn:
-                        e = e_try
-                        f = f_try
-                        fn = fn_try
-                        improved = True
-                        break
-                    lam *= 0.5
-                if not improved:
-                    break
-            roots[s] = e
-            norms[s] = fn
-            if fn <= tol:
-                flags[s] = 1
-        return roots, norms, flags
-
     factor_matrix = factor_matrix_jit
     mueller_product = mueller_product_jit
-    quad_residual = quad_residual_jit
-    quad_jacobian = quad_jacobian_jit
-    newton_multistart = newton_multistart_jit
 else:
     factor_matrix = factor_matrix_py
     mueller_product = mueller_product_py
-    quad_residual = quad_residual_py
-    quad_jacobian = quad_jacobian_py
-    newton_multistart = newton_multistart_py

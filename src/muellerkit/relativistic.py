@@ -11,19 +11,22 @@ normalization constraint becomes one quadratic in (x, y, z, w):
 
     a x^2 + 2b xy + c y^2 - alpha z^2 - 2 beta zw - sigma w^2 = 1.
 
-Four pairs give four simultaneous quadratics (solved here by multistart
-damped Newton); six pairs make the system linear in the lifted monomials
-(x^2, xy, y^2, z^2, zw, w^2).
+All constraints are linear in the lifted monomials
+u = (x^2, xy, y^2, z^2, zw, w^2). Six pairs make the lifted system square;
+four pairs leave a 2-D family of u, on which the two rank-1 conditions
+u_xy^2 = u_xx u_yy and u_zw^2 = u_zz u_ww are conics solved in closed form
+through their resultant.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from . import kernels
 from .errors import (ConstraintViolation, DegenerateGeometry,
-                     InconsistentPairs, NoConvergedRoot, NoRealRoot,
-                     NoValidCandidate, Rank1Violation, SingularSystem)
+                     InconsistentPairs, MuellerKitError, NoConvergedRoot,
+                     NoRealRoot, NoValidCandidate, Rank1Violation,
+                     SingularSystem)
 from .lorentz import (ComplexParameter, RealParameter, TOL_K,
                       apply, mueller_from_k)
 from .stokes import MeasurementPair, PairGeometry, pair_geometry
@@ -281,6 +284,13 @@ def lift(e: ExpansionCoeffs) -> np.ndarray:
                      e.z ** 2, e.z * e.w, e.w ** 2])
 
 
+def _lifted_system(qs):
+    """Rows (a, 2b, c, -alpha, -2beta, -sigma): row . lift(e) = 1 is the
+    pair's quadratic constraint."""
+    return np.array([[q.a, 2.0 * q.b, q.c, -q.alpha, -2.0 * q.beta, -q.sigma]
+                     for q in qs])
+
+
 def _k_spread(ks):
     """Max over pairs of min(||ki - kj||, ||ki + kj||)."""
     worst = 0.0
@@ -344,9 +354,7 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1, cond_max=COND_MAX) -> SixReport:
     if len(pairs) != 6:
         raise ValueError("exactly six pairs required")
     geoms = [pair_geometry(p) for p in pairs]
-    qs = [quad_coeffs_from_geometry(g) for g in geoms]
-    M = np.array([[q.a, 2.0 * q.b, q.c, -q.alpha, -2.0 * q.beta, -q.sigma]
-                  for q in qs])
+    M = _lifted_system([quad_coeffs_from_geometry(g) for g in geoms])
     rhs = np.ones(6)
 
     cond = float(np.linalg.cond(M))
@@ -381,7 +389,7 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1, cond_max=COND_MAX) -> SixReport:
             try:
                 k = k_from_expansion(g, e, check=True, normalize=True)
                 L = mueller_from_k(k)
-            except Exception:
+            except MuellerKitError:
                 ok = False
                 break
             ks.append(k)
@@ -410,49 +418,157 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1, cond_max=COND_MAX) -> SixReport:
 
 @dataclass
 class FourReport:
-    roots: list           # list of (ExpansionCoeffs, residual norm)
+    roots: list           # list of (ExpansionCoeffs, max |constraint residual|)
     per_pair_residuals: list
     rank_deficient: list  # Jacobian-degenerate flags aligned with roots
-    n_starts: int
+    n_starts: int         # candidate points polished
 
 
-def _quad_rows(pairs):
-    return np.array([quad_coeffs(p).as_row() for p in pairs])
+def _lift_array(e):
+    x, y, z, w = e
+    return np.array([x * x, x * y, y * y, z * z, z * w, w * w])
 
 
-def solve_four(pairs, seed=0, starts=64, tol=1e-10, max_iter=80,
-               tol_l=1e-6) -> FourReport:
-    """Reconstruct from four measurements by multistart damped Newton.
+def _lift_jacobian(M, e):
+    """Jacobian of M @ lift(e) - 1 with respect to e = (x, y, z, w)."""
+    x, y, z, w = e
+    return M @ np.array([[2.0 * x, 0.0, 0.0, 0.0],
+                         [y, x, 0.0, 0.0],
+                         [0.0, 2.0 * y, 0.0, 0.0],
+                         [0.0, 0.0, 2.0 * z, 0.0],
+                         [0.0, 0.0, w, z],
+                         [0.0, 0.0, 0.0, 2.0 * w]])
 
-    The four simultaneous quadratics are solved from `starts` random
-    initial points in a box scaled from the coefficient magnitudes;
-    converged roots are deduplicated modulo global sign and validated by
-    transitivity on every pair. Deterministic for a fixed seed.
+
+def _rank1_conic(u0, v1, v2, i, j, k):
+    """u_j^2 - u_i u_k on u = u0 + s v1 + t v2 as c2 t^2 + c1(s) t + c0(s).
+
+    c2 is a number, c1 and c0 are np.polyval coefficient arrays in s.
+    """
+    pi, pj, pk = (np.array([v1[m], u0[m]]) for m in (i, j, k))
+    c2 = v2[j] * v2[j] - v2[i] * v2[k]
+    c1 = 2.0 * v2[j] * pj - v2[i] * pk - v2[k] * pi
+    c0 = np.polysub(np.polymul(pj, pj), np.polymul(pi, pk))
+    return c2, c1, c0
+
+
+def _slice_points(u0, v1, v2):
+    """Points u = u0 + s v1 + t v2 on both rank-1 conics, s and t real.
+
+    The Sylvester resultant of the two conics, as quadratics in t, is a
+    quartic in s; t then follows from the pencil b2 f - a2 g, which is
+    linear in t, or from f itself where that pencil vanishes.
+    """
+    a2, a1, a0 = _rank1_conic(u0, v1, v2, 0, 1, 2)
+    b2, b1, b0 = _rank1_conic(u0, v1, v2, 3, 4, 5)
+    d20 = a2 * b0 - b2 * a0
+    d21 = a2 * b1 - b2 * a1
+    d10 = np.polysub(np.polymul(a1, b0), np.polymul(a0, b1))
+    quartic = np.polysub(np.polymul(d20, d20), np.polymul(d21, d10))
+    d21_scale = float(np.abs(d21).max())
+    out = []
+    for s in np.roots(quartic):
+        if abs(s.imag) > 1e-6 * (1.0 + abs(s)):
+            continue
+        s = s.real
+        den = np.polyval(d21, s)
+        if abs(den) > 1e-10 * d21_scale * (1.0 + abs(s)):
+            ts = [-np.polyval(d20, s) / den]
+        else:
+            ts = [t.real for t in np.roots([a2, np.polyval(a1, s),
+                                            np.polyval(a0, s)])
+                  if abs(t.imag) <= 1e-6 * (1.0 + abs(t))]
+        out.extend(u0 + s * v1 + t * v2 for t in ts)
+    return out
+
+
+def _split_block(sq_a, prod, sq_b, scale):
+    """(a, b) with a^2 = sq_a, ab = prod, b^2 = sq_b, or None when the
+    block is imaginary. The root is taken of the larger square, so the
+    division is never by a small root."""
+    if max(sq_a, sq_b) < -1e-9 * scale:
+        return None
+    r = np.sqrt(max(sq_a, sq_b, 0.0))
+    if r == 0.0:
+        return 0.0, 0.0
+    return (r, prod / r) if sq_a >= sq_b else (prod / r, r)
+
+
+def _expansion_candidates(u):
+    """Both (z, w)-block signs of the real (x, y, z, w) lifting to u."""
+    scale = max(1.0, float(np.linalg.norm(u)))
+    xy = _split_block(u[0], u[1], u[2], scale)
+    zw = _split_block(u[3], u[4], u[5], scale)
+    if xy is None or zw is None:
+        return []
+    e = np.array([xy[0], xy[1], zw[0], zw[1]])
+    return [e, e * np.array([1.0, 1.0, -1.0, -1.0])]
+
+
+def _polish(M, e, steps=8):
+    """Newton on M @ lift(e) = 1 while it lowers max |residual|."""
+    f = M @ _lift_array(e) - 1.0
+    fn = np.abs(f).max()
+    for _ in range(steps):
+        try:
+            e_new = e - np.linalg.solve(_lift_jacobian(M, e), f)
+        except np.linalg.LinAlgError:
+            break
+        f_new = M @ _lift_array(e_new) - 1.0
+        fn_new = np.abs(f_new).max()
+        if not fn_new < fn:
+            break
+        e, f, fn = e_new, f_new, fn_new
+    return e, float(fn)
+
+
+def solve_four(pairs, seed=0, starts=64, tol=1e-10) -> FourReport:
+    """Reconstruct from four measurements exactly.
+
+    The four quadratics are linear in the lifted monomials
+    u = (x^2, xy, y^2, z^2, zw, w^2), so u lies on the affine null-space
+    family of the 4x6 lifted system (one SVD). On it the two rank-1
+    conditions u_xy^2 = u_xx u_yy and u_zw^2 = u_zz u_ww are two conics
+    whose resultant is a quartic: at most 4 u, each split into (x, y, z, w)
+    with both (z, w)-block signs. Each candidate gets at most 8 Newton
+    steps of polish and is accepted when max |residual| <= tol. When the
+    system has rank < 4 (e.g. a repeated pair) the roots form a
+    positive-dimensional set; successive 2-D slices of the null space
+    are tried until one yields real points. Roots are deduplicated modulo
+    global sign and validated by transitivity on every pair.
+
+    ``seed`` and ``starts`` are accepted for compatibility and ignored;
+    the result is deterministic.
     """
     if len(pairs) != 4:
         raise ValueError("exactly four pairs required")
-    rows = _quad_rows(pairs)
     geoms = [pair_geometry(p) for p in pairs]
     for g in geoms:
         if g.collinear:
             raise DegenerateGeometry("collinear pair basis among the four")
+    M = _lifted_system([quad_coeffs_from_geometry(g) for g in geoms])
 
-    coeff_mag = float(np.median(np.abs(rows[np.abs(rows) > 0]))) if np.any(rows) else 1.0
-    box = 3.0 / np.sqrt(max(coeff_mag, 1e-12))
-    rng = np.random.default_rng(seed)
-    start_pts = rng.uniform(-box, box, size=(starts, 4))
+    U, S, Vt = np.linalg.svd(M)
+    rank = int(np.sum(S > 1e-12 * S[0]))
+    u0 = Vt[:rank].T @ ((U[:, :rank].T @ np.ones(4)) / S[:rank])
+    null = Vt[rank:]
 
-    roots_arr, norms, flags = kernels.newton_multistart(
-        np.ascontiguousarray(rows[:, :6]), np.ascontiguousarray(start_pts),
-        tol, max_iter)
+    found = []
+    n_polished = 0
+    for i, j in combinations(range(len(null)), 2):
+        for u in _slice_points(u0, null[i], null[j]):
+            for e in _expansion_candidates(u):
+                n_polished += 1
+                e, fn = _polish(M, e)
+                if fn <= tol:
+                    found.append((fn, e))
+        if found:
+            break
 
     roots = []
     rank_flags = []
     pair_res = []
-    for i in np.argsort(norms):
-        if not flags[i]:
-            continue
-        e_arr = roots_arr[i]
+    for fn, e_arr in sorted(found, key=lambda r: r[0]):
         # canonical global sign: first component of largest magnitude >= 0
         lead = np.argmax(np.abs(e_arr))
         if e_arr[lead] < 0:
@@ -461,8 +577,7 @@ def solve_four(pairs, seed=0, starts=64, tol=1e-10, max_iter=80,
                for r in roots):
             continue
         e = ExpansionCoeffs(*[float(v) for v in e_arr])
-        J = kernels.quad_jacobian(rows[:, :6], e_arr)
-        sv = np.linalg.svd(J, compute_uv=False)
+        sv = np.linalg.svd(_lift_jacobian(M, e_arr), compute_uv=False)
         rank_flags.append(bool(sv[-1] <= 1e-8 * max(sv[0], 1.0)))
         res = []
         for g, p in zip(geoms, pairs):
@@ -470,13 +585,14 @@ def solve_four(pairs, seed=0, starts=64, tol=1e-10, max_iter=80,
                 L = mueller_from_k(
                     k_from_expansion(g, e, check=True, normalize=True))
                 res.append(_transitivity_residual(L, p))
-            except Exception:
+            except MuellerKitError:
                 res.append(np.inf)
-        roots.append((e, float(norms[i])))
+        roots.append((e, fn))
         pair_res.append(res)
 
     if not roots:
         raise NoConvergedRoot(
-            f"no start out of {starts} converged below {tol:.0e}")
+            f"none of {n_polished} candidate points solves all four "
+            f"constraints below {tol:.0e}")
     return FourReport(roots=roots, per_pair_residuals=pair_res,
-                      rank_deficient=rank_flags, n_starts=starts)
+                      rank_deficient=rank_flags, n_starts=n_polished)

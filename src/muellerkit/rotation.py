@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AntipodalInput, DegenerateGeometry, HalfTurn,
-                     InconsistentPairs, LengthMismatch, NegativeSquare,
-                     SingularSystem)
+                     InconsistentPairs, LengthMismatch, MuellerKitError,
+                     NegativeSquare, SingularSystem)
 from .lorentz import (MuellerMatrix, RealParameter, k_from_nm, mueller_from_k,
                       TOL_K, TOL_L)
 from .stokes import MeasurementPair, StokesVector
@@ -201,7 +201,7 @@ def linear_two_3d(p1: MeasurementPair, p2: MeasurementPair,
             r = RealParameter(n0=n0 / norm, n=n / norm, m0=0.0, m=np.zeros(3))
             try:
                 M3 = mueller_from_k(k_from_nm(r)).m[1:, 1:]
-            except Exception:
+            except MuellerKitError:
                 continue
             res = max(np.linalg.norm(M3 @ N1 - N1p), np.linalg.norm(M3 @ N2 - N2p))
             if res <= max(tol_l, 1e-7):

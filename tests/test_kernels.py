@@ -17,24 +17,6 @@ def test_python_and_compiled_paths_agree():
         Ap = kernels.factor_matrix_py(kre, kim)
         Aj = kernels.factor_matrix_jit(kre, kim)
         assert np.all(Ap == Aj)
-    rows = rng.normal(size=(4, 6))
-    e = rng.normal(size=4)
-    assert np.all(kernels.quad_residual_py(rows, e)
-                  == kernels.quad_residual_jit(rows, e))
-    assert np.all(kernels.quad_jacobian_py(rows, e)
-                  == kernels.quad_jacobian_jit(rows, e))
-
-
-def test_newton_multistart_paths_agree():
-    if not kernels.HAS_NUMBA:
-        pytest.skip("numba disabled or unavailable")
-    rng = np.random.default_rng(1)
-    rows = rng.normal(size=(4, 6))
-    starts = rng.uniform(-2, 2, size=(16, 4))
-    rp, npn, fp = kernels.newton_multistart_py(rows, starts, 1e-10, 60)
-    rj, nj, fj = kernels.newton_multistart_jit(rows, starts, 1e-10, 60)
-    assert np.all(fp == fj)
-    assert np.allclose(rp[fp == 1], rj[fj == 1], atol=1e-12)
 
 
 def test_disable_flag_selects_python_path(monkeypatch):

@@ -8,6 +8,7 @@ from muellerkit import (DegenerateGeometry, ExpansionCoeffs, MeasurementPair,
                         k_from_expansion, mueller_from_k, nm_from_k,
                         params_to_expansion, quad_coeffs, solve_four,
                         solve_six)
+from muellerkit import relativistic
 from muellerkit.oracle import (consistent_dataset, make_pair, random_lorentz,
                                random_stokes)
 from muellerkit.relativistic import (quad_coeffs_from_geometry,
@@ -205,20 +206,51 @@ def test_solve_six_rank1_violation_via_generic_data(rng):
         solve_six(pairs)
 
 
-def test_solve_four_consistent_instances(rng):
-    for i in range(5):
-        k, e_star, pairs = consistent_dataset(4, rng=rng)
-        rep = solve_four(pairs, seed=i)
-        es = e_star.as_array()
-        lead = np.argmax(np.abs(es))
-        if es[lead] < 0:
-            es = -es
-        best = min(np.linalg.norm(r[0].as_array() - es) for r in rep.roots)
-        assert best < 1e-8
-        assert rep.roots[0][1] <= 1e-10  # residual norm of the best root
-        idx = int(np.argmin(
-            [np.linalg.norm(r[0].as_array() - es) for r in rep.roots]))
+def _canonical(e):
+    lead = np.argmax(np.abs(e))
+    return -e if e[lead] < 0 else e
+
+
+def test_solve_four_consistent_instances():
+    # the exact solve returns e* itself (both (z, w)-block signs are
+    # emitted), every root solves all four constraints, and there are at
+    # most 8 roots modulo global sign
+    for i in range(100):
+        _, e_star, pairs = consistent_dataset(
+            4, rng=np.random.default_rng([4, i]))
+        rep = solve_four(pairs)
+        es = _canonical(e_star.as_array())
+        dists = [np.linalg.norm(r[0].as_array() - es) for r in rep.roots]
+        idx = int(np.argmin(dists))
+        assert dists[idx] < 1e-8
         assert max(rep.per_pair_residuals[idx]) < 1e-6
+        assert 1 <= len(rep.roots) <= 8
+        assert all(fn <= 1e-10 for _, fn in rep.roots)
+        qs = [quad_coeffs(p) for p in pairs]
+        assert all(abs(constraint_residual(q, e)) <= 1e-10
+                   for e, _ in rep.roots for q in qs)
+
+
+def test_solve_four_recovers_root_missed_by_multistart():
+    # 64-start Newton at seed 0 converged only to roots other than e*
+    _, e_star, pairs = consistent_dataset(
+        4, rng=np.random.default_rng([5, 4, 15]))
+    rep = solve_four(pairs)
+    es = _canonical(e_star.as_array())
+    assert min(np.linalg.norm(r[0].as_array() - es)
+               for r in rep.roots) < 1e-8
+
+
+def test_solve_four_ignores_seed_and_starts():
+    _, _, pairs = consistent_dataset(4, rng=np.random.default_rng(3))
+    base = solve_four(pairs)
+    for kw in ({"seed": 7}, {"starts": 1}, {"seed": 99, "starts": 500}):
+        rep = solve_four(pairs, **kw)
+        assert [(r[0].as_array().tolist(), r[1]) for r in rep.roots] == [
+            (r[0].as_array().tolist(), r[1]) for r in base.roots]
+        assert rep.per_pair_residuals == base.per_pair_residuals
+        assert rep.rank_deficient == base.rank_deficient
+        assert rep.n_starts == base.n_starts
 
 
 def test_solve_four_repeated_pair_rank_deficient():
@@ -226,4 +258,16 @@ def test_solve_four_repeated_pair_rank_deficient():
     if g.collinear:
         pytest.skip("degenerate sample")
     rep = solve_four([p] * 4, seed=0)
-    assert any(rep.rank_deficient)
+    assert rep.roots and all(rep.rank_deficient)
+    q = quad_coeffs(p)
+    assert all(abs(constraint_residual(q, e)) <= 1e-10 for e, _ in rep.roots)
+
+
+def test_solve_four_propagates_programming_errors(monkeypatch):
+    def broken(k):
+        raise TypeError("bug in mueller_from_k")
+
+    monkeypatch.setattr(relativistic, "mueller_from_k", broken)
+    _, _, pairs = consistent_dataset(4, rng=np.random.default_rng(3))
+    with pytest.raises(TypeError):
+        solve_four(pairs)
