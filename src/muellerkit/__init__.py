@@ -28,8 +28,7 @@ from .relativistic import (ExpansionCoeffs, QuadCoeffs, constraint_residual,
                            expansion_to_params, family_4d, k_from_expansion,
                            params_to_expansion, quad_coeffs, solve_four,
                            solve_six)
-from .rotation import (Family3DSolution, family_3d, gibbs_3d, linear_two_3d,
-                       solve_two_3d)
+from .rotation import Family3DSolution, family_3d, gibbs_3d, solve_two_3d
 from .stokes import (MeasurementPair, PairGeometry, StokesVector, invariant,
                      pair_geometry)
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import littlegroup, oracle, quadform, relativistic, rotation, serialize
 from .errors import MuellerKitError, NoValidCandidate
 from .lorentz import apply as lorentz_apply
-from .lorentz import is_lorentz, mueller_from_k, nm_from_k
+from .lorentz import is_lorentz, mueller_from_k
 from .stokes import MeasurementPair, pair_geometry
 
 log = logging.getLogger("muellerkit")
@@ -104,10 +104,7 @@ def cmd_family3(args):
     _need_pairs(pairs, 1, "family3")
     sol = rotation.family_3d(pairs[0], args.gamma)
     k = rotation.k_from_nm(sol.real_parameter())
-    L = sol.matrix()
-    res = float(np.linalg.norm(
-        lorentz_apply(L, pairs[0].input).as_array()
-        - pairs[0].output.as_array()))
+    res = relativistic._transitivity_residual(sol.matrix(), pairs[0])
     out = _solution_record(k, [res])
     out["gamma"] = sol.gamma
     _emit(out, args)
@@ -120,8 +117,7 @@ def cmd_solve2(args):
     sol = rotation.solve_two_3d(pairs[0], pairs[1], tol_cons=args.tol)
     k = rotation.k_from_nm(sol.real_parameter())
     L = sol.matrix()
-    res = [float(np.linalg.norm(lorentz_apply(L, p.input).as_array()
-                                - p.output.as_array())) for p in pairs]
+    res = [relativistic._transitivity_residual(L, p) for p in pairs]
     out = _solution_record(k, res)
     out["gamma"] = sol.gamma
     _emit(out, args)
@@ -146,10 +142,10 @@ def cmd_solve4(args):
     _need_pairs(pairs, 4, "solve4")
     rep = relativistic.solve_four(pairs, tol=args.tol)
     out = {"roots": [], "n_starts": rep.n_starts}
-    geoms = [pair_geometry(p) for p in pairs]
+    g = pair_geometry(pairs[0])
     for (e, fnorm), res, rdef in zip(rep.roots, rep.per_pair_residuals,
                                      rep.rank_deficient):
-        k = relativistic.k_from_expansion(geoms[0], e, normalize=True)
+        k = relativistic.k_from_expansion(g, e, normalize=True)
         rec = _solution_record(k, res)
         rec["e"] = list(e.as_array())
         rec["residual_norm"] = fnorm
@@ -297,8 +293,7 @@ def cmd_verify(args):
     rows = []
     all_ok = True
     for i, p in enumerate(pairs):
-        res = float(np.linalg.norm(
-            lorentz_apply(L, p.input).as_array() - p.output.as_array()))
+        res = relativistic._transitivity_residual(L, p)
         ok = res <= args.tol
         all_ok = all_ok and ok
         rows.append({"pair": i, "residual": res, "ok": ok})

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConstraintViolation, OutOfDomain
 from .lorentz import (ComplexParameter, MuellerMatrix, RealParameter,
                       k_from_nm, mueller_from_k)
-from .stokes import StokesVector
+from .stokes import StokesVector, cross3
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def little_element(state: StokesVector, n) -> LittleGroupElement:
     p_deg = state.degree
     p_hat = state.direction
     pvec = p_deg * p_hat
-    m = np.cross(n, pvec)
+    m = cross3(n, pvec)
     n0_sq = 1.0 - float(n @ n) * (1.0 - p_deg * p_deg) - float(n @ pvec) ** 2
     if n0_sq < 0.0:
         raise OutOfDomain(

@@ -4,7 +4,7 @@ A Mueller matrix in scope is a proper orthochronous Lorentz matrix on
 Stokes 4-vectors. It is parametrized by a complex 4-tuple
 k = (k0, k1, k2, k3) with k0^2 - (k1^2 + k2^2 + k3^2) = 1, through the
 factorized product L = A(k) conj(A(k)), where A(k) is the fixed complex
-4x4 layout in ``kernels.factor_matrix``. k and -k give the same matrix
+4x4 layout documented in ``kernels``. k and -k give the same matrix
 (double cover). The real split
 
     k0 = n0 + i m0,    k_j = -i n_j + m_j
@@ -145,13 +145,13 @@ def nm_from_k(k: ComplexParameter) -> RealParameter:
 def mueller_from_k(k: ComplexParameter, tol=TOL_K, tol_im=TOL_IM) -> MuellerMatrix:
     """L = A(k) conj(A(k)), asserted real entrywise.
 
-    The product of the two explicitly conjugate layouts is real exactly
-    when k satisfies the unit condition; a NonRealProduct therefore
-    signals a bad parameter rather than round-off.
+    Every entry of the product is a sum of conjugate pairs, so it is real
+    for any complex k; the unit condition, checked first, is what makes L
+    a Lorentz matrix. A NonRealProduct flags round-off of at least
+    ``tol_im`` in the imaginary parts, which grows with |k|^2.
     """
     k.require_unit(tol)
-    L, max_im = kernels.mueller_product(
-        np.ascontiguousarray(k.k.real), np.ascontiguousarray(k.k.imag))
+    L, max_im = kernels.mueller_product(k.k)
     if max_im >= tol_im:
         raise NonRealProduct(f"imaginary part {max_im:.3e} >= {tol_im:.0e}")
     return MuellerMatrix(L)

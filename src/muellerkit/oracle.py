@@ -6,15 +6,13 @@ a known matrix, and ``direct_linear_solve`` reconstructs a matrix from
 pairs by plain least squares without any structural assumption.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateGeometry, RankDeficient
 from .lorentz import (ComplexParameter, MuellerMatrix, RealParameter,
                       apply, is_lorentz, k_from_nm, mueller_from_k, nm_from_k,
                       rotation_k)
-from .relativistic import (ExpansionCoeffs, constraint_residual, lift,
+from .relativistic import (ExpansionCoeffs, constraint_residual,
                            params_to_expansion, quad_coeffs_from_geometry)
 from .stokes import MeasurementPair, StokesVector, pair_geometry
 
@@ -187,7 +185,3 @@ def direct_linear_solve(pairs, tol_rank=1e-8):
     L = MuellerMatrix(sol.reshape(4, 4))
     resid = float(np.linalg.norm(Mat @ sol - rhs))
     return L, is_lorentz(L), resid
-
-
-def lifted_target(e: ExpansionCoeffs):
-    return lift(e)

@@ -27,7 +27,8 @@ from .errors import (ConstraintViolation, DegenerateGeometry,
                      InconsistentPairs, MuellerKitError, NoConvergedRoot,
                      NoRealRoot, NoValidCandidate, Rank1Violation,
                      SingularSystem)
-from .lorentz import (ComplexParameter, RealParameter, TOL_K,
+from . import kernels
+from .lorentz import (ComplexParameter, RealParameter, TOL_IM, TOL_K,
                       apply, mueller_from_k)
 from .stokes import MeasurementPair, PairGeometry, pair_geometry
 
@@ -210,6 +211,11 @@ def k_from_expansion(g: PairGeometry, e: ExpansionCoeffs,
     return kp
 
 
+def _transitivity_residual(L, pair):
+    return float(np.linalg.norm(
+        apply(L, pair.input).as_array() - pair.output.as_array()))
+
+
 def family_4d(p: MeasurementPair, y: float, z: float, w: float,
               tol_l=1e-8):
     """Solve the pair's quadratic for x at fixed (y, z, w).
@@ -244,17 +250,9 @@ def family_4d(p: MeasurementPair, y: float, z: float, w: float,
     for x in xs:
         e = ExpansionCoeffs(x=float(x), y=float(y), z=float(z), w=float(w))
         k = k_from_expansion(g, e, normalize=True)
-        L = mueller_from_k(k)
-        res = float(np.linalg.norm(
-            apply(L, p.input).as_array() - p.output.as_array()))
-        out.append((e, k, res))
+        out.append((e, k, _transitivity_residual(mueller_from_k(k), p)))
     out.sort(key=lambda t: t[2])
     return out
-
-
-def _transitivity_residual(L, pair):
-    return float(np.linalg.norm(
-        apply(L, pair.input).as_array() - pair.output.as_array()))
 
 
 @dataclass
@@ -291,15 +289,11 @@ def _lifted_system(qs):
                      for q in qs])
 
 
-def _k_spread(ks):
-    """Max over pairs of min(||ki - kj||, ||ki + kj||)."""
-    worst = 0.0
-    for i in range(len(ks)):
-        for j in range(i + 1, len(ks)):
-            d = min(np.linalg.norm(ks[i].k - ks[j].k),
-                    np.linalg.norm(ks[i].k + ks[j].k))
-            worst = max(worst, float(d))
-    return worst
+def _k_spread(K):
+    """Max over pairs i, j of min(||ki - kj||, ||ki + kj||), K (pairs, 4)."""
+    d = np.minimum(np.linalg.norm(K[:, None] - K[None], axis=-1),
+                   np.linalg.norm(K[:, None] + K[None], axis=-1))
+    return float(d.max())
 
 
 def _enumerate_candidates(u, thresh_scale=1e-8):
@@ -337,6 +331,45 @@ def _enumerate_candidates(u, thresh_scale=1e-8):
                            for o in out):
                     out.append(e)
     return out
+
+
+def _validate_candidates(geoms, pairs, es):
+    """Every candidate e checked against every pair in one pass.
+
+    The parameters K (pairs, candidates, 4) are assembled as in
+    k_from_expansion and checked by the rules of k_from_expansion(check=True,
+    normalize=True) followed by mueller_from_k: unit defect, |q| ~ 0,
+    normalized unit defect, non-real product. A candidate that any pair
+    rejects is dropped, as a MuellerKitError in that per-pair path would
+    drop it. Returns the surviving Candidates.
+    """
+    x, y, z, w = np.array([e.as_array() for e in es]).T
+    A, B, Avec2, Bvec2 = np.array(
+        [[g.A, g.B, g.Avec2, g.Bvec2] for g in geoms]).T[..., None]
+    Av, Bv, cr = np.array([[g.Avec, g.Bvec, g.cross]
+                           for g in geoms]).transpose(1, 0, 2)[:, :, None]
+    K = np.empty((len(geoms), len(es), 4), complex)
+    K[..., 0] = (x * A - 1j * z * B) - (y * Avec2 - 1j * w * Bvec2)
+    K[..., 1:] = (-(y * B + 1j * z)[..., None] * Av
+                  + (x + 1j * w * A)[..., None] * Bv
+                  + (w - 1j * y)[..., None] * cr)
+
+    scale = np.maximum(1.0, np.sum(np.abs(K) ** 2, axis=-1))
+    q = K[..., 0] ** 2 - np.sum(K[..., 1:] ** 2, axis=-1)
+    bad = (np.abs(q - 1.0) > max(TOL_K, 1e-8) * scale) | (np.abs(q) < 1e-12)
+    K = K / np.sqrt(np.where(bad, 1.0, q))[..., None]  # rejected: left as is
+    q = K[..., 0] ** 2 - np.sum(K[..., 1:] ** 2, axis=-1)
+    L, max_im = kernels.mueller_product(K)
+    bad |= (np.abs(q - 1.0) > TOL_K) | (max_im >= TOL_IM)
+
+    vin = np.array([p.input.as_array() for p in pairs])
+    vout = np.array([p.output.as_array() for p in pairs])
+    res = np.linalg.norm(
+        np.einsum("pcij,pj->pci", L, vin) - vout[:, None], axis=-1)
+    return [Candidate(e=es[c], per_pair_residuals=res[:, c].tolist(),
+                      k_spread=_k_spread(K[:, c]),
+                      k_list=[ComplexParameter(k) for k in K[:, c]])
+            for c in np.flatnonzero(~bad.any(axis=0))]
 
 
 def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1, cond_max=COND_MAX) -> SixReport:
@@ -380,25 +413,7 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1, cond_max=COND_MAX) -> SixReport:
             f"|u_zw^2 - u_zz u_ww| = {d2:.3e} "
             "(no single (x,y,z,w) generates it)")
 
-    candidates = []
-    for e in _enumerate_candidates(u):
-        residuals = []
-        ks = []
-        ok = True
-        for g, p in zip(geoms, pairs):
-            try:
-                k = k_from_expansion(g, e, check=True, normalize=True)
-                L = mueller_from_k(k)
-            except MuellerKitError:
-                ok = False
-                break
-            ks.append(k)
-            residuals.append(_transitivity_residual(L, p))
-        if not ok:
-            continue
-        candidates.append(Candidate(
-            e=e, per_pair_residuals=residuals,
-            k_spread=_k_spread(ks), k_list=ks))
+    candidates = _validate_candidates(geoms, pairs, _enumerate_candidates(u))
     candidates.sort(key=lambda cnd: cnd.worst)
 
     valid = [cnd for cnd in candidates if cnd.worst <= tol_l]
@@ -448,7 +463,7 @@ def _rank1_conic(u0, v1, v2, i, j, k):
     pi, pj, pk = (np.array([v1[m], u0[m]]) for m in (i, j, k))
     c2 = v2[j] * v2[j] - v2[i] * v2[k]
     c1 = 2.0 * v2[j] * pj - v2[i] * pk - v2[k] * pi
-    c0 = np.polysub(np.polymul(pj, pj), np.polymul(pi, pk))
+    c0 = np.convolve(pj, pj) - np.convolve(pi, pk)
     return c2, c1, c0
 
 
@@ -463,8 +478,8 @@ def _slice_points(u0, v1, v2):
     b2, b1, b0 = _rank1_conic(u0, v1, v2, 3, 4, 5)
     d20 = a2 * b0 - b2 * a0
     d21 = a2 * b1 - b2 * a1
-    d10 = np.polysub(np.polymul(a1, b0), np.polymul(a0, b1))
-    quartic = np.polysub(np.polymul(d20, d20), np.polymul(d21, d10))
+    d10 = np.convolve(a1, b0) - np.convolve(a0, b1)
+    quartic = np.convolve(d20, d20) - np.convolve(d21, d10)
     d21_scale = float(np.abs(d21).max())
     out = []
     for s in np.roots(quartic):

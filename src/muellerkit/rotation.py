@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AntipodalInput, DegenerateGeometry, HalfTurn,
-                     InconsistentPairs, LengthMismatch, MuellerKitError,
-                     NegativeSquare, SingularSystem)
+                     InconsistentPairs, LengthMismatch)
 from .lorentz import (MuellerMatrix, RealParameter, k_from_nm, mueller_from_k,
                       TOL_K, TOL_L)
-from .stokes import MeasurementPair, StokesVector
+from .stokes import MeasurementPair, StokesVector, cross3
 
 TOL_CONS = 1e-8
 TOL_DEG = 1e-12
@@ -67,7 +66,7 @@ def family_3d(p: MeasurementPair, gamma: float, tol_deg=TOL_DEG) -> Family3DSolu
     alpha = np.sin(gamma) / root
     beta = np.cos(gamma) / (smag * root)
     n0 = beta * denom
-    n = alpha * (s + sp) + beta * np.cross(s, sp)
+    n = alpha * (s + sp) + beta * cross3(s, sp)
     return Family3DSolution(gamma=float(gamma), alpha=float(alpha),
                             beta=float(beta), n0=float(n0), n=n)
 
@@ -80,7 +79,7 @@ def gibbs_3d(p: MeasurementPair, gamma: float, tol=TOL_K) -> np.ndarray:
         raise AntipodalInput("S' antipodal to S")
     if abs(np.cos(gamma)) <= tol:
         raise HalfTurn("n0 = 0: Gibbs vector undefined")
-    return (np.tan(gamma) * smag * (s + sp) + np.cross(s, sp)) / denom
+    return (np.tan(gamma) * smag * (s + sp) + cross3(s, sp)) / denom
 
 
 def _unit_pair(p: MeasurementPair):
@@ -94,10 +93,10 @@ def _unit_pair(p: MeasurementPair):
 def _gamma_expressions(N1, N1p, N2, N2p):
     """The four tan(Gamma) = num/den forms from the two-pair elimination."""
     return [
-        (float(N1 @ np.cross(N2, N2p)), float((N2 - N1) @ (N2 + N2p))),
-        (-float(N1p @ np.cross(N2p, N2)), float((N2p - N1p) @ (N2p + N2))),
-        (float(N2 @ np.cross(N1, N1p)), float((N1 - N2) @ (N1 + N1p))),
-        (-float(N2p @ np.cross(N1p, N1)), float((N1p - N2p) @ (N1p + N1))),
+        (float(N1 @ cross3(N2, N2p)), float((N2 - N1) @ (N2 + N2p))),
+        (-float(N1p @ cross3(N2p, N2)), float((N2p - N1p) @ (N2p + N2))),
+        (float(N2 @ cross3(N1, N1p)), float((N1 - N2) @ (N1 + N1p))),
+        (-float(N2p @ cross3(N1p, N1)), float((N1p - N2p) @ (N1p + N1))),
     ]
 
 
@@ -143,72 +142,3 @@ def solve_two_3d(p1: MeasurementPair, p2: MeasurementPair,
         if res <= max(tol_l, 1e-7):
             return sol
     raise InconsistentPairs("no Gamma branch maps both pairs")
-
-
-def linear_two_3d(p1: MeasurementPair, p2: MeasurementPair,
-                  tol_l=TOL_L):
-    """Two-measurement reconstruction through the lifted linear system.
-
-    With unit-normalized directions and A_i = N_i + N_i', B_i = N_i - N_i',
-    each pair yields
-
-        y^2 [A_i^2 (A_i^2 + B_i^2) - (A_i.B_i)^2] + z^2 A_i^2 = 1
-
-    in the squared coefficients of n0 = y A^2, n = z A + y A x B. Note that
-    for exact rotation data A_i.B_i = 0 and A_i^2 + B_i^2 = 4, so the two
-    rows are always proportional and the 2x2 system is singular; the
-    closed-form solution is only usable on data violating those identities.
-
-    Returns ((y2, z2), Family3DSolution).
-    """
-    N1, N1p = _unit_pair(p1)
-    N2, N2p = _unit_pair(p2)
-
-    rows = []
-    for N, Np in ((N1, N1p), (N2, N2p)):
-        Av = N + Np
-        Bv = N - Np
-        A2 = float(Av @ Av)
-        B2 = float(Bv @ Bv)
-        AB = float(Av @ Bv)
-        rows.append((A2 * (A2 + B2) - AB * AB, A2))
-    M = np.array(rows)
-    rhs = np.ones(2)
-
-    det = np.linalg.det(M)
-    scale = max(np.max(np.abs(M)) ** 2, 1e-30)
-    if abs(det) <= 1e-10 * scale:
-        raise SingularSystem(
-            "lifted 2x2 system is rank deficient "
-            "(rows are proportional for exact rotation data)")
-    y2, z2 = np.linalg.solve(M, rhs)
-    if y2 < -TOL_K or z2 < -TOL_K:
-        raise NegativeSquare(f"y^2 = {y2}, z^2 = {z2}")
-    y2, z2 = max(y2, 0.0), max(z2, 0.0)
-
-    # resolve signs by validating the reconstructed rotation on both pairs
-    for sy in (1.0, -1.0):
-        for sz in (1.0, -1.0):
-            y = sy * np.sqrt(y2)
-            z = sz * np.sqrt(z2)
-            Av = N1 + N1p
-            Bv = N1 - N1p
-            n0 = y * float(Av @ Av)
-            n = z * Av + y * np.cross(Av, Bv)
-            norm = np.hypot(n0, np.linalg.norm(n))
-            if norm == 0.0:
-                continue
-            r = RealParameter(n0=n0 / norm, n=n / norm, m0=0.0, m=np.zeros(3))
-            try:
-                M3 = mueller_from_k(k_from_nm(r)).m[1:, 1:]
-            except MuellerKitError:
-                continue
-            res = max(np.linalg.norm(M3 @ N1 - N1p), np.linalg.norm(M3 @ N2 - N2p))
-            if res <= max(tol_l, 1e-7):
-                gamma = np.arctan2(
-                    z, y * np.sqrt(2.0 * (1.0 + float(N1 @ N1p))))
-                sol = Family3DSolution(gamma=float(gamma), alpha=float(z),
-                                       beta=float(2.0 * y), n0=r.n0, n=r.n)
-                return (float(y2), float(z2)), sol
-    raise InconsistentPairs("no sign assignment validates on both pairs")
-

@@ -1,6 +1,7 @@
 """Stokes 4-vectors, measurement pairs, and the derived pair geometry."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -8,6 +9,14 @@ from .errors import InvariantMismatch, MuellerKitError
 
 TOL_INV = 1e-9
 COLLINEAR_TOL = 1e-12
+
+
+def cross3(a, b):
+    """a x b for two 3-vectors: the arithmetic of numpy's cross product,
+    without its per-call overhead on vectors this short."""
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
 
 @dataclass(frozen=True)
@@ -40,22 +49,24 @@ class StokesVector:
     def intensity(self):
         return self.s0
 
-    @property
+    # The vector is immutable, so its derived quantities are computed once.
+    @cached_property
     def smag(self):
         return float(np.linalg.norm(self.s))
 
-    @property
+    @cached_property
     def degree(self):
         """Degree of polarization p = |s| / s0."""
         return self.smag / self.s0
 
-    @property
+    @cached_property
     def direction(self):
-        """Unit polarization direction; undefined (zero) for |s| = 0."""
+        """Unit polarization direction (read-only); undefined (zero) for
+        |s| = 0."""
         m = self.smag
-        if m == 0.0:
-            return np.zeros(3)
-        return self.s / m
+        d = np.zeros(3) if m == 0.0 else self.s / m
+        d.setflags(write=False)
+        return d
 
     def as_array(self):
         return np.concatenate(([self.s0], self.s))
@@ -133,5 +144,5 @@ def pair_geometry(pair: MeasurementPair, tol=TOL_INV) -> PairGeometry:
         Avec2=float(Avec @ Avec),
         Bvec2=float(Bvec @ Bvec),
         AdotB=float(Avec @ Bvec),
-        cross=np.cross(Avec, Bvec),
+        cross=cross3(Avec, Bvec),
     )

@@ -1,32 +1,134 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from muellerkit import (ComplexParameter, ConstraintViolation, ExpansionCoeffs,
+                        MuellerKitError, NoValidCandidate, k_from_expansion,
+                        little_element, mueller_from_k, sample_little,
+                        solve_six)
 from muellerkit import kernels
+from muellerkit.oracle import consistent_dataset, random_lorentz, random_stokes
+from muellerkit.relativistic import (_enumerate_candidates,
+                                     _transitivity_residual,
+                                     _validate_candidates)
+from muellerkit.stokes import cross3, pair_geometry
 
 
-def test_python_and_compiled_paths_agree():
-    if not kernels.HAS_NUMBA:
-        pytest.skip("numba disabled or unavailable")
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        kre = rng.normal(size=4)
-        kim = rng.normal(size=4)
-        Lp, imp = kernels.mueller_product_py(kre, kim)
-        Lj, imj = kernels.mueller_product_jit(kre, kim)
-        assert np.all(Lp == Lj) and imp == imj
-        Ap = kernels.factor_matrix_py(kre, kim)
-        Aj = kernels.factor_matrix_jit(kre, kim)
-        assert np.all(Ap == Aj)
+def _layout(k):
+    """A(k) written out as documented in the kernels module."""
+    k0, k1, k2, k3 = k
+    return np.array([[k0, -k1, -k2, -k3],
+                     [-k1, k0, -1j * k3, 1j * k2],
+                     [-k2, 1j * k3, k0, -1j * k1],
+                     [-k3, -1j * k2, 1j * k1, k0]])
 
 
-def test_disable_flag_selects_python_path(monkeypatch):
-    import importlib
-    import subprocess
-    import sys
-    code = ("import os; os.environ['MUELLERKIT_DISABLE_NUMBA']='1'; "
-            "from muellerkit import kernels; "
-            "assert kernels.mueller_product is kernels.mueller_product_py; "
-            "assert not kernels.HAS_NUMBA; print('ok')")
-    out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True)
-    assert out.returncode == 0 and "ok" in out.stdout
+def _explicit_product(k):
+    A = _layout(k)
+    return (A @ A.conj()).real
+
+
+def test_stacked_product_matches_explicit_layout():
+    rng = np.random.default_rng(7)
+    K = np.array([random_lorentz(rng=rng).k for _ in range(64)])
+    L, max_im = kernels.mueller_product(K)
+    assert L.shape == (64, 4, 4) and max_im.shape == (64,)
+    for k, Lk, im in zip(K, L, max_im):
+        ref = _explicit_product(k)
+        tol = 1e-15 * np.abs(ref).max()
+        assert np.abs(Lk - ref).max() <= tol
+        L1, im1 = kernels.mueller_product(k)
+        assert L1.shape == (4, 4) and np.ndim(im1) == 0
+        assert np.abs(L1 - ref).max() <= tol
+        assert im < 1e-12 and im1 < 1e-12
+
+
+def test_max_im_is_round_off_on_and_off_the_unit_surface():
+    # every entry of A(k) conj(A(k)) is a sum of conjugate pairs, so the
+    # product is real for any complex k; mueller_from_k rejects an
+    # off-surface k through the unit condition instead
+    rng = np.random.default_rng(8)
+    K = rng.normal(size=(16, 4)) + 1j * rng.normal(size=(16, 4))
+    _, max_im = kernels.mueller_product(K)
+    assert np.all(max_im <= 1e-15 * np.sum(np.abs(K) ** 2, axis=-1))
+    for k in K:
+        with pytest.raises(ConstraintViolation):
+            mueller_from_k(ComplexParameter(k))
+
+
+def test_cross3_equals_numpy_cross_bitwise():
+    rng = np.random.default_rng(9)
+    for _ in range(500):
+        a, b = rng.normal(size=(2, 3)) * rng.uniform(1e-3, 1e3, size=(2, 1))
+        assert np.array_equal(cross3(a, b), np.cross(a, b))
+
+
+def _scalar_candidates(geoms, pairs, es):
+    """Per-pair reference: k_from_expansion + mueller_from_k, one at a time."""
+    out = []
+    for e in es:
+        try:
+            ks = [k_from_expansion(g, e, check=True, normalize=True)
+                  for g in geoms]
+            Ls = [mueller_from_k(k) for k in ks]
+        except MuellerKitError:
+            continue
+        spread = max((min(np.linalg.norm(a.k - b.k), np.linalg.norm(a.k + b.k))
+                      for a, b in combinations(ks, 2)), default=0.0)
+        out.append((e, [_transitivity_residual(L, p)
+                        for L, p in zip(Ls, pairs)], spread, ks))
+    return out
+
+
+def _assert_same(stacked, reference):
+    """Same candidates, matched by e (near-ties may sort differently)."""
+    assert len(stacked) == len(reference)
+    by_e = {tuple(c.e.as_array()): c for c in stacked}
+    for e, res, spread, ks in reference:
+        cand = by_e[tuple(e.as_array())]
+        assert np.abs(np.subtract(cand.per_pair_residuals, res)).max() <= 1e-12
+        assert abs(cand.k_spread - spread) <= 1e-12
+        assert all(np.abs(a.k - b.k).max() <= 1e-12
+                   for a, b in zip(cand.k_list, ks))
+
+
+def test_stacked_six_validation_matches_scalar_path():
+    for seed in range(50):
+        _, _, pairs = consistent_dataset(6, seed=seed)
+        try:
+            rep = solve_six(pairs)
+        except NoValidCandidate as exc:
+            rep = exc.report
+        geoms = [pair_geometry(p) for p in pairs]
+        ref = _scalar_candidates(geoms, pairs, _enumerate_candidates(rep.u))
+        _assert_same(rep.candidates, ref)
+        worst = [c.worst for c in rep.candidates]
+        assert worst == sorted(worst)
+
+
+def test_candidate_rejected_by_one_pair_is_dropped():
+    _, e_a, pairs_a = consistent_dataset(6, seed=1)
+    _, e_b, pairs_b = consistent_dataset(6, seed=2)
+    flipped = ExpansionCoeffs(e_a.x, e_a.y, -e_a.z, -e_a.w)
+    geoms = [pair_geometry(p) for p in pairs_a]
+    es = [e_a, flipped, e_b]
+    kept = _validate_candidates(geoms, pairs_a, es)
+    assert [c.e for c in kept] == [e_a, flipped]
+    _assert_same(kept, _scalar_candidates(geoms, pairs_a, es))
+
+    # e_a passes the five pairs of its own device; the sixth rejects it
+    mixed = pairs_a[:5] + pairs_b[:1]
+    geoms = [pair_geometry(p) for p in mixed]
+    assert len(_scalar_candidates(geoms[:5], mixed[:5], [e_a])) == 1
+    assert _scalar_candidates(geoms, mixed, [e_a]) == []
+    assert _validate_candidates(geoms, mixed, [e_a]) == []
+
+
+def test_sample_little_matches_little_element():
+    for s in range(20):
+        state = random_stokes(np.random.default_rng(s))
+        for el in sample_little(state, 10, seed=s):
+            ref = little_element(state, el.n)
+            assert np.array_equal(el.k.k, ref.k.k)
+            assert np.array_equal(el.n, ref.n)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from muellerkit import (AntipodalInput, DegenerateGeometry, HalfTurn,
-                        InconsistentPairs, MeasurementPair, SingularSystem,
-                        StokesVector, apply, family_3d, gibbs_3d,
-                        linear_two_3d, mueller_from_k, rotation_k,
-                        solve_two_3d)
+                        InconsistentPairs, MeasurementPair, StokesVector,
+                        apply, family_3d, gibbs_3d, mueller_from_k,
+                        rotation_k, solve_two_3d)
 from muellerkit.oracle import random_unit, rotation_dataset
 
 
@@ -113,12 +112,3 @@ def test_solve_two_inconsistent_rejected(rng):
         with pytest.raises((InconsistentPairs, DegenerateGeometry)):
             solve_two_3d(p1, p2)
             # a random second device almost surely breaks Eq-consistency
-
-
-def test_linear_two_singular_on_exact_data(rng):
-    # on exact unit-normalized rotation data the two lifted rows are
-    # always proportional, so the closed-form 2x2 path cannot be used
-    for _ in range(10):
-        _, p1, p2 = rotation_dataset(rng=rng)
-        with pytest.raises(SingularSystem):
-            linear_two_3d(p1, p2)
