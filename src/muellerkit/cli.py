@@ -23,7 +23,7 @@ from . import littlegroup, oracle, quadform, relativistic, rotation, serialize
 from .errors import MuellerKitError, NoValidCandidate
 from .lorentz import apply as lorentz_apply
 from .lorentz import is_lorentz, mueller_from_k
-from .stokes import MeasurementPair, pair_geometry
+from .stokes import MeasurementPair
 
 log = logging.getLogger("muellerkit")
 
@@ -142,10 +142,8 @@ def cmd_solve4(args):
     _need_pairs(pairs, 4, "solve4")
     rep = relativistic.solve_four(pairs, tol=args.tol)
     out = {"roots": [], "n_starts": rep.n_starts}
-    g = pair_geometry(pairs[0])
-    for (e, fnorm), res, rdef in zip(rep.roots, rep.per_pair_residuals,
-                                     rep.rank_deficient):
-        k = relativistic.k_from_expansion(g, e, normalize=True)
+    for (e, fnorm), res, rdef, k in zip(rep.roots, rep.per_pair_residuals,
+                                        rep.rank_deficient, rep.k):
         rec = _solution_record(k, res)
         rec["e"] = list(e.as_array())
         rec["residual_norm"] = fnorm

@@ -30,6 +30,17 @@ TOL_DIV = 1e-12
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
+def k_scale(k):
+    """max(1, sum_i |k_i|^2) over the last axis of k.
+
+    Round-off in k0^2 - k.k and in A(k) conj(A(k)) grows with this sum,
+    so the tolerances on the unit condition and on the imaginary part of
+    the product are taken relative to it. The scale is at least 1, so a
+    defect within the bare tolerance needs no scale.
+    """
+    return np.maximum(1.0, np.sum(np.abs(k) ** 2, axis=-1))
+
+
 @dataclass(frozen=True)
 class ComplexParameter:
     k: np.ndarray  # complex128[4]
@@ -52,8 +63,9 @@ class ComplexParameter:
         return abs(self.k[0] ** 2 - np.sum(self.k[1:] ** 2) - 1.0)
 
     def require_unit(self, tol=TOL_K):
+        """Raise unless the unit defect is within tol * k_scale(k)."""
         d = self.unit_defect()
-        if d > tol:
+        if d > tol and d > tol * k_scale(self.k):
             raise ConstraintViolation(f"k0^2 - k^2 = 1 violated by {d:.3e}")
 
     def __neg__(self):
@@ -85,8 +97,11 @@ class RealParameter:
         return abs(self.n0 * self.m0 + self.n @ self.m)
 
     def require_valid(self, tol=TOL_K):
+        """Raise unless both defects are within tol * k_scale(k); the sum
+        of |k_i|^2 is n0^2 + n.n + m0^2 + m.m."""
         d = max(self.norm_defect(), self.ortho_defect())
-        if d > tol:
+        if d > tol and d > tol * k_scale(
+                np.concatenate(([self.n0, self.m0], self.n, self.m))):
             raise ConstraintViolation(f"real-split constraints violated by {d:.3e}")
 
 
@@ -148,12 +163,13 @@ def mueller_from_k(k: ComplexParameter, tol=TOL_K, tol_im=TOL_IM) -> MuellerMatr
     Every entry of the product is a sum of conjugate pairs, so it is real
     for any complex k; the unit condition, checked first, is what makes L
     a Lorentz matrix. A NonRealProduct flags round-off of at least
-    ``tol_im`` in the imaginary parts, which grows with |k|^2.
+    ``tol_im`` * k_scale(k) in the imaginary parts.
     """
     k.require_unit(tol)
     L, max_im = kernels.mueller_product(k.k)
-    if max_im >= tol_im:
-        raise NonRealProduct(f"imaginary part {max_im:.3e} >= {tol_im:.0e}")
+    if max_im >= tol_im and max_im >= tol_im * k_scale(k.k):
+        raise NonRealProduct(f"imaginary part {max_im:.3e} >= "
+                             f"{tol_im:.0e} * {k_scale(k.k):.3e}")
     return MuellerMatrix(L)
 
 

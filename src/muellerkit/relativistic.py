@@ -16,6 +16,12 @@ u = (x^2, xy, y^2, z^2, zw, w^2). Six pairs make the lifted system square;
 four pairs leave a 2-D family of u, on which the two rank-1 conditions
 u_xy^2 = u_xx u_yy and u_zw^2 = u_zz u_ww are conics solved in closed form
 through their resultant.
+
+Both solvers read each lifted point back the same way: each block is split
+by the root of its larger square, the point is polished on the lifted
+system, both (z, w)-block signs are emitted (no constraint sees that sign),
+every point gets one canonical global sign, and all candidates are checked
+against all pairs in one stacked pass.
 """
 
 from dataclasses import dataclass, field
@@ -24,12 +30,11 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (ConstraintViolation, DegenerateGeometry,
-                     InconsistentPairs, MuellerKitError, NoConvergedRoot,
-                     NoRealRoot, NoValidCandidate, Rank1Violation,
-                     SingularSystem)
+                     InconsistentPairs, NoConvergedRoot, NoRealRoot,
+                     NoValidCandidate, Rank1Violation, SingularSystem)
 from . import kernels
 from .lorentz import (ComplexParameter, RealParameter, TOL_IM, TOL_K,
-                      apply, mueller_from_k)
+                      apply, k_scale, mueller_from_k)
 from .stokes import MeasurementPair, PairGeometry, pair_geometry
 
 TOL_CONS = 1e-8
@@ -40,8 +45,7 @@ COND_MAX = 1e10
 
 @dataclass(frozen=True)
 class ExpansionCoeffs:
-    """Expansion scalars (x, y, z, w); the eliminated coefficients are
-    derived: N_minus = -A w, M_plus = -B y."""
+    """Expansion scalars (x, y, z, w)."""
 
     x: float
     y: float
@@ -50,12 +54,6 @@ class ExpansionCoeffs:
 
     def as_array(self):
         return np.array([self.x, self.y, self.z, self.w])
-
-    def n_minus(self, g: PairGeometry):
-        return -g.A * self.w
-
-    def m_plus(self, g: PairGeometry):
-        return -g.B * self.y
 
 
 @dataclass(frozen=True)
@@ -200,9 +198,8 @@ def k_from_expansion(g: PairGeometry, e: ExpansionCoeffs,
     k[1:] = (-(y * g.B + 1j * z) * Av + (x + 1j * w * g.A) * Bv
              + (w - 1j * y) * cr)
     kp = ComplexParameter(k)
-    scale = max(1.0, float(np.sum(np.abs(k) ** 2)))
-    if check and kp.unit_defect() > max(tol, 1e-8) * scale:
-        kp.require_unit(max(tol, 1e-8) * scale)
+    if check:
+        kp.require_unit(max(tol, 1e-8))
     if normalize:
         q = k[0] ** 2 - np.sum(k[1:] ** 2)
         if abs(q) < 1e-12:
@@ -277,9 +274,11 @@ class SixReport:
     shared_solution: bool
 
 
-def lift(e: ExpansionCoeffs) -> np.ndarray:
-    return np.array([e.x ** 2, e.x * e.y, e.y ** 2,
-                     e.z ** 2, e.z * e.w, e.w ** 2])
+def lift(e) -> np.ndarray:
+    """u = (x^2, xy, y^2, z^2, zw, w^2) of an ExpansionCoeffs or of an
+    (x, y, z, w) array."""
+    x, y, z, w = (e.x, e.y, e.z, e.w) if isinstance(e, ExpansionCoeffs) else e
+    return np.array([x * x, x * y, y * y, z * z, z * w, w * w])
 
 
 def _lifted_system(qs):
@@ -296,54 +295,86 @@ def _k_spread(K):
     return float(d.max())
 
 
-def _enumerate_candidates(u, thresh_scale=1e-8):
-    """Sign assignments of (x, y, z, w) consistent with the lifted vector.
+def _split_block(sq_a, prod, sq_b, scale):
+    """(a, b) with a^2 = sq_a, ab = prod, b^2 = sq_b, or None when the
+    block is imaginary. The root is taken of the larger square, so the
+    division is never by a small root."""
+    if max(sq_a, sq_b) < -1e-9 * scale:
+        return None
+    r = np.sqrt(max(sq_a, sq_b, 0.0))
+    if r == 0.0:
+        return 0.0, 0.0
+    return (r, prod / r) if sq_a >= sq_b else (prod / r, r)
 
-    x >= 0 fixes the harmless global sign; the relative sign of the
-    (z, w) block against the (x, y) block is genuinely free and is
-    enumerated. Near-zero x or z switch to the sqrt fallback, where the
-    in-block relative sign must also be enumerated.
+
+def _lift_jacobian(M, e):
+    """Jacobian of M @ lift(e) - 1 with respect to e = (x, y, z, w)."""
+    x, y, z, w = e
+    return M @ np.array([[2.0 * x, 0.0, 0.0, 0.0],
+                         [y, x, 0.0, 0.0],
+                         [0.0, 2.0 * y, 0.0, 0.0],
+                         [0.0, 0.0, 2.0 * z, 0.0],
+                         [0.0, 0.0, w, z],
+                         [0.0, 0.0, 0.0, 2.0 * w]])
+
+
+def _polish(M, e, steps=8):
+    """Least-squares Newton on M @ lift(e) = 1 while it lowers
+    max |residual|; M has four or six rows."""
+    f = M @ lift(e) - 1.0
+    fn = np.abs(f).max()
+    for _ in range(steps):
+        e_new = e - np.linalg.lstsq(_lift_jacobian(M, e), f, rcond=None)[0]
+        f_new = M @ lift(e_new) - 1.0
+        fn_new = np.abs(f_new).max()
+        if not fn_new < fn:
+            break
+        e, f, fn = e_new, f_new, fn_new
+    return e, float(fn)
+
+
+def _split_polish(M, u):
+    """(max |residual|, e) for both (z, w)-block signs of the real e that
+    lifts to u, or [] when a block of u is imaginary.
+
+    The point is polished once: flipping the (z, w) sign leaves lift(e),
+    and so the residual, unchanged.
     """
-    u_xx, u_xy, u_yy, u_zz, u_zw, u_ww = u
-    unorm = np.sqrt(max(np.linalg.norm(u), 0.0))
-    thresh = thresh_scale * max(unorm, 1.0)
+    scale = max(1.0, float(np.linalg.norm(u)))
+    xy = _split_block(u[0], u[1], u[2], scale)
+    zw = _split_block(u[3], u[4], u[5], scale)
+    if xy is None or zw is None:
+        return []
+    e, fn = _polish(M, np.array([*xy, *zw]))
+    return [(fn, e), (fn, e * np.array([1.0, 1.0, -1.0, -1.0]))]
 
-    x = np.sqrt(max(u_xx, 0.0))
-    if x > thresh:
-        xy_list = [(x, u_xy / x)]
-    else:
-        y = np.sqrt(max(u_yy, 0.0))
-        xy_list = [(0.0, y), (0.0, -y)] if y > 0 else [(0.0, 0.0)]
 
-    z = np.sqrt(max(u_zz, 0.0))
-    if z > thresh:
-        zw_list = [(z, u_zw / z)]
-    else:
-        w = np.sqrt(max(u_ww, 0.0))
-        zw_list = [(0.0, w), (0.0, -w)] if w > 0 else [(0.0, 0.0)]
-
+def _canonical_unique(found):
+    """The (fn, e) points sorted by fn, each given the canonical global
+    sign (its first component of largest magnitude is >= 0), without
+    those within 1e-6 of an earlier one. Returns (fn, ExpansionCoeffs)."""
     out = []
-    for xv, yv in xy_list:
-        for zv, wv in zw_list:
-            for s in (1.0, -1.0):
-                e = ExpansionCoeffs(x=xv, y=yv, z=s * zv, w=s * wv)
-                if not any(np.allclose(e.as_array(), o.as_array())
-                           for o in out):
-                    out.append(e)
+    for fn, e in sorted(found, key=lambda r: r[0]):
+        lead = np.argmax(np.abs(e))
+        if e[lead] < 0:
+            e = -e
+        if not any(np.linalg.norm(e - o.as_array()) < 1e-6 for _, o in out):
+            out.append((fn, ExpansionCoeffs(*[float(v) for v in e])))
     return out
 
 
-def _validate_candidates(geoms, pairs, es):
+def _validate(geoms, pairs, es):
     """Every candidate e checked against every pair in one pass.
 
     The parameters K (pairs, candidates, 4) are assembled as in
     k_from_expansion and checked by the rules of k_from_expansion(check=True,
     normalize=True) followed by mueller_from_k: unit defect, |q| ~ 0,
-    normalized unit defect, non-real product. A candidate that any pair
-    rejects is dropped, as a MuellerKitError in that per-pair path would
-    drop it. Returns the surviving Candidates.
+    normalized unit defect, non-real product. Returns K (normalized where
+    accepted), the transitivity residuals (pairs, candidates) and the
+    rejection mask (pairs, candidates), True where that per-pair path would
+    raise a MuellerKitError.
     """
-    x, y, z, w = np.array([e.as_array() for e in es]).T
+    x, y, z, w = np.array([e.as_array() for e in es]).reshape(-1, 4).T
     A, B, Avec2, Bvec2 = np.array(
         [[g.A, g.B, g.Avec2, g.Bvec2] for g in geoms]).T[..., None]
     Av, Bv, cr = np.array([[g.Avec, g.Bvec, g.cross]
@@ -354,22 +385,20 @@ def _validate_candidates(geoms, pairs, es):
                   + (x + 1j * w * A)[..., None] * Bv
                   + (w - 1j * y)[..., None] * cr)
 
-    scale = np.maximum(1.0, np.sum(np.abs(K) ** 2, axis=-1))
     q = K[..., 0] ** 2 - np.sum(K[..., 1:] ** 2, axis=-1)
-    bad = (np.abs(q - 1.0) > max(TOL_K, 1e-8) * scale) | (np.abs(q) < 1e-12)
+    bad = ((np.abs(q - 1.0) > max(TOL_K, 1e-8) * k_scale(K))
+           | (np.abs(q) < 1e-12))
     K = K / np.sqrt(np.where(bad, 1.0, q))[..., None]  # rejected: left as is
     q = K[..., 0] ** 2 - np.sum(K[..., 1:] ** 2, axis=-1)
     L, max_im = kernels.mueller_product(K)
-    bad |= (np.abs(q - 1.0) > TOL_K) | (max_im >= TOL_IM)
+    scale = k_scale(K)
+    bad |= (np.abs(q - 1.0) > TOL_K * scale) | (max_im >= TOL_IM * scale)
 
     vin = np.array([p.input.as_array() for p in pairs])
     vout = np.array([p.output.as_array() for p in pairs])
     res = np.linalg.norm(
         np.einsum("pcij,pj->pci", L, vin) - vout[:, None], axis=-1)
-    return [Candidate(e=es[c], per_pair_residuals=res[:, c].tolist(),
-                      k_spread=_k_spread(K[:, c]),
-                      k_list=[ComplexParameter(k) for k in K[:, c]])
-            for c in np.flatnonzero(~bad.any(axis=0))]
+    return K, res, bad
 
 
 def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1, cond_max=COND_MAX) -> SixReport:
@@ -379,10 +408,13 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1, cond_max=COND_MAX) -> SixReport:
     u = (x^2, xy, y^2, z^2, zw, w^2); the 6x6 system (rows
     (a, 2b, c, -alpha, -2beta, -sigma), right side 1) is solved by dense
     LU, with the Cramer determinants reported for reference. u must be
-    rank-1 consistent in each block; the surviving sign assignments are
-    validated pair by pair through the transitivity residual. Whether all
-    six per-pair parameters agree (a genuinely shared device parameter)
-    is reported, not assumed.
+    rank-1 consistent in each block. It is split into (x, y, z, w) by the
+    root of each block's larger square and polished on the six
+    constraints; both (z, w)-block signs, under the canonical global sign
+    (first component of largest magnitude >= 0), are validated on every
+    pair through the transitivity residual, and a candidate any pair
+    rejects is dropped. Whether all six per-pair parameters agree (a
+    genuinely shared device parameter) is reported, not assumed.
     """
     if len(pairs) != 6:
         raise ValueError("exactly six pairs required")
@@ -413,8 +445,14 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1, cond_max=COND_MAX) -> SixReport:
             f"|u_zw^2 - u_zz u_ww| = {d2:.3e} "
             "(no single (x,y,z,w) generates it)")
 
-    candidates = _validate_candidates(geoms, pairs, _enumerate_candidates(u))
-    candidates.sort(key=lambda cnd: cnd.worst)
+    es = [e for _, e in _canonical_unique(_split_polish(M, u))]
+    K, res, bad = _validate(geoms, pairs, es)
+    candidates = sorted(
+        (Candidate(e=es[c], per_pair_residuals=res[:, c].tolist(),
+                   k_spread=_k_spread(K[:, c]),
+                   k_list=[ComplexParameter(k) for k in K[:, c]])
+         for c in np.flatnonzero(~bad.any(axis=0))),
+        key=lambda cnd: cnd.worst)
 
     valid = [cnd for cnd in candidates if cnd.worst <= tol_l]
     report = SixReport(
@@ -434,25 +472,10 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1, cond_max=COND_MAX) -> SixReport:
 @dataclass
 class FourReport:
     roots: list           # list of (ExpansionCoeffs, max |constraint residual|)
-    per_pair_residuals: list
+    per_pair_residuals: list  # inf where a pair rejects the root
     rank_deficient: list  # Jacobian-degenerate flags aligned with roots
-    n_starts: int         # candidate points polished
-
-
-def _lift_array(e):
-    x, y, z, w = e
-    return np.array([x * x, x * y, y * y, z * z, z * w, w * w])
-
-
-def _lift_jacobian(M, e):
-    """Jacobian of M @ lift(e) - 1 with respect to e = (x, y, z, w)."""
-    x, y, z, w = e
-    return M @ np.array([[2.0 * x, 0.0, 0.0, 0.0],
-                         [y, x, 0.0, 0.0],
-                         [0.0, 2.0 * y, 0.0, 0.0],
-                         [0.0, 0.0, 2.0 * z, 0.0],
-                         [0.0, 0.0, w, z],
-                         [0.0, 0.0, 0.0, 2.0 * w]])
+    n_starts: int         # sign candidates read back from lifted points
+    k: list               # each root's normalized k on the first pair's basis
 
 
 def _rank1_conic(u0, v1, v2, i, j, k):
@@ -497,46 +520,6 @@ def _slice_points(u0, v1, v2):
     return out
 
 
-def _split_block(sq_a, prod, sq_b, scale):
-    """(a, b) with a^2 = sq_a, ab = prod, b^2 = sq_b, or None when the
-    block is imaginary. The root is taken of the larger square, so the
-    division is never by a small root."""
-    if max(sq_a, sq_b) < -1e-9 * scale:
-        return None
-    r = np.sqrt(max(sq_a, sq_b, 0.0))
-    if r == 0.0:
-        return 0.0, 0.0
-    return (r, prod / r) if sq_a >= sq_b else (prod / r, r)
-
-
-def _expansion_candidates(u):
-    """Both (z, w)-block signs of the real (x, y, z, w) lifting to u."""
-    scale = max(1.0, float(np.linalg.norm(u)))
-    xy = _split_block(u[0], u[1], u[2], scale)
-    zw = _split_block(u[3], u[4], u[5], scale)
-    if xy is None or zw is None:
-        return []
-    e = np.array([xy[0], xy[1], zw[0], zw[1]])
-    return [e, e * np.array([1.0, 1.0, -1.0, -1.0])]
-
-
-def _polish(M, e, steps=8):
-    """Newton on M @ lift(e) = 1 while it lowers max |residual|."""
-    f = M @ _lift_array(e) - 1.0
-    fn = np.abs(f).max()
-    for _ in range(steps):
-        try:
-            e_new = e - np.linalg.solve(_lift_jacobian(M, e), f)
-        except np.linalg.LinAlgError:
-            break
-        f_new = M @ _lift_array(e_new) - 1.0
-        fn_new = np.abs(f_new).max()
-        if not fn_new < fn:
-            break
-        e, f, fn = e_new, f_new, fn_new
-    return e, float(fn)
-
-
 def solve_four(pairs, seed=0, starts=64, tol=1e-10) -> FourReport:
     """Reconstruct from four measurements exactly.
 
@@ -544,13 +527,14 @@ def solve_four(pairs, seed=0, starts=64, tol=1e-10) -> FourReport:
     u = (x^2, xy, y^2, z^2, zw, w^2), so u lies on the affine null-space
     family of the 4x6 lifted system (one SVD). On it the two rank-1
     conditions u_xy^2 = u_xx u_yy and u_zw^2 = u_zz u_ww are two conics
-    whose resultant is a quartic: at most 4 u, each split into (x, y, z, w)
-    with both (z, w)-block signs. Each candidate gets at most 8 Newton
-    steps of polish and is accepted when max |residual| <= tol. When the
-    system has rank < 4 (e.g. a repeated pair) the roots form a
-    positive-dimensional set; successive 2-D slices of the null space
-    are tried until one yields real points. Roots are deduplicated modulo
-    global sign and validated by transitivity on every pair.
+    whose resultant is a quartic: at most 4 u, each read back as in
+    solve_six (split, at most 8 polish steps, both (z, w)-block signs) and
+    accepted when max |residual| <= tol. When the system has rank < 4
+    (e.g. a repeated pair) the roots form a positive-dimensional set;
+    successive 2-D slices of the null space are tried until one yields
+    real points. Roots get the canonical global sign, are deduplicated and
+    validated by transitivity on every pair in one stacked pass; a pair
+    that rejects a root reports an infinite residual.
 
     ``seed`` and ``starts`` are accepted for compatibility and ignored;
     the result is deterministic.
@@ -569,45 +553,26 @@ def solve_four(pairs, seed=0, starts=64, tol=1e-10) -> FourReport:
     null = Vt[rank:]
 
     found = []
-    n_polished = 0
+    n_cands = 0
     for i, j in combinations(range(len(null)), 2):
         for u in _slice_points(u0, null[i], null[j]):
-            for e in _expansion_candidates(u):
-                n_polished += 1
-                e, fn = _polish(M, e)
-                if fn <= tol:
-                    found.append((fn, e))
+            cands = _split_polish(M, u)
+            n_cands += len(cands)
+            found.extend(c for c in cands if c[0] <= tol)
         if found:
             break
-
-    roots = []
-    rank_flags = []
-    pair_res = []
-    for fn, e_arr in sorted(found, key=lambda r: r[0]):
-        # canonical global sign: first component of largest magnitude >= 0
-        lead = np.argmax(np.abs(e_arr))
-        if e_arr[lead] < 0:
-            e_arr = -e_arr
-        if any(np.linalg.norm(e_arr - r[0].as_array()) < 1e-6
-               for r in roots):
-            continue
-        e = ExpansionCoeffs(*[float(v) for v in e_arr])
-        sv = np.linalg.svd(_lift_jacobian(M, e_arr), compute_uv=False)
-        rank_flags.append(bool(sv[-1] <= 1e-8 * max(sv[0], 1.0)))
-        res = []
-        for g, p in zip(geoms, pairs):
-            try:
-                L = mueller_from_k(
-                    k_from_expansion(g, e, check=True, normalize=True))
-                res.append(_transitivity_residual(L, p))
-            except MuellerKitError:
-                res.append(np.inf)
-        roots.append((e, fn))
-        pair_res.append(res)
-
-    if not roots:
+    if not found:
         raise NoConvergedRoot(
-            f"none of {n_polished} candidate points solves all four "
+            f"none of {n_cands} candidate points solves all four "
             f"constraints below {tol:.0e}")
-    return FourReport(roots=roots, per_pair_residuals=pair_res,
-                      rank_deficient=rank_flags, n_starts=n_polished)
+
+    roots = [(e, fn) for fn, e in _canonical_unique(found)]
+    rank_flags = []
+    for e, _ in roots:
+        sv = np.linalg.svd(_lift_jacobian(M, e.as_array()), compute_uv=False)
+        rank_flags.append(bool(sv[-1] <= 1e-8 * max(sv[0], 1.0)))
+    K, res, bad = _validate(geoms, pairs, [e for e, _ in roots])
+    res[bad] = np.inf
+    return FourReport(roots=roots, per_pair_residuals=res.T.tolist(),
+                      rank_deficient=rank_flags, n_starts=n_cands,
+                      k=[ComplexParameter(k) for k in K[0]])

@@ -9,9 +9,9 @@ from muellerkit import (ComplexParameter, ConstraintViolation, ExpansionCoeffs,
                         solve_six)
 from muellerkit import kernels
 from muellerkit.oracle import consistent_dataset, random_lorentz, random_stokes
-from muellerkit.relativistic import (_enumerate_candidates,
-                                     _transitivity_residual,
-                                     _validate_candidates)
+from muellerkit.relativistic import (_canonical_unique, _lifted_system,
+                                     _split_polish, _transitivity_residual,
+                                     _validate, quad_coeffs_from_geometry)
 from muellerkit.stokes import cross3, pair_geometry
 
 
@@ -101,7 +101,9 @@ def test_stacked_six_validation_matches_scalar_path():
         except NoValidCandidate as exc:
             rep = exc.report
         geoms = [pair_geometry(p) for p in pairs]
-        ref = _scalar_candidates(geoms, pairs, _enumerate_candidates(rep.u))
+        M = _lifted_system([quad_coeffs_from_geometry(g) for g in geoms])
+        es = [e for _, e in _canonical_unique(_split_polish(M, rep.u))]
+        ref = _scalar_candidates(geoms, pairs, es)
         _assert_same(rep.candidates, ref)
         worst = [c.worst for c in rep.candidates]
         assert worst == sorted(worst)
@@ -113,16 +115,20 @@ def test_candidate_rejected_by_one_pair_is_dropped():
     flipped = ExpansionCoeffs(e_a.x, e_a.y, -e_a.z, -e_a.w)
     geoms = [pair_geometry(p) for p in pairs_a]
     es = [e_a, flipped, e_b]
-    kept = _validate_candidates(geoms, pairs_a, es)
-    assert [c.e for c in kept] == [e_a, flipped]
-    _assert_same(kept, _scalar_candidates(geoms, pairs_a, es))
+    _, res, bad = _validate(geoms, pairs_a, es)
+    assert bad.any(axis=0).tolist() == [False, False, True]
+    ref = _scalar_candidates(geoms, pairs_a, es)
+    assert [e for e, *_ in ref] == [e_a, flipped]
+    for c, (_, ref_res, _, _) in enumerate(ref):
+        assert np.abs(res[:, c] - ref_res).max() <= 1e-12
 
     # e_a passes the five pairs of its own device; the sixth rejects it
     mixed = pairs_a[:5] + pairs_b[:1]
     geoms = [pair_geometry(p) for p in mixed]
     assert len(_scalar_candidates(geoms[:5], mixed[:5], [e_a])) == 1
     assert _scalar_candidates(geoms, mixed, [e_a]) == []
-    assert _validate_candidates(geoms, mixed, [e_a]) == []
+    _, _, bad = _validate(geoms, mixed, [e_a])
+    assert bad[:, 0].tolist() == [False] * 5 + [True]
 
 
 def test_sample_little_matches_little_element():

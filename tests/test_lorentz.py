@@ -116,3 +116,15 @@ def test_unit_constraint_enforced():
         mueller_from_k(ComplexParameter([2.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ConstraintViolation):
         k_from_nm(RealParameter(n0=1.0, n=[0.5, 0, 0], m0=0.0, m=np.zeros(3)))
+
+
+@pytest.mark.parametrize("chi", range(20))
+def test_strong_boost_builds(chi):
+    # round-off in the unit condition and in the product grows with
+    # sum |k_i|^2 = cosh(chi); absolute tolerances rejected chi = 14, 15
+    # and 17 to 19
+    axis = np.array([0.3, 0.5, 0.8])
+    col = mueller_from_k(boost_k(axis, chi)).m[:, 0]
+    expect = np.concatenate(([np.cosh(chi)],
+                             np.sinh(chi) * axis / np.linalg.norm(axis)))
+    assert np.abs(col - expect).max() <= 1e-12 * np.abs(expect).max()

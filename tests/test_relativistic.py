@@ -229,6 +229,10 @@ def test_solve_four_consistent_instances():
         qs = [quad_coeffs(p) for p in pairs]
         assert all(abs(constraint_residual(q, e)) <= 1e-10
                    for e, _ in rep.roots for q in qs)
+        g = pair_geometry(pairs[0])
+        for (e, _), k in zip(rep.roots, rep.k):
+            ref = k_from_expansion(g, e, normalize=True).k
+            assert np.abs(k.k - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_solve_four_recovers_root_missed_by_multistart():
@@ -264,10 +268,30 @@ def test_solve_four_repeated_pair_rank_deficient():
 
 
 def test_solve_four_propagates_programming_errors(monkeypatch):
-    def broken(k):
-        raise TypeError("bug in mueller_from_k")
+    def broken(K):
+        raise TypeError("bug in mueller_product")
 
-    monkeypatch.setattr(relativistic, "mueller_from_k", broken)
-    _, _, pairs = consistent_dataset(4, rng=np.random.default_rng(3))
+    _, _, four = consistent_dataset(4, rng=np.random.default_rng(3))
+    _, _, six = consistent_dataset(6, seed=1)
+    monkeypatch.setattr(relativistic.kernels, "mueller_product", broken)
     with pytest.raises(TypeError):
-        solve_four(pairs)
+        solve_four(four)
+    with pytest.raises(TypeError):
+        solve_six(six)
+
+
+@pytest.mark.parametrize("seed", [926] + [[77, i] for i in (
+    5, 157, 503, 564, 637, 3958)])
+def test_solve_six_recovers_small_x_or_z(seed):
+    # |e*.x| or |e*.z| is small against |e*| in all but the last case:
+    # splitting each block by its larger square and polishing recovers e*,
+    # where dividing by a small root raised NoValidCandidate. The last
+    # (cond 5.4e8) needs the polish, as the split alone keeps the error
+    # of the lifted solve.
+    _, e_star, pairs = consistent_dataset(6, rng=np.random.default_rng(seed))
+    es = e_star.as_array()
+    signs = np.array([[1, 1, 1, 1], [1, 1, -1, -1]])
+    assert any(c.worst <= 1e-6 and min(
+        np.linalg.norm(c.e.as_array() - g * s * es)
+        for s in signs for g in (1, -1)) <= 1e-6
+        for c in solve_six(pairs).candidates)
