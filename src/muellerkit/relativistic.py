@@ -52,6 +52,9 @@ class ExpansionCoeffs:
     z: float
     w: float
 
+    def __iter__(self):
+        return iter((self.x, self.y, self.z, self.w))
+
     def as_array(self):
         return np.array([self.x, self.y, self.z, self.w])
 
@@ -277,7 +280,7 @@ class SixReport:
 def lift(e) -> np.ndarray:
     """u = (x^2, xy, y^2, z^2, zw, w^2) of an ExpansionCoeffs or of an
     (x, y, z, w) array."""
-    x, y, z, w = (e.x, e.y, e.z, e.w) if isinstance(e, ExpansionCoeffs) else e
+    x, y, z, w = e
     return np.array([x * x, x * y, y * y, z * z, z * w, w * w])
 
 
@@ -475,7 +478,8 @@ class FourReport:
     per_pair_residuals: list  # inf where a pair rejects the root
     rank_deficient: list  # Jacobian-degenerate flags aligned with roots
     n_starts: int         # sign candidates read back from lifted points
-    k: list               # each root's normalized k on the first pair's basis
+    k: list               # each root's k on the first pair's basis; normalized
+                          # unless per_pair_residuals[i][0] is inf
 
 
 def _rank1_conic(u0, v1, v2, i, j, k):

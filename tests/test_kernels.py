@@ -7,7 +7,7 @@ from muellerkit import (ComplexParameter, ConstraintViolation, ExpansionCoeffs,
                         MuellerKitError, NoValidCandidate, k_from_expansion,
                         little_element, mueller_from_k, sample_little,
                         solve_six)
-from muellerkit import kernels
+from muellerkit import kernels, relativistic
 from muellerkit.oracle import consistent_dataset, random_lorentz, random_stokes
 from muellerkit.relativistic import (_canonical_unique, _lifted_system,
                                      _split_polish, _transitivity_residual,
@@ -129,6 +129,30 @@ def test_candidate_rejected_by_one_pair_is_dropped():
     assert _scalar_candidates(geoms, mixed, [e_a]) == []
     _, _, bad = _validate(geoms, mixed, [e_a])
     assert bad[:, 0].tolist() == [False] * 5 + [True]
+
+
+def _same_up_to_sign(a, b):
+    a, b = a.as_array(), b.as_array()
+    return min(np.abs(a - b).max(), np.abs(a + b).max()) <= 1e-15
+
+
+def test_solve_six_drops_rejected_candidates(monkeypatch):
+    _, e_a, pairs_a = consistent_dataset(6, seed=1)
+    _, e_b, pairs_b = consistent_dataset(6, seed=2)
+    flipped = ExpansionCoeffs(e_a.x, e_a.y, -e_a.z, -e_a.w)
+    es = [e_a, flipped, e_b]
+    monkeypatch.setattr(relativistic, "_split_polish",
+                        lambda M, u: [(0.0, e.as_array()) for e in es])
+    kept = solve_six(pairs_a).candidates
+    assert len(kept) == 2
+    assert all(any(_same_up_to_sign(c.e, e) for c in kept)
+               for e in (e_a, flipped))
+
+    # every pair of its own device accepts e_a, the foreign sixth rejects it
+    es = [e_a]
+    with pytest.raises(NoValidCandidate) as info:
+        solve_six(pairs_a[:5] + pairs_b[:1], tol_r1=np.inf)
+    assert info.value.report.candidates == []
 
 
 def test_sample_little_matches_little_element():
