@@ -7,7 +7,8 @@ produce byte-identical output across runs.
 
 Exit codes: 0 success, 1 input/usage error, 2 solver-reported
 inconsistency (no solution, failed validation, degenerate data).
-Set MT_LOG=DEBUG (or any logging level name) for progress logging.
+Set MUELLERKIT_LOG=DEBUG (or any logging level name) for progress
+logging; MT_LOG is read as an alias when MUELLERKIT_LOG is unset.
 """
 
 import argparse
@@ -16,6 +17,7 @@ import json
 import logging
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -44,28 +46,17 @@ def _load_json(path):
             f"{e.msg}") from e
 
 
-def _load_dataset(path):
+def _load(parse, what, path):
     d = _load_json(path)
     try:
-        return serialize.dataset_from_json(d)
+        return parse(d)
     except (KeyError, TypeError, ValueError, MuellerKitError) as e:
-        raise InputError(f"{path}: bad dataset: {e}") from e
+        raise InputError(f"{path}: bad {what}: {e}") from e
 
 
-def _load_stokes(path):
-    d = _load_json(path)
-    try:
-        return serialize.stokes_from_json(d)
-    except (KeyError, TypeError, ValueError, MuellerKitError) as e:
-        raise InputError(f"{path}: bad Stokes vector: {e}") from e
-
-
-def _load_matrix(path):
-    d = _load_json(path)
-    try:
-        return serialize.mueller_from_json(d)
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"{path}: bad matrix: {e}") from e
+_load_dataset = partial(_load, serialize.dataset_from_json, "dataset")
+_load_stokes = partial(_load, serialize.stokes_from_json, "Stokes vector")
+_load_matrix = partial(_load, serialize.mueller_from_json, "matrix")
 
 
 def _emit(obj, args):
@@ -235,11 +226,8 @@ def _gen_dataset(kind, seed, count):
     if kind == "rotation2":
         k, p1, p2 = oracle.rotation_dataset(rng=rng)
         return [p1, p2], k
-    if kind == "consistent4":
-        k, _, pairs = oracle.consistent_dataset(4, rng=rng)
-        return pairs, k
-    if kind == "consistent6":
-        k, _, pairs = oracle.consistent_dataset(6, rng=rng)
+    if kind in ("consistent4", "consistent6"):
+        k, _, pairs = oracle.consistent_dataset(int(kind[-1]), rng=rng)
         return pairs, k
     if kind == "random":
         k = oracle.random_lorentz(rng=rng)
@@ -354,7 +342,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    level = os.environ.get("MT_LOG")
+    level = os.environ.get("MUELLERKIT_LOG") or os.environ.get("MT_LOG")
     if level:
         logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO))
     ap = _build_parser()

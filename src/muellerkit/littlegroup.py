@@ -11,6 +11,9 @@ reduce to the single square root above, which also covers the null
 (fully polarized, p_deg = 1) case. Each valid n in the admissible region
 gives one stabilizer element; the subgroup of pure rotations about p is
 the n = t p line.
+
+One stacked core maps a block of n to elements: ``little_element`` is its
+one-row case, ``sample_little`` draws n in blocks (see its docstring).
 """
 
 from dataclasses import dataclass
@@ -18,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolation, OutOfDomain
-from .lorentz import (ComplexParameter, MuellerMatrix, RealParameter,
-                      k_from_nm, mueller_from_k)
-from .stokes import StokesVector, cross3
+from .lorentz import TOL_K, ComplexParameter, MuellerMatrix, mueller_from_k
+from .stokes import StokesVector
 
 
 @dataclass(frozen=True)
@@ -37,20 +39,37 @@ class LittleGroupElement:
         return mueller_from_k(self.k)
 
 
+def _little_stack(state: StokesVector, N, tol=TOL_K):
+    """n0^2, k (rows, 4) and the admissible mask of a (rows, 3) block of n:
+    n0^2 >= 0, and norm and ortho defects within tol * k_scale (the rules
+    of ``k_from_nm``). Elementwise column arithmetic rounds every row the
+    same way at any block size."""
+    p_deg = state.degree
+    p1, p2, p3 = p_deg * state.direction
+    n1, n2, n3 = N.T
+    m1, m2, m3 = n2 * p3 - n3 * p2, n3 * p1 - n1 * p3, n1 * p2 - n2 * p1
+    nn = n1 * n1 + n2 * n2 + n3 * n3
+    mm = m1 * m1 + m2 * m2 + m3 * m3
+    n_p = n1 * p1 + n2 * p2 + n3 * p3
+    n0_sq = 1.0 - nn * (1.0 - p_deg * p_deg) - n_p * n_p
+    n0 = np.sqrt(np.maximum(n0_sq, 0.0))
+    defect = np.maximum(abs(n0 * n0 + nn - mm - 1.0),
+                        abs(n1 * m1 + n2 * m2 + n3 * m3))
+    ok = (n0_sq >= 0.0) & (defect <= tol * np.maximum(1.0, n0 * n0 + nn + mm))
+    K = np.column_stack((n0, m1 - 1j * n1, m2 - 1j * n2, m3 - 1j * n3))
+    return n0_sq, K, ok
+
+
 def little_element(state: StokesVector, n) -> LittleGroupElement:
     """Stabilizer element of `state` generated by the 3-vector n."""
-    n = np.asarray(n, float).reshape(3)
-    p_deg = state.degree
-    p_hat = state.direction
-    pvec = p_deg * p_hat
-    m = cross3(n, pvec)
-    n0_sq = 1.0 - float(n @ n) * (1.0 - p_deg * p_deg) - float(n @ pvec) ** 2
-    if n0_sq < 0.0:
+    n0_sq, K, ok = _little_stack(state, np.asarray(n, float).reshape(1, 3))
+    if n0_sq[0] < 0.0:
         raise OutOfDomain(
-            f"n0^2 = {n0_sq:.3e} < 0: n outside the admissible region "
+            f"n0^2 = {n0_sq[0]:.3e} < 0: n outside the admissible region "
             "for this degree of polarization")
-    r = RealParameter(n0=np.sqrt(n0_sq), n=n, m0=0.0, m=m)
-    return LittleGroupElement(k=k_from_nm(r), n=n)
+    if not ok[0]:
+        raise ConstraintViolation("real-split constraints violated")
+    return LittleGroupElement(k=ComplexParameter(K[0]), n=n)
 
 
 def sample_little(state: StokesVector, count, seed=None, rng=None,
@@ -62,6 +81,11 @@ def sample_little(state: StokesVector, count, seed=None, rng=None,
     for every degree of polarization. The first element of each batch is
     taken from the pure-rotation subfamily n = t * p_hat so that the
     rotational subgroup is always represented.
+
+    n is drawn in blocks of at least 64 and the first admissible rows are
+    kept in draw order, as one draw at a time would keep them; OutOfDomain
+    is raised after 1000 * count draws. A caller-supplied `rng` is left at
+    the end of the last block, not after the last draw used.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
@@ -70,20 +94,17 @@ def sample_little(state: StokesVector, count, seed=None, rng=None,
     # limit); the analytic box bound is clipped so rejection stays
     # efficient for p -> 1. Membership of every returned element is what
     # is guaranteed, not coverage of the unbounded tails.
-    R = 1.0 / np.sqrt(max(1.0 - p_deg * p_deg, 0.0) + eps)
-    R = min(R, 10.0)
+    R = min(1.0 / np.sqrt(max(1.0 - p_deg * p_deg, 0.0) + eps), 10.0)
 
-    out = []
-    t = rng.uniform(-1.0, 1.0)
-    out.append(little_element(state, t * state.direction))
+    out = [little_element(state, rng.uniform(-1.0, 1.0) * state.direction)]
     budget = 1000 * count
     while len(out) < count:
-        budget -= 1
-        if budget < 0:
+        if budget <= 0:
             raise OutOfDomain("rejection sampling budget exhausted")
-        n = rng.uniform(-R, R, 3)
-        try:
-            out.append(little_element(state, n))
-        except (OutOfDomain, ConstraintViolation):
-            continue
+        need = count - len(out)
+        N = rng.uniform(-R, R, (min(budget, max(64, 4 * need)), 3))
+        budget -= len(N)
+        _, K, ok = _little_stack(state, N)
+        out += [LittleGroupElement(k=ComplexParameter(k), n=n)
+                for k, n in zip(K[ok][:need], N[ok])]
     return out

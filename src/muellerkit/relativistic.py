@@ -431,12 +431,10 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1, cond_max=COND_MAX) -> SixReport:
                              f"exceeds {cond_max:.0e}")
     u = np.linalg.solve(M, rhs)
 
-    det = float(np.linalg.det(M))
-    cramer = {"det": det}
-    for j, name in enumerate(("x2", "xy", "y2", "z2", "zw", "w2")):
-        Mj = M.copy()
-        Mj[:, j] = rhs
-        cramer[name] = float(np.linalg.det(Mj))
+    C = np.repeat(M[None], 7, axis=0)  # M, then column j replaced by rhs
+    C[np.arange(1, 7), :, np.arange(6)] = rhs
+    cramer = dict(zip(("det", "x2", "xy", "y2", "z2", "zw", "w2"),
+                      np.linalg.det(C).tolist()))
 
     scale = max(1.0, float(np.linalg.norm(u)))
     d1 = abs(u[1] ** 2 - u[0] * u[2])

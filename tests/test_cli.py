@@ -147,3 +147,23 @@ def test_csv_conversion(tmp_path, capsys):
     assert len(d["pairs"]) == 1
     assert d["pairs"][0]["in"]["s"] == [0.5, 0.0, 0.0]
     assert d["metadata"]["kind"] == "csv"
+
+
+@pytest.mark.parametrize("env, level", [
+    ({"MUELLERKIT_LOG": "debug"}, "DEBUG"),
+    ({"MT_LOG": "warning"}, "WARNING"),
+    ({"MUELLERKIT_LOG": "info", "MT_LOG": "error"}, "INFO"),
+])
+def test_log_level_from_environment(env, level, monkeypatch):
+    import logging
+
+    from muellerkit import cli
+    for name in ("MUELLERKIT_LOG", "MT_LOG"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    seen = []
+    monkeypatch.setattr(cli.logging, "basicConfig",
+                        lambda **kw: seen.append(kw["level"]))
+    assert main(["--help"]) == 0
+    assert seen == [getattr(logging, level)]

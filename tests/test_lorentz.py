@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from muellerkit import (ComplexParameter, ConstraintViolation, DivisionByZero,
-                        RealParameter, StokesVector, apply, boost_k, gibbs_of,
-                        is_lorentz, k_from_nm, mueller_from_k, nm_from_k,
-                        rotation_k)
+                        MuellerMatrix, RealParameter, StokesVector, apply,
+                        boost_k, gibbs_of, is_lorentz, k_from_nm,
+                        mueller_from_k, nm_from_k, rotation_k)
 from muellerkit.oracle import random_lorentz
 
 # random_lorentz(seed=42), frozen so representation changes are caught
@@ -128,3 +128,23 @@ def test_strong_boost_builds(chi):
     expect = np.concatenate(([np.cosh(chi)],
                              np.sinh(chi) * axis / np.linalg.norm(axis)))
     assert np.abs(col - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("chi", range(20))
+def test_is_lorentz_accepts_strong_boosts(chi):
+    # round-off in M^T G M - G and in det M grows with max|M|^2; an
+    # absolute tolerance rejected every chi from 9 up
+    L = mueller_from_k(boost_k([0.3, 0.5, 0.8], chi))
+    assert is_lorentz(L).ok
+    refl = L.m.copy()
+    refl[:, 1] *= -1.0  # det = -1
+    assert not is_lorentz(MuellerMatrix(refl)).ok
+
+
+def test_is_lorentz_still_rejects_reflection_and_perturbation():
+    rep = is_lorentz(MuellerMatrix(np.diag([1.0, -1.0, 1.0, 1.0])))
+    assert not rep.ok and rep.det_residual == 2.0
+    M = np.eye(4)
+    M[1, 2] += 1e-6
+    rep = is_lorentz(MuellerMatrix(M))
+    assert not rep.ok and rep.ortho_residual == pytest.approx(1e-6)

@@ -192,6 +192,22 @@ def test_solve_six_consistent_instances(rng):
         assert rep.candidates[0].worst < 1e-6
 
 
+def test_solve_six_cramer_matches_per_matrix_det():
+    # the stacked det over M and its six Cramer matrices must give the
+    # values of one det call per matrix, bit for bit
+    for i in range(20):
+        _, _, pairs = consistent_dataset(6, rng=np.random.default_rng([6, i]))
+        M = relativistic._lifted_system(
+            [quad_coeffs_from_geometry(pair_geometry(p)) for p in pairs])
+        expect = {"det": float(np.linalg.det(M)).hex()}
+        for j, name in enumerate(("x2", "xy", "y2", "z2", "zw", "w2")):
+            Mj = M.copy()
+            Mj[:, j] = 1.0
+            expect[name] = float(np.linalg.det(Mj)).hex()
+        cramer = solve_six(pairs).cramer
+        assert {k: v.hex() for k, v in cramer.items()} == expect
+
+
 def test_solve_six_identical_pairs_singular():
     _, p, _ = _chain(1)
     with pytest.raises(SingularSystem):
