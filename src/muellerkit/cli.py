@@ -17,7 +17,6 @@ import json
 import logging
 import os
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -46,17 +45,28 @@ def _load_json(path):
             f"{e.msg}") from e
 
 
-def _load(parse, what, path):
+def _load_dataset(path):
     d = _load_json(path)
     try:
-        return parse(d)
+        return serialize.dataset_from_json(d)
     except (KeyError, TypeError, ValueError, MuellerKitError) as e:
-        raise InputError(f"{path}: bad {what}: {e}") from e
+        raise InputError(f"{path}: bad dataset: {e}") from e
 
 
-_load_dataset = partial(_load, serialize.dataset_from_json, "dataset")
-_load_stokes = partial(_load, serialize.stokes_from_json, "Stokes vector")
-_load_matrix = partial(_load, serialize.mueller_from_json, "matrix")
+def _load_stokes(path):
+    d = _load_json(path)
+    try:
+        return serialize.stokes_from_json(d)
+    except (KeyError, TypeError, ValueError, MuellerKitError) as e:
+        raise InputError(f"{path}: bad Stokes vector: {e}") from e
+
+
+def _load_matrix(path):
+    d = _load_json(path)
+    try:
+        return serialize.mueller_from_json(d)
+    except (KeyError, TypeError, ValueError) as e:
+        raise InputError(f"{path}: bad matrix: {e}") from e
 
 
 def _emit(obj, args):
@@ -226,8 +236,11 @@ def _gen_dataset(kind, seed, count):
     if kind == "rotation2":
         k, p1, p2 = oracle.rotation_dataset(rng=rng)
         return [p1, p2], k
-    if kind in ("consistent4", "consistent6"):
-        k, _, pairs = oracle.consistent_dataset(int(kind[-1]), rng=rng)
+    if kind == "consistent4":
+        k, _, pairs = oracle.consistent_dataset(4, rng=rng)
+        return pairs, k
+    if kind == "consistent6":
+        k, _, pairs = oracle.consistent_dataset(6, rng=rng)
         return pairs, k
     if kind == "random":
         k = oracle.random_lorentz(rng=rng)

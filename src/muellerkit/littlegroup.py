@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolation, OutOfDomain
-from .lorentz import TOL_K, ComplexParameter, MuellerMatrix, mueller_from_k
+from .lorentz import (TOL_K, ComplexParameter, MuellerMatrix, k_scale,
+                      mueller_from_k)
 from .stokes import StokesVector
 
 
@@ -39,9 +40,9 @@ class LittleGroupElement:
         return mueller_from_k(self.k)
 
 
-def _little_stack(state: StokesVector, N, tol=TOL_K):
+def _little_stack(state: StokesVector, N):
     """n0^2, k (rows, 4) and the admissible mask of a (rows, 3) block of n:
-    n0^2 >= 0, and norm and ortho defects within tol * k_scale (the rules
+    n0^2 >= 0, and norm and ortho defects within TOL_K * k_scale (the rules
     of ``k_from_nm``). Elementwise column arithmetic rounds every row the
     same way at any block size."""
     p_deg = state.degree
@@ -53,10 +54,10 @@ def _little_stack(state: StokesVector, N, tol=TOL_K):
     n_p = n1 * p1 + n2 * p2 + n3 * p3
     n0_sq = 1.0 - nn * (1.0 - p_deg * p_deg) - n_p * n_p
     n0 = np.sqrt(np.maximum(n0_sq, 0.0))
+    K = np.column_stack((n0, m1 - 1j * n1, m2 - 1j * n2, m3 - 1j * n3))
     defect = np.maximum(abs(n0 * n0 + nn - mm - 1.0),
                         abs(n1 * m1 + n2 * m2 + n3 * m3))
-    ok = (n0_sq >= 0.0) & (defect <= tol * np.maximum(1.0, n0 * n0 + nn + mm))
-    K = np.column_stack((n0, m1 - 1j * n1, m2 - 1j * n2, m3 - 1j * n3))
+    ok = (n0_sq >= 0.0) & (defect <= TOL_K * k_scale(K))
     return n0_sq, K, ok
 
 
@@ -94,9 +95,12 @@ def sample_little(state: StokesVector, count, seed=None, rng=None,
     # limit); the analytic box bound is clipped so rejection stays
     # efficient for p -> 1. Membership of every returned element is what
     # is guaranteed, not coverage of the unbounded tails.
-    R = min(1.0 / np.sqrt(max(1.0 - p_deg * p_deg, 0.0) + eps), 10.0)
+    R = 1.0 / np.sqrt(max(1.0 - p_deg * p_deg, 0.0) + eps)
+    R = min(R, 10.0)
 
-    out = [little_element(state, rng.uniform(-1.0, 1.0) * state.direction)]
+    out = []
+    t = rng.uniform(-1.0, 1.0)
+    out.append(little_element(state, t * state.direction))
     budget = 1000 * count
     while len(out) < count:
         if budget <= 0:

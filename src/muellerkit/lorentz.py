@@ -181,14 +181,15 @@ def apply(L: MuellerMatrix, v: StokesVector) -> StokesVector:
 def is_lorentz(L: MuellerMatrix, tol=TOL_L) -> LorentzReport:
     """Check M^T G M = G, det = +1, and orthochronicity; report residuals.
 
-    Both tests scale tol by max(1, max|M|^2), as their round-off does; the
-    det test stays below 1, so det = -1 (residual 2) is still rejected."""
+    Both tests allow tol plus the round-off 64 eps max|M|^2 of their
+    residuals; the det test is capped at 1, so det = -1 (residual 2) is
+    still rejected."""
     M = L.m
     ortho = float(np.max(np.abs(M.T @ METRIC @ M - METRIC)))
     det = float(abs(np.linalg.det(M) - 1.0))
     m00 = float(M[0, 0])
-    scaled = tol * max(1.0, float(np.max(np.abs(M))) ** 2)
-    ok = ortho <= scaled and det <= min(scaled, 1.0) and m00 > 0.0
+    allow = tol + 64 * np.finfo(float).eps * float(np.max(np.abs(M))) ** 2
+    ok = ortho <= allow and det <= min(allow, 1.0) and m00 > 0.0
     return LorentzReport(ok=ok, ortho_residual=ortho, det_residual=det, m00=m00)
 
 

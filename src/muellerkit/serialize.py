@@ -7,7 +7,6 @@ same objects always yields byte-identical text. Schemas are documented in
 """
 
 import json
-import re
 
 import numpy as np
 
@@ -44,7 +43,19 @@ def dumps(obj) -> str:
     literals afterwards.
     """
     text = json.dumps(_walk(obj), indent=2, sort_keys=False)
-    return re.sub(r'"\\u0001f:([^"]*)"', lambda m: m[1], text) + "\n"
+    out = []
+    i = 0
+    quoted = '"\\u0001f:'
+    while True:
+        j = text.find(quoted, i)
+        if j < 0:
+            out.append(text[i:])
+            break
+        out.append(text[i:j])
+        end = text.index('"', j + len(quoted))
+        out.append(text[j + len(quoted):end])
+        i = end + 1
+    return "".join(out) + "\n"
 
 
 def loads(text: str):

@@ -139,6 +139,11 @@ def test_is_lorentz_accepts_strong_boosts(chi):
     refl = L.m.copy()
     refl[:, 1] *= -1.0  # det = -1
     assert not is_lorentz(MuellerMatrix(refl)).ok
+    # a uniform scale c leaves M^T G M - G at (c^2 - 1) G; from chi 16 on
+    # the round-off allowance 64 eps max|M|^2 reaches that residual
+    if chi <= 15:
+        for c in (0.95, 1.1):
+            assert not is_lorentz(MuellerMatrix(c * L.m)).ok
 
 
 def test_is_lorentz_still_rejects_reflection_and_perturbation():
