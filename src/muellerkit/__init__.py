@@ -13,9 +13,9 @@ quadratic-form diagnostics (``quadform``), stabilizer sampling
 from .errors import (AntipodalInput, ConstraintViolation, DegenerateGeometry,
                      DivisionByZero, HalfTurn, InconsistentPairs,
                      InvariantMismatch, LengthMismatch, MuellerKitError,
-                     NegativeSquare, NoConvergedRoot, NonRealProduct,
-                     NoRealRoot, NoValidCandidate, OutOfDomain,
-                     Rank1Violation, RankDeficient, SingularSystem)
+                     NoConvergedRoot, NonRealProduct, NoRealRoot,
+                     NoValidCandidate, OutOfDomain, Rank1Violation,
+                     RankDeficient, SingularSystem)
 from .littlegroup import LittleGroupElement, little_element, sample_little
 from .lorentz import (ComplexParameter, GibbsVector, LorentzReport,
                       MuellerMatrix, RealParameter, apply, boost_k, gibbs_of,

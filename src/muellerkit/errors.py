@@ -45,10 +45,6 @@ class SingularSystem(MuellerKitError):
     """Linear system is singular or too ill-conditioned to solve."""
 
 
-class NegativeSquare(MuellerKitError):
-    """A squared unknown came out negative beyond tolerance."""
-
-
 class Rank1Violation(MuellerKitError):
     """Lifted monomial vector is inconsistent with any genuine root."""
 

@@ -25,6 +25,8 @@ from .lorentz import (TOL_K, ComplexParameter, MuellerMatrix, k_scale,
                       mueller_from_k)
 from .stokes import StokesVector
 
+R_EPS = 1e-12  # keeps the sampling box finite for fully polarized states
+
 
 @dataclass(frozen=True)
 class LittleGroupElement:
@@ -73,15 +75,16 @@ def little_element(state: StokesVector, n) -> LittleGroupElement:
     return LittleGroupElement(k=ComplexParameter(K[0]), n=n)
 
 
-def sample_little(state: StokesVector, count, seed=None, rng=None,
-                  eps=1e-12):
+def sample_little(state: StokesVector, count, seed=None, rng=None):
     """`count` stabilizer elements, deterministically for a fixed seed.
 
     n is rejection-sampled in the box [-R, R]^3 with
-    R = 1 / sqrt(1 - p_deg^2 + eps), which contains the admissible region
-    for every degree of polarization. The first element of each batch is
-    taken from the pure-rotation subfamily n = t * p_hat so that the
-    rotational subgroup is always represented.
+    R = min(1 / sqrt(1 - p_deg^2 + R_EPS), 10). Unclipped, the box holds
+    the admissible region for every degree of polarization; the clip keeps
+    rejection efficient as p_deg -> 1, where the region becomes an
+    unbounded slab, so every element is a member but the tails are not
+    covered. The first element is taken from the pure-rotation subfamily
+    n = t * p_hat so that the rotational subgroup is always represented.
 
     n is drawn in blocks of at least 64 and the first admissible rows are
     kept in draw order, as one draw at a time would keep them; OutOfDomain
@@ -91,12 +94,7 @@ def sample_little(state: StokesVector, count, seed=None, rng=None,
     if rng is None:
         rng = np.random.default_rng(seed)
     p_deg = state.degree
-    # The admissible region is an ellipsoid (unbounded slab in the null
-    # limit); the analytic box bound is clipped so rejection stays
-    # efficient for p -> 1. Membership of every returned element is what
-    # is guaranteed, not coverage of the unbounded tails.
-    R = 1.0 / np.sqrt(max(1.0 - p_deg * p_deg, 0.0) + eps)
-    R = min(R, 10.0)
+    R = min(1.0 / np.sqrt(max(1.0 - p_deg * p_deg, 0.0) + R_EPS), 10.0)
 
     out = []
     t = rng.uniform(-1.0, 1.0)

@@ -157,19 +157,19 @@ def nm_from_k(k: ComplexParameter) -> RealParameter:
     )
 
 
-def mueller_from_k(k: ComplexParameter, tol=TOL_K, tol_im=TOL_IM) -> MuellerMatrix:
+def mueller_from_k(k: ComplexParameter) -> MuellerMatrix:
     """L = A(k) conj(A(k)), asserted real entrywise.
 
     Every entry of the product is a sum of conjugate pairs, so it is real
     for any complex k; the unit condition, checked first, is what makes L
     a Lorentz matrix. A NonRealProduct flags round-off of at least
-    ``tol_im`` * k_scale(k) in the imaginary parts.
+    TOL_IM * k_scale(k) in the imaginary parts.
     """
-    k.require_unit(tol)
+    k.require_unit()
     L, max_im = kernels.mueller_product(k.k)
-    if max_im >= tol_im and max_im >= tol_im * k_scale(k.k):
+    if max_im >= TOL_IM and max_im >= TOL_IM * k_scale(k.k):
         raise NonRealProduct(f"imaginary part {max_im:.3e} >= "
-                             f"{tol_im:.0e} * {k_scale(k.k):.3e}")
+                             f"{TOL_IM:.0e} * {k_scale(k.k):.3e}")
     return MuellerMatrix(L)
 
 
@@ -193,9 +193,9 @@ def is_lorentz(L: MuellerMatrix, tol=TOL_L) -> LorentzReport:
     return LorentzReport(ok=ok, ortho_residual=ortho, det_residual=det, m00=m00)
 
 
-def gibbs_of(k: ComplexParameter, tol_div=TOL_DIV) -> GibbsVector:
+def gibbs_of(k: ComplexParameter) -> GibbsVector:
     """q = kvec / k0; undefined for half-turn rotations where k0 = 0."""
-    if abs(k.k[0]) <= tol_div:
+    if abs(k.k[0]) <= TOL_DIV:
         raise DivisionByZero("|k0| below tolerance: Gibbs vector undefined")
     return GibbsVector(k.k[1:] / k.k[0])
 

@@ -17,6 +17,8 @@ from .relativistic import (ExpansionCoeffs, constraint_residual,
 from .stokes import MeasurementPair, StokesVector, pair_geometry
 
 CHI_MAX = 2.0
+S0_RANGE = (0.5, 2.0)
+P_RANGE = (0.05, 0.999)
 
 
 def random_unit(rng):
@@ -46,9 +48,9 @@ def random_lorentz(seed=None, rng=None, chi_max=CHI_MAX) -> ComplexParameter:
     return k_from_nm(RealParameter(n0=n0, n=n, m0=m0, m=m))
 
 
-def random_stokes(rng, s0_range=(0.5, 2.0), p_range=(0.05, 0.999)) -> StokesVector:
-    s0 = rng.uniform(*s0_range)
-    p = rng.uniform(*p_range)
+def random_stokes(rng) -> StokesVector:
+    s0 = rng.uniform(*S0_RANGE)
+    p = rng.uniform(*P_RANGE)
     return StokesVector(s0, s0 * p * random_unit(rng))
 
 
@@ -56,8 +58,8 @@ def make_pair(k: ComplexParameter, vin: StokesVector) -> MeasurementPair:
     return MeasurementPair(vin, apply(mueller_from_k(k), vin))
 
 
-def random_pairs(k: ComplexParameter, count, rng, **kw):
-    return [make_pair(k, random_stokes(rng, **kw)) for _ in range(count)]
+def random_pairs(k: ComplexParameter, count, rng):
+    return [make_pair(k, random_stokes(rng)) for _ in range(count)]
 
 
 def rotation_dataset(seed=None, rng=None):
@@ -122,7 +124,7 @@ def _scale_to_surface(pair: MeasurementPair, e: ExpansionCoeffs):
     return _scale_pair(pair, lam)
 
 
-def consistent_dataset(count, seed=None, rng=None, chi_max=CHI_MAX):
+def consistent_dataset(count, seed=None, rng=None):
     """`count` measurement pairs of one random relativistic device.
 
     The first pair fixes the expansion point e*; every further pair is an
@@ -134,7 +136,7 @@ def consistent_dataset(count, seed=None, rng=None, chi_max=CHI_MAX):
     if rng is None:
         rng = np.random.default_rng(seed)
     while True:
-        k = random_lorentz(rng=rng, chi_max=chi_max)
+        k = random_lorentz(rng=rng)
         base = make_pair(k, random_stokes(rng))
         g = pair_geometry(base)
         if g.collinear:
@@ -147,7 +149,7 @@ def consistent_dataset(count, seed=None, rng=None, chi_max=CHI_MAX):
 
     pairs = [base]
     while len(pairs) < count:
-        aux = random_lorentz(rng=rng, chi_max=chi_max)
+        aux = random_lorentz(rng=rng)
         cand = make_pair(aux, random_stokes(rng))
         if pair_geometry(cand).collinear:
             continue
@@ -162,7 +164,7 @@ def consistent_dataset(count, seed=None, rng=None, chi_max=CHI_MAX):
     return k, e_star, pairs
 
 
-def direct_linear_solve(pairs, tol_rank=1e-8):
+def direct_linear_solve(pairs):
     """Least-squares matrix from input/output pairs, no structure assumed.
 
     Stacks the 4n x 16 system vec-style and solves by numpy lstsq. Raises

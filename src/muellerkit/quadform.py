@@ -51,20 +51,20 @@ class SignatureReport:
     definite_zw: bool     # sufficient condition alpha < 0, sigma < 0, a*s > b^2
 
 
-def classify_signature(a, b, c, alpha, beta, sigma, tol=TOL_ZERO) -> SignatureReport:
+def classify_signature(a, b, c, alpha, beta, sigma) -> SignatureReport:
     """Signature of the full quadratic in principal axes.
 
     The diagonal form is F X^2 + G Y^2 - F' Z^2 - G' W^2 where (F', G')
     diagonalize the (alpha, beta, sigma) block; the reported signs are of
-    (F, G, -F', -G'). Eigenvalues within `tol` of zero flag a boundary
-    (degenerate) surface.
+    (F, G, -F', -G'). Eigenvalues within TOL_ZERO of zero (relative to
+    the largest) flag a boundary (degenerate) surface.
     """
     dxy = diagonalize2(a, b, c)
     dzw = diagonalize2(alpha, beta, sigma)
     diag = (dxy.F, dxy.G, -dzw.F, -dzw.G)
     scale = max(1.0, max(abs(v) for v in diag))
-    boundary = any(abs(v) <= tol * scale for v in diag)
-    signs = tuple(0 if abs(v) <= tol * scale else (1 if v > 0 else -1)
+    boundary = any(abs(v) <= TOL_ZERO * scale for v in diag)
+    signs = tuple(0 if abs(v) <= TOL_ZERO * scale else (1 if v > 0 else -1)
                   for v in diag)
     return SignatureReport(
         xy=dxy, zw=dzw, signs=signs, boundary=boundary,

@@ -41,6 +41,8 @@ TOL_CONS = 1e-8
 TOL_DEG = 1e-12
 TOL_R1 = 1e-6
 COND_MAX = 1e10
+TOL_K_RAW = 1e-8   # unit defect of k assembled from e, before normalizing
+POLISH_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ def quad_coeffs_polarized(p: MeasurementPair) -> QuadCoeffs:
 
 
 def expansion_to_params(g: PairGeometry, e: ExpansionCoeffs,
-                        tol=TOL_K, require_normalized=False) -> RealParameter:
+                        require_normalized=False) -> RealParameter:
     """Real-split parameters of the family member at e.
 
     Orthogonality n0 m0 + n.m = 0 is an identity of the expansion and is
@@ -132,15 +134,14 @@ def expansion_to_params(g: PairGeometry, e: ExpansionCoeffs,
     if r.ortho_defect() > 1e-11 * scale:
         raise ConstraintViolation(
             f"orthogonality identity violated by {r.ortho_defect():.3e}")
-    if require_normalized and r.norm_defect() > tol * scale:
+    if require_normalized and r.norm_defect() > TOL_K * scale:
         raise ConstraintViolation(
             f"normalization violated by {r.norm_defect():.3e}: "
             "e is off the constraint surface")
     return r
 
 
-def params_to_expansion(g: PairGeometry, r: RealParameter,
-                        tol_deg=TOL_DEG, tol_cons=TOL_CONS) -> ExpansionCoeffs:
+def params_to_expansion(g: PairGeometry, r: RealParameter) -> ExpansionCoeffs:
     """Invert the expansion by projecting n and m on the pair basis.
 
     The shared denominator is Avec^2 Bvec^2 - (A B)^2 = |Avec x Bvec|^2
@@ -153,7 +154,7 @@ def params_to_expansion(g: PairGeometry, r: RealParameter,
     A, B = g.A, g.B
     D = g.Avec2 * g.Bvec2 - (A * B) ** 2
     scale = max(g.Avec2 * g.Bvec2, 1.0)
-    if D <= tol_deg * scale:
+    if D <= TOL_DEG * scale:
         raise DegenerateGeometry(
             "pair basis is collinear (|Avec x Bvec|^2 ~ 0); "
             "rotation-only pairs belong to the 3D solver")
@@ -167,13 +168,13 @@ def params_to_expansion(g: PairGeometry, r: RealParameter,
     x = (-Am * A * B + Bm * g.Avec2) / D
 
     amp = max(1.0, abs(y), abs(w))
-    if abs(w - w_n) > tol_cons * amp:
+    if abs(w - w_n) > TOL_CONS * amp:
         raise InconsistentPairs(
             f"duplicate w computations disagree: {w} vs {w_n} "
             "(parameter does not map this pair)")
-    if abs(B) > tol_deg * max(1.0, A):
+    if abs(B) > TOL_DEG * max(1.0, A):
         y_m = (Bm * A * B - Am * g.Bvec2) / (B * D)
-        if abs(y - y_m) > tol_cons * amp:
+        if abs(y - y_m) > TOL_CONS * amp:
             raise InconsistentPairs(
                 f"duplicate y computations disagree: {y} vs {y_m}")
     return ExpansionCoeffs(x=float(x), y=float(y), z=float(z), w=float(w))
@@ -186,7 +187,7 @@ def constraint_residual(q: QuadCoeffs, e: ExpansionCoeffs) -> float:
 
 
 def k_from_expansion(g: PairGeometry, e: ExpansionCoeffs,
-                     tol=TOL_K, check=True, normalize=False) -> ComplexParameter:
+                     check=True, normalize=False) -> ComplexParameter:
     """Complex parameter assembled directly from the expansion scalars.
 
     With ``normalize`` the result is projected exactly onto the unit
@@ -202,7 +203,7 @@ def k_from_expansion(g: PairGeometry, e: ExpansionCoeffs,
              + (w - 1j * y) * cr)
     kp = ComplexParameter(k)
     if check:
-        kp.require_unit(max(tol, 1e-8))
+        kp.require_unit(TOL_K_RAW)
     if normalize:
         q = k[0] ** 2 - np.sum(k[1:] ** 2)
         if abs(q) < 1e-12:
@@ -216,8 +217,7 @@ def _transitivity_residual(L, pair):
         apply(L, pair.input).as_array() - pair.output.as_array()))
 
 
-def family_4d(p: MeasurementPair, y: float, z: float, w: float,
-              tol_l=1e-8):
+def family_4d(p: MeasurementPair, y: float, z: float, w: float):
     """Solve the pair's quadratic for x at fixed (y, z, w).
 
     Returns the 0/1/2 real solutions as (ExpansionCoeffs, ComplexParameter,
@@ -225,11 +225,10 @@ def family_4d(p: MeasurementPair, y: float, z: float, w: float,
     """
     g = pair_geometry(p)
     q = quad_coeffs_from_geometry(g)
-    # a x^2 + (2 b y) x + (c y^2 - alpha z^2 - 2 beta zw - sigma w^2 - 1) = 0
+    # a x^2 + (2 b y) x + (constraint residual at x = 0) = 0
     ca = q.a
     cb = 2.0 * q.b * y
-    cc = (q.c * y * y - q.alpha * z * z - 2.0 * q.beta * z * w
-          - q.sigma * w * w - 1.0)
+    cc = constraint_residual(q, ExpansionCoeffs(0.0, y, z, w))
     coeff_scale = max(abs(ca), abs(cb), abs(cc), 1.0)
     if abs(ca) <= 1e-14 * coeff_scale:
         if abs(cb) <= 1e-14 * coeff_scale:
@@ -321,12 +320,12 @@ def _lift_jacobian(M, e):
                          [0.0, 0.0, 0.0, 2.0 * w]])
 
 
-def _polish(M, e, steps=8):
+def _polish(M, e):
     """Least-squares Newton on M @ lift(e) = 1 while it lowers
     max |residual|; M has four or six rows."""
     f = M @ lift(e) - 1.0
     fn = np.abs(f).max()
-    for _ in range(steps):
+    for _ in range(POLISH_STEPS):
         e_new = e - np.linalg.lstsq(_lift_jacobian(M, e), f, rcond=None)[0]
         f_new = M @ lift(e_new) - 1.0
         fn_new = np.abs(f_new).max()
@@ -389,7 +388,7 @@ def _validate(geoms, pairs, es):
                   + (w - 1j * y)[..., None] * cr)
 
     q = K[..., 0] ** 2 - np.sum(K[..., 1:] ** 2, axis=-1)
-    bad = ((np.abs(q - 1.0) > max(TOL_K, 1e-8) * k_scale(K))
+    bad = ((np.abs(q - 1.0) > TOL_K_RAW * k_scale(K))
            | (np.abs(q) < 1e-12))
     K = K / np.sqrt(np.where(bad, 1.0, q))[..., None]  # rejected: left as is
     q = K[..., 0] ** 2 - np.sum(K[..., 1:] ** 2, axis=-1)
@@ -404,7 +403,7 @@ def _validate(geoms, pairs, es):
     return K, res, bad
 
 
-def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1, cond_max=COND_MAX) -> SixReport:
+def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1) -> SixReport:
     """Reconstruct from six measurements through the lifted linear system.
 
     The six per-pair quadratics are linear in the monomials
@@ -426,9 +425,9 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1, cond_max=COND_MAX) -> SixReport:
     rhs = np.ones(6)
 
     cond = float(np.linalg.cond(M))
-    if not np.isfinite(cond) or cond > cond_max:
+    if not np.isfinite(cond) or cond > COND_MAX:
         raise SingularSystem(f"lifted 6x6 system condition {cond:.3e} "
-                             f"exceeds {cond_max:.0e}")
+                             f"exceeds {COND_MAX:.0e}")
     u = np.linalg.solve(M, rhs)
 
     C = np.repeat(M[None], 7, axis=0)  # M, then column j replaced by rhs

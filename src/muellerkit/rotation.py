@@ -8,8 +8,8 @@ parametrized by an angle Gamma:
     beta  = cos(Gamma) / (S sqrt(2 (S^2 + S.S')))
     n0 = beta (S^2 + S.S'),   n = alpha (S + S') + beta (S x S')
 
-with n0^2 + n^2 = 1. Two independent measurements pin Gamma down (up to
-the harmless global sign of (n0, n)).
+with n0^2 + n^2 = 1. Two independent measurements pin Gamma down up to
+pi; Gamma + pi negates (n0, n), which is the same device (double cover).
 """
 
 from dataclasses import dataclass
@@ -19,11 +19,13 @@ import numpy as np
 from .errors import (AntipodalInput, DegenerateGeometry, HalfTurn,
                      InconsistentPairs, LengthMismatch)
 from .lorentz import (MuellerMatrix, RealParameter, k_from_nm, mueller_from_k,
-                      TOL_K, TOL_L)
+                      TOL_K)
 from .stokes import MeasurementPair, StokesVector, cross3
 
 TOL_CONS = 1e-8
 TOL_DEG = 1e-12
+TOL_LEN = 1e-9   # relative |S| - |S'| of a rotation pair
+TOL_MAP = 1e-7   # residual of the solved device on both unit pairs
 
 
 @dataclass(frozen=True)
@@ -46,19 +48,18 @@ class Family3DSolution:
         return mueller_from_k(k_from_nm(self.real_parameter()))
 
 
-def _rotation_vectors(p: MeasurementPair, tol=1e-9):
-    s, sp = p.input.s, p.output.s
-    smag, spmag = np.linalg.norm(s), np.linalg.norm(sp)
-    if abs(smag - spmag) > tol * max(1.0, smag):
+def _rotation_vectors(p: MeasurementPair):
+    smag, spmag = p.input.smag, p.output.smag
+    if abs(smag - spmag) > TOL_LEN * max(1.0, smag):
         raise LengthMismatch(f"|S| = {smag} vs |S'| = {spmag}")
-    return s, sp, smag
+    return p.input.s, p.output.s, smag
 
 
-def family_3d(p: MeasurementPair, gamma: float, tol_deg=TOL_DEG) -> Family3DSolution:
+def family_3d(p: MeasurementPair, gamma: float) -> Family3DSolution:
     """One-measurement rotation family at angle `gamma`."""
     s, sp, smag = _rotation_vectors(p)
     denom = smag * smag + float(s @ sp)
-    if denom <= tol_deg:
+    if denom <= TOL_DEG:
         raise AntipodalInput(
             "S' antipodal to S: family parametrization singular "
             "(solutions are half-turns about axes perpendicular to S)")
@@ -71,23 +72,22 @@ def family_3d(p: MeasurementPair, gamma: float, tol_deg=TOL_DEG) -> Family3DSolu
                             beta=float(beta), n0=float(n0), n=n)
 
 
-def gibbs_3d(p: MeasurementPair, gamma: float, tol=TOL_K) -> np.ndarray:
+def gibbs_3d(p: MeasurementPair, gamma: float) -> np.ndarray:
     """Gibbs rotation vector c = n / n0 of the family member at `gamma`."""
     s, sp, smag = _rotation_vectors(p)
     denom = smag * smag + float(s @ sp)
     if denom <= TOL_DEG:
         raise AntipodalInput("S' antipodal to S")
-    if abs(np.cos(gamma)) <= tol:
+    if abs(np.cos(gamma)) <= TOL_K:
         raise HalfTurn("n0 = 0: Gibbs vector undefined")
     return (np.tan(gamma) * smag * (s + sp) + cross3(s, sp)) / denom
 
 
 def _unit_pair(p: MeasurementPair):
-    s, sp, _ = _rotation_vectors(p)
-    smag, spmag = np.linalg.norm(s), np.linalg.norm(sp)
-    if smag == 0.0 or spmag == 0.0:
+    _rotation_vectors(p)
+    if p.input.smag == 0.0 or p.output.smag == 0.0:
         raise DegenerateGeometry("zero polarization vector: no direction")
-    return s / smag, sp / spmag
+    return p.input.direction, p.output.direction
 
 
 def _gamma_expressions(N1, N1p, N2, N2p):
@@ -101,13 +101,15 @@ def _gamma_expressions(N1, N1p, N2, N2p):
 
 
 def solve_two_3d(p1: MeasurementPair, p2: MeasurementPair,
-                 tol_cons=TOL_CONS, tol_l=TOL_L) -> Family3DSolution:
+                 tol_cons=TOL_CONS) -> Family3DSolution:
     """Unique rotation device from two independent measurements.
 
     Gamma is extracted as atan2(num, den) from the best-conditioned of the
     four equivalent ratio expressions; the remaining expressions are
-    cross-checked. The candidate at Gamma is validated on the second pair,
-    falling back to Gamma + pi (the ratio loses the quadrant).
+    cross-checked. The ratio fixes Gamma only up to pi, but Gamma + pi
+    negates (n0, n) and so gives the same device: the one device at Gamma
+    is built and must map both unit pairs within TOL_MAP, else
+    InconsistentPairs.
     """
     N1, N1p = _unit_pair(p1)
     N2, N2p = _unit_pair(p2)
@@ -134,11 +136,11 @@ def solve_two_3d(p1: MeasurementPair, p2: MeasurementPair,
     up1 = MeasurementPair(input=StokesVector(1.0, N1),
                           output=StokesVector(1.0, N1p))
 
-    for g in (gamma, gamma + np.pi):
-        sol = family_3d(up1, g)
-        M = sol.matrix().m
-        res = max(np.linalg.norm(M[1:, 1:] @ N1 - N1p),
-                  np.linalg.norm(M[1:, 1:] @ N2 - N2p))
-        if res <= max(tol_l, 1e-7):
-            return sol
-    raise InconsistentPairs("no Gamma branch maps both pairs")
+    sol = family_3d(up1, gamma)
+    M = sol.matrix().m
+    res = max(np.linalg.norm(M[1:, 1:] @ N1 - N1p),
+              np.linalg.norm(M[1:, 1:] @ N2 - N2p))
+    if not res <= TOL_MAP:
+        raise InconsistentPairs(
+            f"the device at Gamma misses a pair by {res:.3e}")
+    return sol

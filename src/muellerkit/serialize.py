@@ -68,18 +68,17 @@ def stokes_to_json(v: StokesVector) -> dict:
     return {"s0": v.s0, "s": list(v.s)}
 
 
-def stokes_from_json(d, validate=True) -> StokesVector:
-    return StokesVector(float(d["s0"]), np.asarray(d["s"], float),
-                        validate=validate)
+def stokes_from_json(d) -> StokesVector:
+    return StokesVector(float(d["s0"]), np.asarray(d["s"], float))
 
 
 def pair_to_json(p: MeasurementPair) -> dict:
     return {"in": stokes_to_json(p.input), "out": stokes_to_json(p.output)}
 
 
-def pair_from_json(d, validate=True) -> MeasurementPair:
-    return MeasurementPair(stokes_from_json(d["in"], validate),
-                           stokes_from_json(d["out"], validate))
+def pair_from_json(d) -> MeasurementPair:
+    return MeasurementPair(stokes_from_json(d["in"]),
+                           stokes_from_json(d["out"]))
 
 
 def dataset_to_json(pairs, metadata=None) -> dict:
@@ -87,8 +86,8 @@ def dataset_to_json(pairs, metadata=None) -> dict:
             "metadata": dict(metadata or {})}
 
 
-def dataset_from_json(d, validate=True):
-    return ([pair_from_json(p, validate) for p in d["pairs"]],
+def dataset_from_json(d):
+    return ([pair_from_json(p) for p in d["pairs"]],
             d.get("metadata", {}))
 
 

@@ -89,10 +89,10 @@ class MeasurementPair:
     input: StokesVector
     output: StokesVector
 
-    def check(self, tol=TOL_INV):
+    def check(self):
         """Verify the shared invariant; a Lorentz map preserves it."""
         si, so = invariant(self.input), invariant(self.output)
-        if abs(si - so) > tol * max(1.0, abs(si)):
+        if abs(si - so) > TOL_INV * max(1.0, abs(si)):
             raise InvariantMismatch(
                 f"invariants differ: {si} vs {so} (no Lorentz map exists)")
 
@@ -124,13 +124,13 @@ class PairGeometry:
         return self.cross2 <= COLLINEAR_TOL * (self.Avec2 * self.Bvec2)
 
 
-def pair_geometry(pair: MeasurementPair, tol=TOL_INV) -> PairGeometry:
+def pair_geometry(pair: MeasurementPair) -> PairGeometry:
     """Derived geometry of a measurement pair.
 
     Raises InvariantMismatch when input/output invariants differ beyond
     tolerance (scalar identity A*B = Avec.Bvec would fail too).
     """
-    pair.check(tol)
+    pair.check()
     vin, vout = pair.input, pair.output
     A = vin.s0 + vout.s0
     B = vin.s0 - vout.s0
