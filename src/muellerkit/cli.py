@@ -262,11 +262,11 @@ def _csv_to_dataset(path):
                         f"{len(row)}")
                 try:
                     vals = [float(x) for x in row]
-                except ValueError as e:
+                    pairs.append(MeasurementPair(
+                        serialize.StokesVector(vals[0], np.array(vals[1:4])),
+                        serialize.StokesVector(vals[4], np.array(vals[5:8]))))
+                except (ValueError, MuellerKitError) as e:
                     raise InputError(f"{path}:{ln}: {e}") from None
-                pairs.append(MeasurementPair(
-                    serialize.StokesVector(vals[0], np.array(vals[1:4])),
-                    serialize.StokesVector(vals[4], np.array(vals[5:8]))))
     except OSError as e:
         raise InputError(f"{path}: {e}") from e
     return pairs

@@ -183,11 +183,15 @@ def is_lorentz(L: MuellerMatrix, tol=TOL_L) -> LorentzReport:
 
     Both tests allow tol plus the round-off 64 eps max|M|^2 of their
     residuals; the det test is capped at 1, so det = -1 (residual 2) is
-    still rejected."""
+    still rejected. Where m00 > 0 the det is read as det(M[1:, 1:]) / m00,
+    which L^-1 = G L^T G makes exact for a Lorentz matrix and which stays
+    resolved where the LU det of a strong boost does not (cond about
+    e^(2 chi)); elsewhere M already fails and the LU det is reported."""
     M = L.m
     ortho = float(np.max(np.abs(M.T @ METRIC @ M - METRIC)))
-    det = float(abs(np.linalg.det(M) - 1.0))
     m00 = float(M[0, 0])
+    det = np.linalg.det(M[1:, 1:]) / m00 if m00 > 0.0 else np.linalg.det(M)
+    det = float(abs(det - 1.0))
     allow = tol + 64 * np.finfo(float).eps * float(np.max(np.abs(M))) ** 2
     ok = ortho <= allow and det <= min(allow, 1.0) and m00 > 0.0
     return LorentzReport(ok=ok, ortho_residual=ortho, det_residual=det, m00=m00)

@@ -68,6 +68,10 @@ def family_3d(p: MeasurementPair, gamma: float) -> Family3DSolution:
     beta = np.cos(gamma) / (smag * root)
     n0 = beta * denom
     n = alpha * (s + sp) + beta * cross3(s, sp)
+    # n0^2 + n^2 = 1 holds exactly; in floating point it drifts by about
+    # eps / denom, so near-antipodal pairs are put back on the unit sphere.
+    norm = np.sqrt(n0 * n0 + float(n @ n))
+    n0, n = n0 / norm, n / norm
     return Family3DSolution(gamma=float(gamma), alpha=float(alpha),
                             beta=float(beta), n0=float(n0), n=n)
 

@@ -21,7 +21,8 @@ def cross3(a, b):
 
 @dataclass(frozen=True)
 class StokesVector:
-    """A physical beam state (s0, s) with s0 > 0 and s0 >= |s|.
+    """A physical beam state (s0, s) with finite entries, s0 > 0 and
+    s0 >= |s|.
 
     The Lorentz invariant s0^2 - |s|^2 vanishes exactly for fully
     polarized light. Pass ``validate=False`` to admit slightly perturbed
@@ -38,6 +39,9 @@ class StokesVector:
         arr.setflags(write=False)
         object.__setattr__(self, "s", arr)
         if self.validate:
+            if not (np.isfinite(self.s0) and np.isfinite(arr).all()):
+                raise MuellerKitError(
+                    f"non-finite Stokes vector: s0 = {self.s0}, s = {arr}")
             if not self.s0 > 0.0:
                 raise MuellerKitError(f"s0 must be positive, got {self.s0}")
             smag = float(np.linalg.norm(arr))

@@ -137,6 +137,24 @@ def test_input_errors_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_non_finite_input_exits_1(tmp_path, capsys):
+    # json reads a bare NaN token; the dataset must be refused on load,
+    # not carried into output that is no longer JSON
+    pair = {"in": {"s0": 1.0, "s": [0.5, 0.0, 0.0]},
+            "out": {"s0": 1.0, "s": [0.0, 0.5, 0.0]}}
+    bad = {"in": {"s0": 1.0, "s": [float("nan"), 0.0, 0.0]},
+           "out": {"s0": 1.0, "s": [0.0, 0.5, 0.0]}}
+    data = _write(tmp_path, "nan.json", {"pairs": [pair, bad]})
+    for cmd in ("diag", "solve2"):
+        code, out, err = run([cmd, "--data", data], capsys)
+        assert code == 1 and out == "" and "non-finite" in err
+    csvf = tmp_path / "nan.csv"
+    csvf.write_text("1.0,0.5,0.0,0.0,1.0,0.0,0.5,0.0\n"
+                    "nan,0.5,0.0,0.0,1.0,0.0,0.5,0.0\n")
+    code, out, err = run(["gen", "--to-json", str(csvf)], capsys)
+    assert code == 1 and out == "" and f"{csvf}:2:" in err
+
+
 def test_csv_conversion(tmp_path, capsys):
     csvf = tmp_path / "pairs.csv"
     csvf.write_text("# s0,s1,s2,s3,s0',s1',s2',s3'\n"

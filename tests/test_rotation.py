@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from muellerkit import (AntipodalInput, DegenerateGeometry, HalfTurn,
-                        InconsistentPairs, MeasurementPair, StokesVector,
-                        apply, family_3d, gibbs_3d, mueller_from_k,
-                        rotation_k, solve_two_3d)
+                        InconsistentPairs, LengthMismatch, MeasurementPair,
+                        StokesVector, apply, family_3d, gibbs_3d,
+                        mueller_from_k, rotation_k, solve_two_3d)
 from muellerkit.oracle import random_unit, rotation_dataset
 
 
@@ -112,3 +112,44 @@ def test_solve_two_inconsistent_rejected(rng):
         with pytest.raises((InconsistentPairs, DegenerateGeometry)):
             solve_two_3d(p1, p2)
             # a random second device almost surely breaks Eq-consistency
+
+
+def test_gamma_plus_pi_is_the_same_device():
+    # Gamma + pi negates (n0, n): the double-cover twin, so solve_two_3d
+    # has no second branch to try
+    for seed in range(200):
+        _, p1, _ = rotation_dataset(seed=seed)
+        for g in (-2.5, -0.4, 0.3, 1.2, 2.9):
+            M = family_3d(p1, g).matrix().m
+            M_pi = family_3d(p1, g + np.pi).matrix().m
+            assert np.max(np.abs(M - M_pi)) <= 1e-14
+
+
+def test_solve_two_length_mismatch():
+    p1 = _pair(1.0, [0.6, 0.0, 0.0], 1.0, [0.0, 0.5, 0.0])
+    p2 = _pair(1.0, [0.0, 0.6, 0.0], 1.0, [-0.6, 0.0, 0.0])
+    with pytest.raises(LengthMismatch):
+        solve_two_3d(p1, p2)
+
+
+def test_solve_two_zero_polarization():
+    p1 = _pair(1.0, [0.0, 0.0, 0.0], 1.0, [0.0, 0.0, 0.0])
+    p2 = _pair(1.0, [0.6, 0.0, 0.0], 1.0, [0.0, 0.6, 0.0])
+    with pytest.raises(DegenerateGeometry):
+        solve_two_3d(p1, p2)
+
+
+def test_solve_two_half_turn_near_antipodal():
+    # a half-turn about z maps probes near the xy-plane almost onto their
+    # antipodes; n0^2 + n^2 then drifts from 1 by about eps / (S^2 + S.S')
+    # unless family_3d renormalizes (n0, n)
+    L = mueller_from_k(rotation_k([0, 0, 1], np.pi))
+    cone = mueller_from_k(rotation_k([0, 0, 1], 1.3)).m[1:, 1:]
+    d = np.array([0.6, 0.8, 1e-4])
+    d /= np.linalg.norm(d)
+    pairs = []
+    for N in (d, cone @ d):
+        vin = StokesVector(1.0, 0.9 * N)
+        pairs.append(MeasurementPair(vin, apply(L, vin)))
+    sol = solve_two_3d(*pairs)
+    assert np.max(np.abs(sol.matrix().m - L.m)) <= 1e-12

@@ -29,6 +29,17 @@ def test_validation_rejects_unphysical():
     StokesVector(1.0, [1.5, 0.0, 0.0], validate=False)
 
 
+@pytest.mark.parametrize("s0, s", [
+    (1.0, [np.nan, 0.0, 0.0]),
+    (1.0, [0.0, np.inf, 0.0]),
+    (np.inf, [0.0, 0.0, 0.0]),
+    (np.nan, [0.0, 0.0, 0.0]),
+], ids=["nan_s", "inf_s", "inf_s0", "nan_s0"])
+def test_validation_rejects_non_finite(s0, s):
+    with pytest.raises(MuellerKitError, match="non-finite"):
+        StokesVector(s0, s)
+
+
 def test_array_round_trip():
     v = StokesVector(1.25, [0.1, -0.2, 0.3])
     v2 = StokesVector.from_array(v.as_array())
