@@ -64,9 +64,12 @@ def _load_stokes(path):
 def _load_matrix(path):
     d = _load_json(path)
     try:
-        return serialize.mueller_from_json(d)
+        L = serialize.mueller_from_json(d)
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"{path}: bad matrix: {e}") from e
+    if not np.isfinite(L.m).all():
+        raise InputError(f"{path}: bad matrix: non-finite entry")
+    return L
 
 
 def _emit(obj, args):

@@ -321,8 +321,8 @@ def _lift_jacobian(M, e):
 
 
 def _polish(M, e):
-    """Least-squares Newton on M @ lift(e) = 1 while it lowers
-    max |residual|; M has four or six rows."""
+    """Least-squares Newton on M @ lift(e) = 1, at most POLISH_STEPS
+    steps, while it lowers max |residual|; M has four or six rows."""
     f = M @ lift(e) - 1.0
     fn = np.abs(f).max()
     for _ in range(POLISH_STEPS):

@@ -91,7 +91,7 @@ def _unit_pair(p: MeasurementPair):
     _rotation_vectors(p)
     if p.input.smag == 0.0 or p.output.smag == 0.0:
         raise DegenerateGeometry("zero polarization vector: no direction")
-    return p.input.direction, p.output.direction
+    return p.input.s / p.input.smag, p.output.s / p.output.smag
 
 
 def _gamma_expressions(N1, N1p, N2, N2p):

@@ -138,7 +138,7 @@ def test_input_errors_exit_1(tmp_path, capsys):
 
 
 def test_non_finite_input_exits_1(tmp_path, capsys):
-    # json reads a bare NaN token; the dataset must be refused on load,
+    # json reads a bare NaN token; such input must be refused on load,
     # not carried into output that is no longer JSON
     pair = {"in": {"s0": 1.0, "s": [0.5, 0.0, 0.0]},
             "out": {"s0": 1.0, "s": [0.0, 0.5, 0.0]}}
@@ -153,6 +153,13 @@ def test_non_finite_input_exits_1(tmp_path, capsys):
                     "nan,0.5,0.0,0.0,1.0,0.0,0.5,0.0\n")
     code, out, err = run(["gen", "--to-json", str(csvf)], capsys)
     assert code == 1 and out == "" and f"{csvf}:2:" in err
+    m = np.eye(4).reshape(16).tolist()
+    m[0] = float("nan")
+    matrix = _write(tmp_path, "nan_m.json", {"m": m})
+    stokes = _write(tmp_path, "s.json", pair["in"])
+    code, out, err = run(["apply", "--matrix", matrix, "--stokes", stokes],
+                         capsys)
+    assert code == 1 and out == "" and "non-finite" in err
 
 
 def test_csv_conversion(tmp_path, capsys):
