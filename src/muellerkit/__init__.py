@@ -13,7 +13,7 @@ quadratic-form diagnostics (``quadform``), stabilizer sampling
 from .errors import (AntipodalInput, ConstraintViolation, DegenerateGeometry,
                      DivisionByZero, HalfTurn, InconsistentPairs,
                      InvariantMismatch, LengthMismatch, MuellerKitError,
-                     NoConvergedRoot, NonRealProduct, NoRealRoot,
+                     NoConvergedRoot, NoRealRoot,
                      NoValidCandidate, OutOfDomain, Rank1Violation,
                      RankDeficient, SingularSystem)
 from .littlegroup import LittleGroupElement, little_element, sample_little

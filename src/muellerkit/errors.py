@@ -13,10 +13,6 @@ class ConstraintViolation(MuellerKitError):
     """A parameter set fails its defining algebraic constraint."""
 
 
-class NonRealProduct(MuellerKitError):
-    """The factorized matrix product has a non-negligible imaginary part."""
-
-
 class DivisionByZero(MuellerKitError):
     """A ratio parametrization is undefined (denominator below tolerance)."""
 

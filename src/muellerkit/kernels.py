@@ -8,7 +8,10 @@ The complex 4x4 factor matrix of k = (k0, k1, k2, k3) is
     [ -k3 -ik2   ik1    k0 ]
 
 built by index: entry (i, j) is COEF[i, j] * k[SOURCE[i, j]]. The kernel
-works on any stack of parameters, shape (..., 4).
+works on any stack of parameters, shape (..., 4). Every entry of
+A(k) conj(A(k)) is a sum of conjugate pairs, so the product is real for
+any complex k, on or off the unit surface; its imaginary part is
+round-off and is dropped.
 """
 
 import numpy as np
@@ -27,11 +30,7 @@ COEF = np.array([[1, -1, -1, -1],
 
 
 def mueller_product(K):
-    """Real part (..., 4, 4) and max |imag| (...) of A(k) @ conj(A(k))
-    for a complex parameter stack K of shape (..., 4).
-
-    One k of shape (4,) gives one 4x4 matrix and a scalar.
-    """
+    """A(k) @ conj(A(k)), real, shape (..., 4, 4), for a complex parameter
+    stack K of shape (..., 4); one k of shape (4,) gives one 4x4 matrix."""
     A = np.asarray(K, complex)[..., SOURCE] * COEF
-    L = A @ A.conj()
-    return L.real, np.abs(L.imag).max(axis=(-2, -1))
+    return (A @ A.conj()).real

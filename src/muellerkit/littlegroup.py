@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolation, OutOfDomain
-from .lorentz import (TOL_K, ComplexParameter, MuellerMatrix, k_scale,
-                      mueller_from_k)
+from .lorentz import (TOL_K, ComplexParameter, MuellerMatrix, mueller_from_k,
+                      unit_ok)
 from .stokes import StokesVector
 
 R_EPS = 1e-12  # keeps the sampling box finite for fully polarized states
@@ -44,23 +44,19 @@ class LittleGroupElement:
 
 def _little_stack(state: StokesVector, N):
     """n0^2, k (rows, 4) and the admissible mask of a (rows, 3) block of n:
-    n0^2 >= 0, and norm and ortho defects within TOL_K * k_scale (the rules
-    of ``k_from_nm``). Elementwise column arithmetic rounds every row the
-    same way at any block size."""
+    n0^2 >= 0 and ``unit_ok(k, TOL_K)`` (the rule of ``k_from_nm``).
+    Elementwise column arithmetic rounds every row the same way at any
+    block size."""
     p_deg = state.degree
     p1, p2, p3 = p_deg * state.direction
     n1, n2, n3 = N.T
     m1, m2, m3 = n2 * p3 - n3 * p2, n3 * p1 - n1 * p3, n1 * p2 - n2 * p1
     nn = n1 * n1 + n2 * n2 + n3 * n3
-    mm = m1 * m1 + m2 * m2 + m3 * m3
     n_p = n1 * p1 + n2 * p2 + n3 * p3
     n0_sq = 1.0 - nn * (1.0 - p_deg * p_deg) - n_p * n_p
     n0 = np.sqrt(np.maximum(n0_sq, 0.0))
     K = np.column_stack((n0, m1 - 1j * n1, m2 - 1j * n2, m3 - 1j * n3))
-    defect = np.maximum(abs(n0 * n0 + nn - mm - 1.0),
-                        abs(n1 * m1 + n2 * m2 + n3 * m3))
-    ok = (n0_sq >= 0.0) & (defect <= TOL_K * k_scale(K))
-    return n0_sq, K, ok
+    return n0_sq, K, (n0_sq >= 0.0) & unit_ok(K, TOL_K)
 
 
 def little_element(state: StokesVector, n) -> LittleGroupElement:

@@ -11,7 +11,9 @@ factorized product L = A(k) conj(A(k)), where A(k) is the fixed complex
 
 turns the unit condition into the two real constraints
 n0^2 + n^2 - m0^2 - m^2 = 1 and n0 m0 + n.m = 0; rotations have
-(m0, m) = 0, boosts have n = 0.
+(m0, m) = 0, boosts have n = 0. These are the real and imaginary parts
+of k0^2 - k.k = 1, so ``unit_ok`` is the one validity rule for k, whatever
+form it was built from.
 """
 
 from dataclasses import dataclass
@@ -19,26 +21,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConstraintViolation, DivisionByZero, NonRealProduct
+from .errors import ConstraintViolation, DivisionByZero
 from .stokes import StokesVector
 
 TOL_K = 1e-10
 TOL_L = 1e-9
-TOL_IM = 1e-10
 TOL_DIV = 1e-12
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 def k_scale(k):
-    """max(1, sum_i |k_i|^2) over the last axis of k.
-
-    Round-off in k0^2 - k.k and in A(k) conj(A(k)) grows with this sum,
-    so the tolerances on the unit condition and on the imaginary part of
-    the product are taken relative to it. The scale is at least 1, so a
-    defect within the bare tolerance needs no scale.
-    """
+    """max(1, sum_i |k_i|^2) over the last axis of k: round-off in
+    k0^2 - k.k grows with this sum."""
     return np.maximum(1.0, np.sum(np.abs(k) ** 2, axis=-1))
+
+
+def unit_ok(K, tol):
+    """True where |k0^2 - k.k - 1| <= tol * k_scale(k), over the last axis
+    of a stack K (..., 4); False where k is not finite.
+
+    The scale is at least 1, so a defect within the bare tol is accepted
+    without it. Elementwise column arithmetic rounds every row the same
+    way at any stack shape.
+    """
+    k0, k1, k2, k3 = K.T  # leading axes come out reversed; .T restores them
+    d = abs(k0 * k0 - k1 * k1 - k2 * k2 - k3 * k3 - 1.0)
+    ok = d <= tol
+    if not ok.all():
+        ok = ok | (d / k_scale(K).T <= tol)  # inf / inf is NaN: rejected
+    return ok.T
 
 
 @dataclass(frozen=True)
@@ -63,10 +75,10 @@ class ComplexParameter:
         return abs(self.k[0] ** 2 - np.sum(self.k[1:] ** 2) - 1.0)
 
     def require_unit(self, tol=TOL_K):
-        """Raise unless the unit defect is within tol * k_scale(k)."""
-        d = self.unit_defect()
-        if d > tol and d > tol * k_scale(self.k):
-            raise ConstraintViolation(f"k0^2 - k^2 = 1 violated by {d:.3e}")
+        """Raise unless ``unit_ok(k, tol)``."""
+        if not unit_ok(self.k, tol):
+            raise ConstraintViolation(
+                f"k0^2 - k^2 = 1 violated by {self.unit_defect():.3e}")
 
     def __neg__(self):
         return ComplexParameter(-self.k)
@@ -89,20 +101,13 @@ class RealParameter:
         object.__setattr__(self, "n0", float(self.n0))
         object.__setattr__(self, "m0", float(self.m0))
 
+    # Diagnostics: the real and half the imaginary part of k0^2 - k.k - 1.
     def norm_defect(self):
         return abs(self.n0 ** 2 + self.n @ self.n
                    - self.m0 ** 2 - self.m @ self.m - 1.0)
 
     def ortho_defect(self):
         return abs(self.n0 * self.m0 + self.n @ self.m)
-
-    def require_valid(self, tol=TOL_K):
-        """Raise unless both defects are within tol * k_scale(k); the sum
-        of |k_i|^2 is n0^2 + n.n + m0^2 + m.m."""
-        d = max(self.norm_defect(), self.ortho_defect())
-        if d > tol and d > tol * k_scale(
-                np.concatenate(([self.n0, self.m0], self.n, self.m))):
-            raise ConstraintViolation(f"real-split constraints violated by {d:.3e}")
 
 
 @dataclass(frozen=True)
@@ -139,12 +144,14 @@ class LorentzReport:
 
 
 def k_from_nm(r: RealParameter, tol=TOL_K) -> ComplexParameter:
-    """Assemble k0 = n0 + i m0, k_j = -i n_j + m_j from a valid real split."""
-    r.require_valid(tol)
+    """Assemble k0 = n0 + i m0, k_j = -i n_j + m_j from a real split and
+    require it on the unit surface (``unit_ok`` at tol)."""
     k = np.empty(4, complex)
     k[0] = r.n0 + 1j * r.m0
     k[1:] = r.m - 1j * r.n
-    return ComplexParameter(k)
+    kp = ComplexParameter(k)
+    kp.require_unit(tol)
+    return kp
 
 
 def nm_from_k(k: ComplexParameter) -> RealParameter:
@@ -158,19 +165,13 @@ def nm_from_k(k: ComplexParameter) -> RealParameter:
 
 
 def mueller_from_k(k: ComplexParameter) -> MuellerMatrix:
-    """L = A(k) conj(A(k)), asserted real entrywise.
+    """L = A(k) conj(A(k)) of a k on the unit surface.
 
-    Every entry of the product is a sum of conjugate pairs, so it is real
-    for any complex k; the unit condition, checked first, is what makes L
-    a Lorentz matrix. A NonRealProduct flags round-off of at least
-    TOL_IM * k_scale(k) in the imaginary parts.
+    The unit condition, checked first, is what makes L a Lorentz matrix;
+    the product is real for any complex k (see ``kernels``).
     """
     k.require_unit()
-    L, max_im = kernels.mueller_product(k.k)
-    if max_im >= TOL_IM and max_im >= TOL_IM * k_scale(k.k):
-        raise NonRealProduct(f"imaginary part {max_im:.3e} >= "
-                             f"{TOL_IM:.0e} * {k_scale(k.k):.3e}")
-    return MuellerMatrix(L)
+    return MuellerMatrix(kernels.mueller_product(k.k))
 
 
 def apply(L: MuellerMatrix, v: StokesVector) -> StokesVector:

@@ -33,8 +33,8 @@ from .errors import (ConstraintViolation, DegenerateGeometry,
                      InconsistentPairs, NoConvergedRoot, NoRealRoot,
                      NoValidCandidate, Rank1Violation, SingularSystem)
 from . import kernels
-from .lorentz import (ComplexParameter, RealParameter, TOL_IM, TOL_K,
-                      apply, k_scale, mueller_from_k)
+from .lorentz import (TOL_K, ComplexParameter, RealParameter, apply,
+                      k_from_nm, mueller_from_k, unit_ok)
 from .stokes import MeasurementPair, PairGeometry, pair_geometry
 
 TOL_CONS = 1e-8
@@ -121,7 +121,8 @@ def expansion_to_params(g: PairGeometry, e: ExpansionCoeffs,
 
     Orthogonality n0 m0 + n.m = 0 is an identity of the expansion and is
     asserted; the normalization constraint holds iff e lies on the
-    quadratic 3-surface (checked only when ``require_normalized``).
+    quadratic 3-surface (checked only when ``require_normalized``, by
+    ``k_from_nm``'s unit rule).
     """
     x, y, z, w = e.x, e.y, e.z, e.w
     Av, Bv, cr = g.Avec, g.Bvec, g.cross
@@ -134,10 +135,8 @@ def expansion_to_params(g: PairGeometry, e: ExpansionCoeffs,
     if r.ortho_defect() > 1e-11 * scale:
         raise ConstraintViolation(
             f"orthogonality identity violated by {r.ortho_defect():.3e}")
-    if require_normalized and r.norm_defect() > TOL_K * scale:
-        raise ConstraintViolation(
-            f"normalization violated by {r.norm_defect():.3e}: "
-            "e is off the constraint surface")
+    if require_normalized:
+        k_from_nm(r)
     return r
 
 
@@ -187,8 +186,9 @@ def constraint_residual(q: QuadCoeffs, e: ExpansionCoeffs) -> float:
 
 
 def k_from_expansion(g: PairGeometry, e: ExpansionCoeffs,
-                     check=True, normalize=False) -> ComplexParameter:
-    """Complex parameter assembled directly from the expansion scalars.
+                     normalize=False) -> ComplexParameter:
+    """Complex parameter assembled directly from the expansion scalars,
+    required on the unit surface to TOL_K_RAW (``unit_ok``).
 
     With ``normalize`` the result is projected exactly onto the unit
     surface by dividing out sqrt(k0^2 - k.k); the defect being divided
@@ -202,8 +202,7 @@ def k_from_expansion(g: PairGeometry, e: ExpansionCoeffs,
     k[1:] = (-(y * g.B + 1j * z) * Av + (x + 1j * w * g.A) * Bv
              + (w - 1j * y) * cr)
     kp = ComplexParameter(k)
-    if check:
-        kp.require_unit(TOL_K_RAW)
+    kp.require_unit(TOL_K_RAW)
     if normalize:
         q = k[0] ** 2 - np.sum(k[1:] ** 2)
         if abs(q) < 1e-12:
@@ -369,12 +368,13 @@ def _validate(geoms, pairs, es):
     """Every candidate e checked against every pair in one pass.
 
     The parameters K (pairs, candidates, 4) are assembled as in
-    k_from_expansion and checked by the rules of k_from_expansion(check=True,
-    normalize=True) followed by mueller_from_k: unit defect, |q| ~ 0,
-    normalized unit defect, non-real product. Returns K (normalized where
-    accepted), the transitivity residuals (pairs, candidates) and the
-    rejection mask (pairs, candidates), True where that per-pair path would
-    raise a MuellerKitError.
+    k_from_expansion and checked by the rules of
+    k_from_expansion(normalize=True) followed by mueller_from_k:
+    ``unit_ok`` at TOL_K_RAW, |q| ~ 0, ``unit_ok`` of the normalized k at
+    TOL_K. Returns K (normalized where accepted), the transitivity
+    residuals (pairs, candidates) and the rejection mask (pairs,
+    candidates), True where that per-pair path would raise a
+    MuellerKitError.
     """
     x, y, z, w = np.array([e.as_array() for e in es]).reshape(-1, 4).T
     A, B, Avec2, Bvec2 = np.array(
@@ -388,13 +388,10 @@ def _validate(geoms, pairs, es):
                   + (w - 1j * y)[..., None] * cr)
 
     q = K[..., 0] ** 2 - np.sum(K[..., 1:] ** 2, axis=-1)
-    bad = ((np.abs(q - 1.0) > TOL_K_RAW * k_scale(K))
-           | (np.abs(q) < 1e-12))
+    bad = ~unit_ok(K, TOL_K_RAW) | (np.abs(q) < 1e-12)
     K = K / np.sqrt(np.where(bad, 1.0, q))[..., None]  # rejected: left as is
-    q = K[..., 0] ** 2 - np.sum(K[..., 1:] ** 2, axis=-1)
-    L, max_im = kernels.mueller_product(K)
-    scale = k_scale(K)
-    bad |= (np.abs(q - 1.0) > TOL_K * scale) | (max_im >= TOL_IM * scale)
+    bad |= ~unit_ok(K, TOL_K)
+    L = kernels.mueller_product(K)
 
     vin = np.array([p.input.as_array() for p in pairs])
     vout = np.array([p.output.as_array() for p in pairs])

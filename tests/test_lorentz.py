@@ -4,7 +4,8 @@ import pytest
 from muellerkit import (ComplexParameter, ConstraintViolation, DivisionByZero,
                         MuellerMatrix, RealParameter, StokesVector, apply,
                         boost_k, gibbs_of, is_lorentz, k_from_nm,
-                        mueller_from_k, nm_from_k, rotation_k)
+                        little_element, mueller_from_k, nm_from_k, rotation_k)
+from muellerkit.lorentz import TOL_K, unit_ok
 from muellerkit.oracle import random_lorentz
 
 # random_lorentz(seed=42), frozen so representation changes are caught
@@ -116,6 +117,55 @@ def test_unit_constraint_enforced():
         mueller_from_k(ComplexParameter([2.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ConstraintViolation):
         k_from_nm(RealParameter(n0=1.0, n=[0.5, 0, 0], m0=0.0, m=np.zeros(3)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_k_is_rejected(bad):
+    for k in ([bad, 0, 0, 0], [1, 0, bad * 1j, 0]):
+        assert not unit_ok(np.array(k, complex), TOL_K)
+        with pytest.raises(ConstraintViolation):
+            mueller_from_k(ComplexParameter(k))
+    for r in (RealParameter(n0=bad, n=np.zeros(3), m0=0.0, m=np.zeros(3)),
+              RealParameter(n0=1.0, n=np.zeros(3), m0=0.0, m=[0, bad, 0])):
+        with pytest.raises(ConstraintViolation):
+            k_from_nm(r)
+    # a NaN row of n, or an infinite one against a fully polarized state
+    # (whose n0^2 is then inf * 0), builds a non-finite k
+    state = StokesVector(1.0, [0.6, 0.0, 0.8])
+    for n in ([np.nan, 0.0, 0.0], [0.0, bad, 0.0]):
+        with pytest.raises(ConstraintViolation):
+            little_element(state, n)
+
+
+def test_unit_condition_is_the_real_split_pair():
+    # Re(k0^2 - k.k - 1) is the signed norm defect and Im is twice the
+    # ortho defect, on or off the unit surface
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        k = (rng.normal(size=4) + 1j * rng.normal(size=4)) * rng.uniform(0.1, 10)
+        r = nm_from_k(ComplexParameter(k))
+        q = k[0] * k[0] - k[1] * k[1] - k[2] * k[2] - k[3] * k[3] - 1.0
+        norm = r.n0 ** 2 + r.n @ r.n - r.m0 ** 2 - r.m @ r.m - 1.0
+        ortho = r.n0 * r.m0 + r.n @ r.m
+        tol = 1e-14 * np.sum(np.abs(k) ** 2)
+        assert abs(q.real - norm) <= tol and abs(q.imag - 2 * ortho) <= tol
+        assert abs(r.norm_defect() - abs(q.real)) <= tol
+        assert abs(2 * r.ortho_defect() - abs(q.imag)) <= tol
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unit_ok_stack_matches_rows():
+    rng = np.random.default_rng(22)
+    K = np.array([random_lorentz(rng=rng).k for _ in range(24)])
+    K[::3] *= 1.0 + 1e-6               # off the surface
+    K[1::6, 2] = np.nan
+    K[4::6, 0] = np.inf
+    K[2] = boost_k([0.3, 0.5, 0.8], 25).k  # needs the scale
+    rows = [bool(unit_ok(k, TOL_K)) for k in K]
+    assert unit_ok(K, TOL_K).tolist() == rows
+    assert unit_ok(K.reshape(4, 6, 4), TOL_K).ravel().tolist() == rows
+    assert rows[2] and not rows[0] and not rows[1] and not rows[4]
 
 
 @pytest.mark.parametrize("chi", range(20))

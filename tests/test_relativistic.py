@@ -93,6 +93,19 @@ def test_params_expansion_round_trip(rng):
         assert np.allclose(r2.m, r.m, atol=1e-9)
 
 
+@pytest.mark.parametrize("chi", range(1, 10))
+def test_expansion_to_params_normalized_strong_boost(chi):
+    # the normalization check scaled by max(1, |n0 m0|, |n.m|), about 1 for
+    # a boost, and rejected chi 7 to 9; chi 0 is the identity, whose pair
+    # basis is collinear
+    from muellerkit import boost_k
+    k = boost_k([0.3, 0.5, 0.8], chi)
+    g = pair_geometry(make_pair(k, StokesVector(1.0, [0.2, -0.4, 0.5])))
+    e = params_to_expansion(g, nm_from_k(k))
+    r = expansion_to_params(g, e, require_normalized=True)
+    assert np.abs(r.m - nm_from_k(k).m).max() <= 1e-9 * np.cosh(chi / 2)
+
+
 def test_params_to_expansion_frozen():
     k, p, g = _chain(42)
     e = params_to_expansion(g, nm_from_k(k))
