@@ -72,6 +72,13 @@ def _load_matrix(path):
     return L
 
 
+def _finite(text):
+    """argparse type: a float that is neither NaN nor infinite."""
+    if not np.isfinite(v := float(text)):
+        raise argparse.ArgumentTypeError(f"non-finite value {text!r}")
+    return v
+
+
 def _emit(obj, args):
     text = serialize.dumps(obj)
     if getattr(args, "output", None):
@@ -216,7 +223,10 @@ def cmd_diag(args):
 
 def cmd_little(args):
     state = _load_stokes(args.stokes)
-    els = littlegroup.sample_little(state, args.count, seed=args.seed)
+    try:
+        els = littlegroup.sample_little(state, args.count, seed=args.seed)
+    except ValueError as e:
+        raise InputError(f"--count: {e}") from e
     out = {"elements": []}
     state_arr = state.as_array()
     for el in els:
@@ -326,22 +336,20 @@ def _build_parser():
 
     add("apply", cmd_apply,
         matrix=dict(required=True), stokes=dict(required=True))
-    add("family3", cmd_family3,
-        data=dict(required=True), gamma=dict(type=float, required=True))
+    num = dict(type=_finite, required=True)
+    add("family3", cmd_family3, data=dict(required=True), gamma=num)
     add("solve2", cmd_solve2,
         data=dict(required=True),
-        tol=dict(type=float, default=rotation.TOL_CONS))
-    add("family4", cmd_family4,
-        data=dict(required=True), y=dict(type=float, required=True),
-        z=dict(type=float, required=True), w=dict(type=float, required=True))
+        tol=dict(type=_finite, default=rotation.TOL_CONS))
+    add("family4", cmd_family4, data=dict(required=True), y=num, z=num, w=num)
     add("solve4", cmd_solve4,
         data=dict(required=True),
         seed=dict(type=int, default=0, help="ignored (the solve is exact)"),
         starts=dict(type=int, default=64,
                     help="ignored (the solve is exact)"),
-        tol=dict(type=float, default=1e-10))
+        tol=dict(type=_finite, default=1e-10))
     add("solve6", cmd_solve6,
-        data=dict(required=True), tol=dict(type=float, default=1e-6))
+        data=dict(required=True), tol=dict(type=_finite, default=1e-6))
     add("diag", cmd_diag, data=dict(required=True))
     add("little", cmd_little,
         stokes=dict(required=True), count=dict(type=int, default=10),
@@ -353,7 +361,7 @@ def _build_parser():
                      help="convert a CSV pair table to a JSON dataset"))
     add("verify", cmd_verify,
         matrix=dict(required=True), data=dict(required=True),
-        tol=dict(type=float, default=1e-8))
+        tol=dict(type=_finite, default=1e-8))
     return ap
 
 

@@ -10,8 +10,7 @@ The complex 4x4 factor matrix of k = (k0, k1, k2, k3) is
 built by index: entry (i, j) is COEF[i, j] * k[SOURCE[i, j]]. The kernel
 works on any stack of parameters, shape (..., 4). Every entry of
 A(k) conj(A(k)) is a sum of conjugate pairs, so the product is real for
-any complex k, on or off the unit surface; its imaginary part is
-round-off and is dropped.
+any complex k; its imaginary part is round-off and is dropped.
 """
 
 import numpy as np

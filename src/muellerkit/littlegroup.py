@@ -59,50 +59,62 @@ def _little_stack(state: StokesVector, N):
     return n0_sq, K, (n0_sq >= 0.0) & unit_ok(K, TOL_K)
 
 
+def _require_admissible(n0_sq, ok):
+    """Raise for a row of ``_little_stack`` that is not admissible."""
+    if n0_sq < 0.0:
+        raise OutOfDomain(f"n0^2 = {n0_sq:.3e} < 0: n outside the admissible "
+                          "region for this degree of polarization")
+    if not ok:
+        raise ConstraintViolation("k0^2 - k^2 = 1 violated")
+
+
 def little_element(state: StokesVector, n) -> LittleGroupElement:
     """Stabilizer element of `state` generated by the 3-vector n."""
     n0_sq, K, ok = _little_stack(state, np.asarray(n, float).reshape(1, 3))
-    if n0_sq[0] < 0.0:
-        raise OutOfDomain(
-            f"n0^2 = {n0_sq[0]:.3e} < 0: n outside the admissible region "
-            "for this degree of polarization")
-    if not ok[0]:
-        raise ConstraintViolation("real-split constraints violated")
+    _require_admissible(n0_sq[0], ok[0])
     return LittleGroupElement(k=ComplexParameter(K[0]), n=n)
 
 
 def sample_little(state: StokesVector, count, seed=None, rng=None):
-    """`count` stabilizer elements, deterministically for a fixed seed.
+    """`count` (>= 0) stabilizer elements, deterministically for a fixed seed.
 
     n is rejection-sampled in the box [-R, R]^3 with
     R = min(1 / sqrt(1 - p_deg^2 + R_EPS), 10). Unclipped, the box holds
     the admissible region for every degree of polarization; the clip keeps
     rejection efficient as p_deg -> 1, where the region becomes an
     unbounded slab, so every element is a member but the tails are not
-    covered. The first element is taken from the pure-rotation subfamily
-    n = t * p_hat so that the rotational subgroup is always represented.
+    covered. The first element is n = t * p_hat, t drawn first, so that
+    the rotational subgroup is always represented.
 
-    n is drawn in blocks of at least 64 and the first admissible rows are
-    kept in draw order, as one draw at a time would keep them; OutOfDomain
-    is raised after 1000 * count draws. A caller-supplied `rng` is left at
-    the end of the last block, not after the last draw used.
+    n is drawn in blocks of at least 64, the first one headed by the row
+    t * p_hat, and the first admissible rows are kept in draw order, as one
+    draw at a time would keep them; OutOfDomain is raised after
+    1000 * count draws. A caller-supplied `rng` is left at the end of the
+    last block, not after the last draw used.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if count == 0:
+        return []
     if rng is None:
         rng = np.random.default_rng(seed)
     p_deg = state.degree
     R = min(1.0 / np.sqrt(max(1.0 - p_deg * p_deg, 0.0) + R_EPS), 10.0)
 
-    out = []
-    t = rng.uniform(-1.0, 1.0)
-    out.append(little_element(state, t * state.direction))
-    budget = 1000 * count
+    N = (rng.uniform(-1.0, 1.0) * state.direction)[None]  # t * p_hat
+    out, budget = [], 1000 * count
     while len(out) < count:
-        if budget <= 0:
-            raise OutOfDomain("rejection sampling budget exhausted")
-        need = count - len(out)
-        N = rng.uniform(-R, R, (min(budget, max(64, 4 * need)), 3))
-        budget -= len(N)
-        _, K, ok = _little_stack(state, N)
+        need = count - len(out) - len(N)
+        if need > 0:
+            if budget <= 0:
+                raise OutOfDomain("rejection sampling budget exhausted")
+            block = rng.uniform(-R, R, (min(budget, max(64, 4 * need)), 3))
+            budget -= len(block)
+            N = np.concatenate((N, block))
+        n0_sq, K, ok = _little_stack(state, N)
+        if not out:
+            _require_admissible(n0_sq[0], ok[0])
         out += [LittleGroupElement(k=ComplexParameter(k), n=n)
-                for k, n in zip(K[ok][:need], N[ok])]
+                for k, n in zip(K[ok][:count - len(out)], N[ok])]
+        N = N[:0]
     return out

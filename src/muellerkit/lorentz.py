@@ -11,9 +11,8 @@ factorized product L = A(k) conj(A(k)), where A(k) is the fixed complex
 
 turns the unit condition into the two real constraints
 n0^2 + n^2 - m0^2 - m^2 = 1 and n0 m0 + n.m = 0; rotations have
-(m0, m) = 0, boosts have n = 0. These are the real and imaginary parts
-of k0^2 - k.k = 1, so ``unit_ok`` is the one validity rule for k, whatever
-form it was built from.
+(m0, m) = 0, boosts have n = 0. They are the real and imaginary parts
+of k0^2 - k.k = 1, so ``unit_ok`` is the one validity rule for k.
 """
 
 from dataclasses import dataclass
@@ -31,25 +30,18 @@ TOL_DIV = 1e-12
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-def k_scale(k):
-    """max(1, sum_i |k_i|^2) over the last axis of k: round-off in
-    k0^2 - k.k grows with this sum."""
-    return np.maximum(1.0, np.sum(np.abs(k) ** 2, axis=-1))
-
-
 def unit_ok(K, tol):
-    """True where |k0^2 - k.k - 1| <= tol * k_scale(k), over the last axis
-    of a stack K (..., 4); False where k is not finite.
-
-    The scale is at least 1, so a defect within the bare tol is accepted
-    without it. Elementwise column arithmetic rounds every row the same
-    way at any stack shape.
-    """
+    """True where |k0^2 - k.k - 1| <= tol * max(1, sum_i |k_i|^2), the scale
+    its round-off grows with, over the last axis of a stack K (..., 4);
+    False where k is not finite. A defect within the bare tol needs no
+    scale. Elementwise column arithmetic rounds every row the same way at
+    any stack shape."""
     k0, k1, k2, k3 = K.T  # leading axes come out reversed; .T restores them
     d = abs(k0 * k0 - k1 * k1 - k2 * k2 - k3 * k3 - 1.0)
     ok = d <= tol
-    if not ok.all():
-        ok = ok | (d / k_scale(K).T <= tol)  # inf / inf is NaN: rejected
+    if not ok.all():  # inf / inf is NaN, so a non-finite k is rejected
+        scale = np.maximum(1.0, np.sum(np.abs(K.T) ** 2, axis=0))
+        ok = ok | (d / scale <= tol)
     return ok.T
 
 
@@ -165,11 +157,8 @@ def nm_from_k(k: ComplexParameter) -> RealParameter:
 
 
 def mueller_from_k(k: ComplexParameter) -> MuellerMatrix:
-    """L = A(k) conj(A(k)) of a k on the unit surface.
-
-    The unit condition, checked first, is what makes L a Lorentz matrix;
-    the product is real for any complex k (see ``kernels``).
-    """
+    """L = A(k) conj(A(k)); the unit condition, checked first, is what
+    makes L a Lorentz matrix (the product is real for any k)."""
     k.require_unit()
     return MuellerMatrix(kernels.mueller_product(k.k))
 

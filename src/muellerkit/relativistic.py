@@ -187,8 +187,7 @@ def constraint_residual(q: QuadCoeffs, e: ExpansionCoeffs) -> float:
 
 def k_from_expansion(g: PairGeometry, e: ExpansionCoeffs,
                      normalize=False) -> ComplexParameter:
-    """Complex parameter assembled directly from the expansion scalars,
-    required on the unit surface to TOL_K_RAW (``unit_ok``).
+    """Complex parameter from the expansion scalars, ``unit_ok`` at TOL_K_RAW.
 
     With ``normalize`` the result is projected exactly onto the unit
     surface by dividing out sqrt(k0^2 - k.k); the defect being divided

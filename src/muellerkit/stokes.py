@@ -8,6 +8,7 @@ import numpy as np
 from .errors import InvariantMismatch, MuellerKitError
 
 TOL_INV = 1e-9
+ROUND_OFF = 64 * np.finfo(float).eps  # per unit of s0^2 in an invariant
 COLLINEAR_TOL = 1e-12
 
 
@@ -94,9 +95,11 @@ class MeasurementPair:
     output: StokesVector
 
     def check(self):
-        """Verify the shared invariant; a Lorentz map preserves it."""
+        """Verify the shared invariant; a Lorentz map preserves it. The
+        allowance adds its round-off 64 eps max(s0^2, s0'^2)."""
         si, so = invariant(self.input), invariant(self.output)
-        if abs(si - so) > TOL_INV * max(1.0, abs(si)):
+        s0_sq = max(self.input.s0 ** 2, self.output.s0 ** 2)
+        if abs(si - so) > TOL_INV * max(1.0, abs(si)) + ROUND_OFF * s0_sq:
             raise InvariantMismatch(
                 f"invariants differ: {si} vs {so} (no Lorentz map exists)")
 

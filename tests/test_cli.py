@@ -92,6 +92,15 @@ def test_little_subcommand(tmp_path, capsys):
     assert all(el["fix_residual"] < 1e-10 for el in d["elements"])
 
 
+def test_little_count(tmp_path, capsys):
+    # --count 0 emitted one element; a negative count is an input error
+    s = _write(tmp_path, "s.json", {"s0": 1.0, "s": [0.2, 0.3, 0.1]})
+    code, out, _ = run(["little", "--stokes", s, "--count", "0"], capsys)
+    assert code == 0 and json.loads(out) == {"elements": []}
+    code, out, err = run(["little", "--stokes", s, "--count", "-3"], capsys)
+    assert code == 1 and out == "" and "count" in err
+
+
 def test_diag_subcommand(tmp_path, capsys):
     data = str(tmp_path / "d.json")
     assert run(["gen", "--kind", "random", "--count", "2", "--seed", "3",
@@ -160,6 +169,22 @@ def test_non_finite_input_exits_1(tmp_path, capsys):
     code, out, err = run(["apply", "--matrix", matrix, "--stokes", stokes],
                          capsys)
     assert code == 1 and out == "" and "non-finite" in err
+    # float options: argparse read nan and inf, and family3 and family4
+    # wrote bare nan tokens with exit 0
+    # (the files are finite, so "non-finite" can only come from the flag)
+    one = _write(tmp_path, "one.json", {"pairs": [pair]})
+    eye = _write(tmp_path, "eye.json", {"m": np.eye(4).reshape(16).tolist()})
+    cases = [("family3", ["--data", one], "gamma")]
+    cases += [("family4", ["--data", one, "--y=0", "--z=0", "--w=0"], flag)
+              for flag in "yzw"]
+    cases += [(cmd, ["--data", one], "tol")
+              for cmd in ("solve2", "solve4", "solve6")]
+    cases += [("verify", ["--matrix", eye, "--data", one], "tol")]
+    for bad in ("nan", "inf", "-inf"):
+        for cmd, args, flag in cases:
+            argv = [cmd, *args, f"--{flag}={bad}"]
+            code, out, err = run(argv, capsys)
+            assert code == 1 and out == "" and "non-finite" in err, argv
 
 
 def test_csv_conversion(tmp_path, capsys):

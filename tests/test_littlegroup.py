@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from muellerkit import OutOfDomain, StokesVector, little_element, sample_little
+from muellerkit import (ConstraintViolation, OutOfDomain, StokesVector,
+                        little_element, littlegroup, sample_little)
 
 
 def _fix_residual(el, state):
@@ -133,3 +134,55 @@ def test_sample_little_budget_counts_draws():
     with pytest.raises(OutOfDomain):
         sample_little(StokesVector(1.0, [0.0, 0.0, 0.0]), 3, rng=rng)
     assert rng.rows == 3000
+
+
+def test_sample_little_returns_exactly_count():
+    s = StokesVector(1.0, [0.2, 0.1, 0.0])
+    for count in (0, 1, 2, 65):
+        rng = np.random.default_rng(3)
+        assert len(sample_little(s, count, rng=rng)) == count
+        ref = np.random.default_rng(3)
+        if count:
+            ref.uniform(-1.0, 1.0)  # t; no block is drawn for count 1
+        if count > 1:
+            ref.uniform(-1.0, 1.0, (max(64, 4 * (count - 1)), 3))
+        assert rng.uniform() == ref.uniform()
+    with pytest.raises(ValueError):
+        sample_little(s, -3, seed=0)
+
+
+def test_sample_little_runs_the_core_once(monkeypatch):
+    calls = []
+    core = littlegroup._little_stack
+
+    def counted(state, N):
+        calls.append(len(N))
+        return core(state, N)
+
+    monkeypatch.setattr(littlegroup, "_little_stack", counted)
+    s = StokesVector(1.1, [0.4, 0.1, -0.3])
+    els = sample_little(s, 10, seed=4)
+    assert calls == [1 + 64]
+    assert np.array_equal(els[0].n, little_element(s, els[0].n).n)
+    sample_little(s, 1, seed=4)
+    assert calls[1:] == [1, 1]  # sample_little, then little_element above
+
+
+@pytest.mark.parametrize("n0_sq, exc", [(0.5, ConstraintViolation),
+                                         (-0.5, OutOfDomain)])
+def test_sample_little_rejected_head_raises_as_little_element(
+        monkeypatch, n0_sq, exc):
+    core = littlegroup._little_stack
+
+    def rejecting(state, N):
+        sq, K, ok = core(state, N)
+        sq[0] = n0_sq
+        return sq, K, ok & False
+
+    monkeypatch.setattr(littlegroup, "_little_stack", rejecting)
+    s = StokesVector(1.0, [0.2, 0.1, 0.0])
+    for count in (1, 5):
+        with pytest.raises(exc):
+            sample_little(s, count, seed=0)
+    with pytest.raises(exc):
+        little_element(s, [0.1, 0.0, 0.0])

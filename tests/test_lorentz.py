@@ -143,7 +143,8 @@ def test_unit_condition_is_the_real_split_pair():
     # ortho defect, on or off the unit surface
     rng = np.random.default_rng(21)
     for _ in range(200):
-        k = (rng.normal(size=4) + 1j * rng.normal(size=4)) * rng.uniform(0.1, 10)
+        k = rng.normal(size=4) + 1j * rng.normal(size=4)
+        k *= rng.uniform(0.1, 10.0)
         r = nm_from_k(ComplexParameter(k))
         q = k[0] * k[0] - k[1] * k[1] - k[2] * k[2] - k[3] * k[3] - 1.0
         norm = r.n0 ** 2 + r.n @ r.n - r.m0 ** 2 - r.m @ r.m - 1.0

@@ -85,3 +85,19 @@ def test_invariant_mismatch_rejected():
                         StokesVector(2.0, [0.5, 0.0, 0.0]))
     with pytest.raises(InvariantMismatch):
         pair_geometry(p)
+
+
+@pytest.mark.parametrize("chi", range(21))
+@pytest.mark.parametrize("probe", [[0.2, -0.4, 0.5], [0.6, 0.0, 0.8]],
+                         ids=["partly", "fully"])
+def test_strong_boost_pairs_share_the_invariant(chi, probe):
+    # s0'^2 - |s'|^2 rounds off by about eps s0'^2, which reached 1.2e-8
+    # against the allowance 1e-9 at chi = 10; a 1e-6 change of s0' is
+    # still a mismatch at every chi
+    from muellerkit import boost_k
+    from muellerkit.oracle import make_pair
+    p = make_pair(boost_k([0.3, 0.5, 0.8], chi), StokesVector(1.0, probe))
+    pair_geometry(p)
+    out = StokesVector(p.output.s0 * (1.0 + 1e-6), p.output.s)
+    with pytest.raises(InvariantMismatch):
+        pair_geometry(MeasurementPair(p.input, out))
