@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolation, OutOfDomain
-from .lorentz import (TOL_K, ComplexParameter, MuellerMatrix, mueller_from_k,
-                      unit_ok)
+from .lorentz import (TOL_K, ComplexParameter, MuellerMatrix, frozen,
+                      mueller_from_k, unit_ok)
 from .stokes import StokesVector
 
 R_EPS = 1e-12  # keeps the sampling box finite for fully polarized states
@@ -34,19 +34,18 @@ class LittleGroupElement:
     n: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.n, float).reshape(3).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "n", arr)
+        object.__setattr__(self, "n", frozen(self.n, float, (3,)))
 
     def matrix(self) -> MuellerMatrix:
         return mueller_from_k(self.k)
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def _little_stack(state: StokesVector, N):
     """n0^2, k (rows, 4) and the admissible mask of a (rows, 3) block of n:
     n0^2 >= 0 and ``unit_ok(k, TOL_K)`` (the rule of ``k_from_nm``).
     Elementwise column arithmetic rounds every row the same way at any
-    block size."""
+    block size. A non-finite n raises no floating-point warning."""
     p_deg = state.degree
     p1, p2, p3 = p_deg * state.direction
     n1, n2, n3 = N.T
@@ -114,7 +113,10 @@ def sample_little(state: StokesVector, count, seed=None, rng=None):
         n0_sq, K, ok = _little_stack(state, N)
         if not out:
             _require_admissible(n0_sq[0], ok[0])
+        K, N = K[ok], N[ok]
+        K.setflags(write=False)  # read-only, so the elements view their rows
+        N.setflags(write=False)
         out += [LittleGroupElement(k=ComplexParameter(k), n=n)
-                for k, n in zip(K[ok][:count - len(out)], N[ok])]
+                for k, n in zip(K[:count - len(out)], N)]
         N = N[:0]
     return out

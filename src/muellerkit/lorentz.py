@@ -30,12 +30,13 @@ TOL_DIV = 1e-12
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def unit_ok(K, tol):
     """True where |k0^2 - k.k - 1| <= tol * max(1, sum_i |k_i|^2), the scale
     its round-off grows with, over the last axis of a stack K (..., 4);
     False where k is not finite. A defect within the bare tol needs no
     scale. Elementwise column arithmetic rounds every row the same way at
-    any stack shape."""
+    any stack shape. A non-finite k raises no floating-point warning."""
     k0, k1, k2, k3 = K.T  # leading axes come out reversed; .T restores them
     d = abs(k0 * k0 - k1 * k1 - k2 * k2 - k3 * k3 - 1.0)
     ok = d <= tol
@@ -45,14 +46,30 @@ def unit_ok(K, tol):
     return ok.T
 
 
+def frozen(a, dtype, shape):
+    """``a`` as a read-only array of ``dtype`` and ``shape`` (a tuple). It
+    is copied only where its memory can still be written from outside: an
+    input array that is writeable or views writeable memory. A list, or an
+    array of another dtype, is converted into new memory, which is not
+    copied again."""
+    arr = np.asarray(a, dtype=dtype)
+    if arr is a or arr.base is not None:  # memory the caller may hold
+        base = arr
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is not None:  # writeable, or a foreign buffer
+            arr = arr.copy()
+    if arr.flags.writeable:
+        arr.setflags(write=False)  # before reshape: views inherit it
+    return arr if arr.shape == shape else arr.reshape(shape)
+
+
 @dataclass(frozen=True)
 class ComplexParameter:
     k: np.ndarray  # complex128[4]
 
     def __post_init__(self):
-        arr = np.asarray(self.k, dtype=complex).reshape(4).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "k", arr)
+        object.__setattr__(self, "k", frozen(self.k, complex, (4,)))
 
     @property
     def k0(self):
@@ -62,8 +79,10 @@ class ComplexParameter:
     def kvec(self):
         return self.k[1:]
 
+    @np.errstate(invalid="ignore", over="ignore")
     def unit_defect(self):
-        """|k0^2 - kvec^2 - 1| (complex modulus)."""
+        """|k0^2 - kvec^2 - 1| (complex modulus); NaN or inf, without a
+        floating-point warning, for a non-finite k."""
         return abs(self.k[0] ** 2 - np.sum(self.k[1:] ** 2) - 1.0)
 
     def require_unit(self, tol=TOL_K):
@@ -87,9 +106,8 @@ class RealParameter:
 
     def __post_init__(self):
         for name in ("n", "m"):
-            arr = np.asarray(getattr(self, name), dtype=float).reshape(3).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen(getattr(self, name),
+                                                  float, (3,)))
         object.__setattr__(self, "n0", float(self.n0))
         object.__setattr__(self, "m0", float(self.m0))
 
@@ -107,9 +125,7 @@ class MuellerMatrix:
     m: np.ndarray  # float64[4,4]
 
     def __post_init__(self):
-        arr = np.asarray(self.m, dtype=float).reshape(4, 4).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "m", arr)
+        object.__setattr__(self, "m", frozen(self.m, float, (4, 4)))
 
     def __matmul__(self, other):
         return MuellerMatrix(self.m @ other.m)
@@ -122,9 +138,7 @@ class GibbsVector:
     q: np.ndarray  # complex128[3]
 
     def __post_init__(self):
-        arr = np.asarray(self.q, dtype=complex).reshape(3).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "q", arr)
+        object.__setattr__(self, "q", frozen(self.q, complex, (3,)))
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,11 @@ u_xy^2 = u_xx u_yy and u_zw^2 = u_zz u_ww are conics solved in closed form
 through their resultant.
 
 Both solvers read each lifted point back the same way: each block is split
-by the root of its larger square, the point is polished on the lifted
-system, both (z, w)-block signs are emitted (no constraint sees that sign),
-every point gets one canonical global sign, and all candidates are checked
+by the root of its larger square, the point is polished by Gauss-Newton on
+the lifted system, one SVD of the Jacobian per step, until its residual
+reaches evaluation round-off and the caller's tolerance (or stops falling),
+both (z, w)-block signs are emitted (no constraint sees that sign), every
+point gets one canonical global sign, and all candidates are checked
 against all pairs in one stacked pass.
 """
 
@@ -43,6 +45,7 @@ TOL_R1 = 1e-6
 COND_MAX = 1e10
 TOL_K_RAW = 1e-8   # unit defect of k assembled from e, before normalizing
 POLISH_STEPS = 8
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -318,48 +321,70 @@ def _lift_jacobian(M, e):
                          [0.0, 0.0, 0.0, 2.0 * w]])
 
 
-def _polish(M, e):
-    """Least-squares Newton on M @ lift(e) = 1, at most POLISH_STEPS
-    steps, while it lowers max |residual|; M has four or six rows."""
-    f = M @ lift(e) - 1.0
+def _polish(M, e, tol):
+    """Gauss-Newton on M @ lift(e) = 1; M has four or six rows.
+
+    Each step is a least-squares solve through one SVD of the Jacobian J,
+    dropping singular values <= eps max(J.shape) S[0]. The polish stops
+    once max |residual| is within its evaluation round-off
+    4 eps max_i (|M| |lift(e)|)_i and within the caller's tol, when a step
+    fails to lower it, or after POLISH_STEPS steps. Where that round-off
+    exceeds tol (max_i (|M| |lift(e)|)_i above about 1e5), stopping at it
+    could leave a residual above tol that one more step would clear.
+    Returns e, max |residual| and the singular values of J at that e.
+    """
+    absM = np.abs(M)
+    u = lift(e)
+    f = M @ u - 1.0
     fn = np.abs(f).max()
-    for _ in range(POLISH_STEPS):
-        e_new = e - np.linalg.lstsq(_lift_jacobian(M, e), f, rcond=None)[0]
-        f_new = M @ lift(e_new) - 1.0
+    for step in range(POLISH_STEPS + 1):
+        J = _lift_jacobian(M, e)
+        U, S, Vt = np.linalg.svd(J, full_matrices=False)
+        if step == POLISH_STEPS or fn <= min(
+                tol, 4.0 * EPS * (absM @ np.abs(u)).max()):
+            break
+        keep = S > EPS * max(J.shape) * S[0]
+        e_new = e - Vt[keep].T @ ((U[:, keep].T @ f) / S[keep])
+        u_new = lift(e_new)
+        f_new = M @ u_new - 1.0
         fn_new = np.abs(f_new).max()
         if not fn_new < fn:
             break
-        e, f, fn = e_new, f_new, fn_new
-    return e, float(fn)
+        e, u, f, fn = e_new, u_new, f_new, fn_new
+    return e, float(fn), S
 
 
-def _split_polish(M, u):
-    """(max |residual|, e) for both (z, w)-block signs of the real e that
-    lifts to u, or [] when a block of u is imaginary.
+def _split_polish(M, u, tol):
+    """(max |residual|, e, Jacobian singular values) for both (z, w)-block
+    signs of the real e that lifts to u, polished with ``tol``, or [] when
+    a block of u is imaginary.
 
     The point is polished once: flipping the (z, w) sign leaves lift(e),
-    and so the residual, unchanged.
+    the residual and the singular values unchanged.
     """
     scale = max(1.0, float(np.linalg.norm(u)))
     xy = _split_block(u[0], u[1], u[2], scale)
     zw = _split_block(u[3], u[4], u[5], scale)
     if xy is None or zw is None:
         return []
-    e, fn = _polish(M, np.array([*xy, *zw]))
-    return [(fn, e), (fn, e * np.array([1.0, 1.0, -1.0, -1.0]))]
+    e, fn, sv = _polish(M, np.array([*xy, *zw]), tol)
+    return [(fn, e, sv), (fn, e * np.array([1.0, 1.0, -1.0, -1.0]), sv)]
 
 
 def _canonical_unique(found):
-    """The (fn, e) points sorted by fn, each given the canonical global
-    sign (its first component of largest magnitude is >= 0), without
-    those within 1e-6 of an earlier one. Returns (fn, ExpansionCoeffs)."""
+    """The (fn, e, sv) points of _split_polish sorted by fn, each given the
+    canonical global sign (its first component of largest magnitude is
+    >= 0), without those within 1e-6 of an earlier one. Returns
+    (fn, ExpansionCoeffs, sv); sv holds for the canonical e, as neither
+    sign changes the Jacobian's singular values."""
     out = []
-    for fn, e in sorted(found, key=lambda r: r[0]):
+    for fn, e, sv in sorted(found, key=lambda r: r[0]):
         lead = np.argmax(np.abs(e))
         if e[lead] < 0:
             e = -e
-        if not any(np.linalg.norm(e - o.as_array()) < 1e-6 for _, o in out):
-            out.append((fn, ExpansionCoeffs(*[float(v) for v in e])))
+        if not any(np.linalg.norm(e - o.as_array()) < 1e-6
+                   for _, o, _ in out):
+            out.append((fn, ExpansionCoeffs(*[float(v) for v in e]), sv))
     return out
 
 
@@ -408,11 +433,12 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1) -> SixReport:
     LU, with the Cramer determinants reported for reference. u must be
     rank-1 consistent in each block. It is split into (x, y, z, w) by the
     root of each block's larger square and polished on the six
-    constraints; both (z, w)-block signs, under the canonical global sign
-    (first component of largest magnitude >= 0), are validated on every
-    pair through the transitivity residual, and a candidate any pair
-    rejects is dropped. Whether all six per-pair parameters agree (a
-    genuinely shared device parameter) is reported, not assumed.
+    constraints down to round-off (see _polish); both (z, w)-block signs,
+    under the canonical global sign (first component of largest
+    magnitude >= 0), are validated on every pair through the transitivity
+    residual, and a candidate any pair rejects is dropped. Whether all six
+    per-pair parameters agree (a genuinely shared device parameter) is
+    reported, not assumed.
     """
     if len(pairs) != 6:
         raise ValueError("exactly six pairs required")
@@ -441,7 +467,7 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1) -> SixReport:
             f"|u_zw^2 - u_zz u_ww| = {d2:.3e} "
             "(no single (x,y,z,w) generates it)")
 
-    es = [e for _, e in _canonical_unique(_split_polish(M, u))]
+    es = [e for _, e, _ in _canonical_unique(_split_polish(M, u, np.inf))]
     K, res, bad = _validate(geoms, pairs, es)
     candidates = sorted(
         (Candidate(e=es[c], per_pair_residuals=res[:, c].tolist(),
@@ -476,42 +502,57 @@ class FourReport:
 
 
 def _rank1_conic(u0, v1, v2, i, j, k):
-    """u_j^2 - u_i u_k on u = u0 + s v1 + t v2 as c2 t^2 + c1(s) t + c0(s).
+    """u_j^2 - u_i u_k on u = u0 + s v1 + t v2 as c2 t^2 + c1(s) t + c0(s),
+    from float sequences u0, v1, v2.
 
-    c2 is a number, c1 and c0 are np.polyval coefficient arrays in s.
+    c2 is a number, c1 = (c11, c10) and c0 = (c02, c01, c00) hold the
+    coefficients of powers of s, highest first.
     """
-    pi, pj, pk = (np.array([v1[m], u0[m]]) for m in (i, j, k))
-    c2 = v2[j] * v2[j] - v2[i] * v2[k]
-    c1 = 2.0 * v2[j] * pj - v2[i] * pk - v2[k] * pi
-    c0 = np.convolve(pj, pj) - np.convolve(pi, pk)
+    si, sj, sk = v1[i], v1[j], v1[k]
+    oi, oj, ok = u0[i], u0[j], u0[k]
+    ti, tj, tk = v2[i], v2[j], v2[k]
+    c2 = tj * tj - ti * tk
+    c1 = (2.0 * tj * sj - ti * sk - tk * si, 2.0 * tj * oj - ti * ok - tk * oi)
+    c0 = (sj * sj - si * sk, 2.0 * sj * oj - (si * ok + oi * sk),
+          oj * oj - oi * ok)
     return c2, c1, c0
 
 
 def _slice_points(u0, v1, v2):
     """Points u = u0 + s v1 + t v2 on both rank-1 conics, s and t real.
 
-    The Sylvester resultant of the two conics, as quadratics in t, is a
-    quartic in s; t then follows from the pencil b2 f - a2 g, which is
-    linear in t, or from f itself where that pencil vanishes.
+    The Sylvester resultant of the two conics f = a2 t^2 + a1 t + a0 and
+    g = b2 t^2 + b1 t + b0 is the quartic d20^2 - d21 d10 in s, with
+    d20 = a2 b0 - b2 a0, d21 = a2 b1 - b2 a1 and d10 = a1 b0 - a0 b1;
+    t then follows from the pencil b2 f - a2 g, which is linear in t, or
+    from f itself where that pencil vanishes.
     """
-    a2, a1, a0 = _rank1_conic(u0, v1, v2, 0, 1, 2)
-    b2, b1, b0 = _rank1_conic(u0, v1, v2, 3, 4, 5)
-    d20 = a2 * b0 - b2 * a0
-    d21 = a2 * b1 - b2 * a1
-    d10 = np.convolve(a1, b0) - np.convolve(a0, b1)
-    quartic = np.convolve(d20, d20) - np.convolve(d21, d10)
-    d21_scale = float(np.abs(d21).max())
+    lists = u0.tolist(), v1.tolist(), v2.tolist()
+    a2, (a11, a10), (a02, a01, a00) = _rank1_conic(*lists, 0, 1, 2)
+    b2, (b11, b10), (b02, b01, b00) = _rank1_conic(*lists, 3, 4, 5)
+    e2, e1, e0 = a2 * b02 - b2 * a02, a2 * b01 - b2 * a01, a2 * b00 - b2 * a00
+    g1, g0 = a2 * b11 - b2 * a11, a2 * b10 - b2 * a10
+    h3 = a11 * b02 - a02 * b11
+    h2 = (a11 * b01 + a10 * b02) - (a02 * b10 + a01 * b11)
+    h1 = (a11 * b00 + a10 * b01) - (a01 * b10 + a00 * b11)
+    h0 = a10 * b00 - a00 * b10
+    quartic = [e2 * e2 - g1 * h3,
+               2.0 * e2 * e1 - (g1 * h2 + g0 * h3),
+               (2.0 * e2 * e0 + e1 * e1) - (g1 * h1 + g0 * h2),
+               2.0 * e1 * e0 - (g1 * h0 + g0 * h1),
+               e0 * e0 - g0 * h0]
+    g_scale = max(abs(g1), abs(g0))
     out = []
     for s in np.roots(quartic):
         if abs(s.imag) > 1e-6 * (1.0 + abs(s)):
             continue
-        s = s.real
-        den = np.polyval(d21, s)
-        if abs(den) > 1e-10 * d21_scale * (1.0 + abs(s)):
-            ts = [-np.polyval(d20, s) / den]
+        s = float(s.real)
+        den = g1 * s + g0
+        if abs(den) > 1e-10 * g_scale * (1.0 + abs(s)):
+            ts = [-((e2 * s + e1) * s + e0) / den]
         else:
-            ts = [t.real for t in np.roots([a2, np.polyval(a1, s),
-                                            np.polyval(a0, s)])
+            ts = [t.real for t in np.roots([a2, a11 * s + a10,
+                                            (a02 * s + a01) * s + a00])
                   if abs(t.imag) <= 1e-6 * (1.0 + abs(t))]
         out.extend(u0 + s * v1 + t * v2 for t in ts)
     return out
@@ -525,10 +566,13 @@ def solve_four(pairs, seed=0, starts=64, tol=1e-10) -> FourReport:
     family of the 4x6 lifted system (one SVD). On it the two rank-1
     conditions u_xy^2 = u_xx u_yy and u_zw^2 = u_zz u_ww are two conics
     whose resultant is a quartic: at most 4 u, each read back as in
-    solve_six (split, at most 8 polish steps, both (z, w)-block signs) and
-    accepted when max |residual| <= tol. When the system has rank < 4
-    (e.g. a repeated pair) the roots form a positive-dimensional set;
-    successive 2-D slices of the null space are tried until one yields
+    solve_six (split, polish until the residual is within both its
+    evaluation round-off and tol, both (z, w)-block signs) and accepted
+    when max |residual| <= tol. ``rank_deficient`` reads the singular
+    values of the constraint Jacobian that the polish factored at the
+    returned point: sv_min <= 1e-8 max(sv_max, 1). When the system has
+    rank < 4 (e.g. a repeated pair) the roots form a positive-dimensional
+    set; successive 2-D slices of the null space are tried until one yields
     real points. Roots get the canonical global sign, are deduplicated and
     validated by transitivity on every pair in one stacked pass; a pair
     that rejects a root reports an infinite residual.
@@ -553,7 +597,7 @@ def solve_four(pairs, seed=0, starts=64, tol=1e-10) -> FourReport:
     n_cands = 0
     for i, j in combinations(range(len(null)), 2):
         for u in _slice_points(u0, null[i], null[j]):
-            cands = _split_polish(M, u)
+            cands = _split_polish(M, u, tol)
             n_cands += len(cands)
             found.extend(c for c in cands if c[0] <= tol)
         if found:
@@ -563,11 +607,10 @@ def solve_four(pairs, seed=0, starts=64, tol=1e-10) -> FourReport:
             f"none of {n_cands} candidate points solves all four "
             f"constraints below {tol:.0e}")
 
-    roots = [(e, fn) for fn, e in _canonical_unique(found)]
-    rank_flags = []
-    for e, _ in roots:
-        sv = np.linalg.svd(_lift_jacobian(M, e.as_array()), compute_uv=False)
-        rank_flags.append(bool(sv[-1] <= 1e-8 * max(sv[0], 1.0)))
+    unique = _canonical_unique(found)
+    roots = [(e, fn) for fn, e, _ in unique]
+    rank_flags = [bool(sv[-1] <= 1e-8 * max(sv[0], 1.0))
+                  for _, _, sv in unique]
     K, res, bad = _validate(geoms, pairs, [e for e, _ in roots])
     res[bad] = np.inf
     return FourReport(roots=roots, per_pair_residuals=res.T.tolist(),

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import (AntipodalInput, DegenerateGeometry, HalfTurn,
                      InconsistentPairs, LengthMismatch)
-from .lorentz import (MuellerMatrix, RealParameter, k_from_nm, mueller_from_k,
-                      TOL_K)
+from .lorentz import (MuellerMatrix, RealParameter, frozen, k_from_nm,
+                      mueller_from_k, TOL_K)
 from .stokes import MeasurementPair, StokesVector, cross3
 
 TOL_CONS = 1e-8
@@ -37,9 +37,7 @@ class Family3DSolution:
     n: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.n, dtype=float).reshape(3).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "n", arr)
+        object.__setattr__(self, "n", frozen(self.n, float, (3,)))
 
     def real_parameter(self) -> RealParameter:
         return RealParameter(n0=self.n0, n=self.n, m0=0.0, m=np.zeros(3))

@@ -104,7 +104,8 @@ def test_stacked_six_validation_matches_scalar_path():
             rep = exc.report
         geoms = [pair_geometry(p) for p in pairs]
         M = _lifted_system([quad_coeffs_from_geometry(g) for g in geoms])
-        es = [e for _, e in _canonical_unique(_split_polish(M, rep.u))]
+        es = [e for _, e, _ in
+              _canonical_unique(_split_polish(M, rep.u, np.inf))]
         ref = _scalar_candidates(geoms, pairs, es)
         _assert_same(rep.candidates, ref)
         worst = [c.worst for c in rep.candidates]
@@ -144,7 +145,8 @@ def test_solve_six_drops_rejected_candidates(monkeypatch):
     flipped = ExpansionCoeffs(e_a.x, e_a.y, -e_a.z, -e_a.w)
     es = [e_a, flipped, e_b]
     monkeypatch.setattr(relativistic, "_split_polish",
-                        lambda M, u: [(0.0, e.as_array()) for e in es])
+                        lambda M, u, tol: [(0.0, e.as_array(), np.ones(4))
+                                      for e in es])
     kept = solve_six(pairs_a).candidates
     assert len(kept) == 2
     assert all(any(_same_up_to_sign(c.e, e) for c in kept)

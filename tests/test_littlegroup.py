@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from muellerkit import (ConstraintViolation, OutOfDomain, StokesVector,
-                        little_element, littlegroup, sample_little)
+from muellerkit import (ComplexParameter, ConstraintViolation, OutOfDomain,
+                        StokesVector, little_element, littlegroup,
+                        sample_little)
 
 
 def _fix_residual(el, state):
@@ -186,3 +187,37 @@ def test_sample_little_rejected_head_raises_as_little_element(
             sample_little(s, count, seed=0)
     with pytest.raises(exc):
         little_element(s, [0.1, 0.0, 0.0])
+
+
+def _root(arr):
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+def test_elements_keep_their_values_when_the_caller_writes():
+    state = StokesVector(1.0, [0.3, 0.4, 0.5])
+    ref = little_element(state, [0.2, -0.1, 0.4])
+    k, n = ref.k.k.copy(), ref.n.copy()
+    view_k, view_n = k[:], n[:]  # read-only views of writeable memory
+    view_k.setflags(write=False)
+    view_n.setflags(write=False)
+    element = littlegroup.LittleGroupElement
+    elements = [element(k=ComplexParameter(k), n=n),
+                element(k=ComplexParameter(view_k), n=view_n),
+                element(k=ComplexParameter(list(k)), n=list(n))]
+    k[:] = 0.0
+    n[:] = 0.0
+    for el in elements:
+        assert np.array_equal(el.k.k, ref.k.k)
+        assert np.array_equal(el.n, ref.n)
+        assert not el.k.k.flags.writeable and not el.n.flags.writeable
+
+
+def test_sample_little_elements_view_one_read_only_block():
+    # rows cut from the block sample_little builds are not copied again
+    els = sample_little(StokesVector(1.0, [0.3, 0.4, 0.5]), 10, seed=4)
+    for arrays in ([el.k.k for el in els], [el.n for el in els]):
+        roots = {id(_root(a)) for a in arrays}
+        assert len(roots) == 1
+        assert not _root(arrays[0]).flags.writeable

@@ -119,7 +119,6 @@ def test_unit_constraint_enforced():
         k_from_nm(RealParameter(n0=1.0, n=[0.5, 0, 0], m0=0.0, m=np.zeros(3)))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_k_is_rejected(bad):
     for k in ([bad, 0, 0, 0], [1, 0, bad * 1j, 0]):
@@ -155,7 +154,6 @@ def test_unit_condition_is_the_real_split_pair():
         assert abs(2 * r.ortho_defect() - abs(q.imag)) <= tol
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_unit_ok_stack_matches_rows():
     rng = np.random.default_rng(22)
     K = np.array([random_lorentz(rng=rng).k for _ in range(24)])

@@ -8,10 +8,11 @@ from muellerkit import (DegenerateGeometry, ExpansionCoeffs, MeasurementPair,
                         k_from_expansion, mueller_from_k, nm_from_k,
                         params_to_expansion, quad_coeffs, solve_four,
                         solve_six)
-from muellerkit import relativistic
+from muellerkit import MuellerKitError, boost_k, relativistic
 from muellerkit.oracle import (consistent_dataset, make_pair, random_lorentz,
                                random_stokes)
-from muellerkit.relativistic import (quad_coeffs_from_geometry,
+from muellerkit.relativistic import (_lift_jacobian, _lifted_system, _polish,
+                                     lift, quad_coeffs_from_geometry,
                                      quad_coeffs_polarized)
 from muellerkit.stokes import pair_geometry
 
@@ -104,6 +105,34 @@ def test_expansion_to_params_normalized_strong_boost(chi):
     e = params_to_expansion(g, nm_from_k(k))
     r = expansion_to_params(g, e, require_normalized=True)
     assert np.abs(r.m - nm_from_k(k).m).max() <= 1e-9 * np.cosh(chi / 2)
+
+
+# last rapidity of boost_k([0.3, 0.5, 0.8], chi) whose pair-basis round
+# trip is returned, per probe
+ROUND_TRIP_LIMIT = {(0.2, -0.4, 0.5): 13, (0.6, 0.0, 0.8): 11}
+
+
+@pytest.mark.parametrize("probe", sorted(ROUND_TRIP_LIMIT))
+def test_strong_boost_round_trip_is_exact_or_typed(probe):
+    # the expansion loses about eps e^(2 chi) relative: the round trip is
+    # returned up to the limit and raises a typed error beyond it
+    # (ConstraintViolation, then DegenerateGeometry from chi 15), never
+    # returning a wrong e
+    for chi in range(1, 21):
+        k = boost_k([0.3, 0.5, 0.8], chi)
+        r_true = nm_from_k(k)
+        g = pair_geometry(make_pair(k, StokesVector(1.0, list(probe))))
+        try:
+            e = params_to_expansion(g, r_true)
+            r = expansion_to_params(g, e, require_normalized=True)
+        except MuellerKitError:
+            assert chi > ROUND_TRIP_LIMIT[probe]
+            continue
+        assert chi <= ROUND_TRIP_LIMIT[probe]
+        err = max(abs(r.n0 - r_true.n0), abs(r.m0 - r_true.m0),
+                  np.abs(r.n - r_true.n).max(), np.abs(r.m - r_true.m).max())
+        bound = 1e-14 + 4 * np.finfo(float).eps * np.exp(2 * chi)
+        assert err <= bound * np.cosh(chi / 2)
 
 
 def test_params_to_expansion_frozen():
@@ -286,14 +315,130 @@ def test_solve_four_ignores_seed_and_starts():
         assert rep.n_starts == base.n_starts
 
 
+def _old_rank_flag(M, e):
+    # the explicit rule solve_four applied in a separate pass over its roots
+    sv = np.linalg.svd(_lift_jacobian(M, e.as_array()), compute_uv=False)
+    return bool(sv[-1] <= 1e-8 * max(sv[0], 1.0))
+
+
 def test_solve_four_repeated_pair_rank_deficient():
-    _, p, g = _chain(9)
-    if g.collinear:
-        pytest.skip("degenerate sample")
-    rep = solve_four([p] * 4, seed=0)
-    assert rep.roots and all(rep.rank_deficient)
-    q = quad_coeffs(p)
-    assert all(abs(constraint_residual(q, e)) <= 1e-10 for e, _ in rep.roots)
+    for seed in (9, 10, 11):
+        _, p, g = _chain(seed)
+        assert not g.collinear
+        rep = solve_four([p] * 4, seed=0)
+        assert rep.roots and all(rep.rank_deficient)
+        q = quad_coeffs(p)
+        assert all(abs(constraint_residual(q, e)) <= 1e-10
+                   for e, _ in rep.roots)
+        M = _lifted_system([q] * 4)
+        assert all(_old_rank_flag(M, e) for e, _ in rep.roots)
+
+
+def test_solve_four_rank_flags_match_explicit_rule():
+    # the flags come from the polish's own factorization at the returned
+    # point; the singular values do not change under either sign
+    n_roots = 0
+    for i in range(200):
+        _, _, pairs = consistent_dataset(4, rng=np.random.default_rng([8, i]))
+        rep = solve_four(pairs)
+        M = _lifted_system([quad_coeffs(p) for p in pairs])
+        assert rep.rank_deficient == [_old_rank_flag(M, e)
+                                      for e, _ in rep.roots]
+        n_roots += len(rep.roots)
+    assert n_roots >= 200
+
+
+def _count_svd(monkeypatch, log):
+    svd = np.linalg.svd
+
+    def counted(*args, **kw):
+        log.append("svd")
+        return svd(*args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+
+
+def test_polish_returns_a_converged_point_after_one_factorization(
+        monkeypatch):
+    # lift(e) = (1, 0, 0, 1/4, 0, 0); column 0 in [0.5, 1] and column 3
+    # four times its complement make M @ lift(e) = 1 without rounding
+    rng = np.random.default_rng(3)
+    M = rng.normal(size=(4, 6))
+    M[:, 0] = rng.uniform(0.5, 1.0, 4)
+    M[:, 3] = 4.0 * (1.0 - M[:, 0])
+    e = np.array([1.0, 0.0, 0.5, 0.0])
+    J = _lift_jacobian(M, e)
+    S = np.linalg.svd(J, full_matrices=False)[1]
+    assert S[-1] > 1e-3 * S[0]
+    log = []
+    _count_svd(monkeypatch, log)
+    # one ulp off in x, the residual is 2 eps M[:, 0], within round-off: a
+    # step would move e
+    for x, fn_in in ((1.0, 0.0), (np.nextafter(1.0, 2.0), 4.44e-16)):
+        e[0] = x
+        log.clear()
+        e_out, fn, sv = _polish(M, e, 1e-10)
+        assert log == ["svd"]
+        assert np.array_equal(e_out, e)
+        assert fn == pytest.approx(fn_in, abs=1e-18)
+        assert np.allclose(sv, S, rtol=1e-15)
+
+
+def test_polish_stops_at_round_off():
+    # from a perturbed root the polish reaches the evaluation round-off of
+    # the residual and stops there, with the singular values at that point
+    for i in range(20):
+        _, e_star, pairs = consistent_dataset(
+            4, rng=np.random.default_rng([4, i]))
+        M = _lifted_system([quad_coeffs(p) for p in pairs])
+        es = e_star.as_array()
+        e, fn, sv = _polish(M, es * (1.0 + 1e-6), np.inf)
+        u = lift(e)
+        assert fn == np.abs(M @ u - 1.0).max()
+        assert fn <= 4 * np.finfo(float).eps * (np.abs(M) @ np.abs(u)).max()
+        assert np.linalg.norm(e - es) <= 1e-9 * np.linalg.norm(es)
+        assert np.allclose(sv, np.linalg.svd(_lift_jacobian(M, e),
+                                             compute_uv=False), rtol=1e-13)
+
+
+def test_solve_four_polishes_below_tol_where_round_off_exceeds_it():
+    # |lift(e*)| is about 1e4, so the round-off bound of the residual is
+    # 6.4e-10; the split point is within it at 3.5e-10 but above tol, and
+    # a stop at round-off alone raised NoConvergedRoot
+    _, e_star, pairs = consistent_dataset(
+        4, rng=np.random.default_rng([2110, 4, 77]))
+    M = _lifted_system([quad_coeffs(p) for p in pairs])
+    u = lift(e_star.as_array())
+    assert 4 * np.finfo(float).eps * (np.abs(M) @ np.abs(u)).max() > 5e-10
+    rep = solve_four(pairs)
+    es = _canonical(e_star.as_array())
+    assert min(np.linalg.norm(e.as_array() - es) / np.linalg.norm(es)
+               for e, _ in rep.roots) < 1e-8
+    assert all(fn <= 1e-10 for _, fn in rep.roots)
+
+
+def test_solve_four_factors_nothing_after_the_last_polish(monkeypatch):
+    log = []
+    _count_svd(monkeypatch, log)
+
+    def no_lstsq(*args, **kw):
+        raise AssertionError("lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    polish = relativistic._polish
+
+    def logged(*args):
+        out = polish(*args)
+        log.append("polish")
+        return out
+
+    monkeypatch.setattr(relativistic, "_polish", logged)
+    for i in range(20):
+        _, _, pairs = consistent_dataset(4, rng=np.random.default_rng([4, i]))
+        log.clear()
+        solve_four(pairs)
+        last = len(log) - 1 - log[::-1].index("polish")
+        assert "svd" not in log[last + 1:]
 
 
 def test_solve_four_propagates_programming_errors(monkeypatch):
