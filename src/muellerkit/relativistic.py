@@ -17,15 +17,22 @@ four pairs leave a 2-D family of u, on which the two rank-1 conditions
 u_xy^2 = u_xx u_yy and u_zw^2 = u_zz u_ww are conics solved in closed form
 through their resultant.
 
-Both solvers read each lifted point back the same way: each block is split
-by the root of its larger square, the point is polished by Gauss-Newton on
-the lifted system, one SVD of the Jacobian per step, until its residual
-reaches evaluation round-off and the caller's tolerance (or stops falling),
-both (z, w)-block signs are emitted (no constraint sees that sign), every
-point gets one canonical global sign, and all candidates are checked
-against all pairs in one stacked pass.
+Both solvers read their pairs once, into one pair table: a row of floats
+per pair holding its ``geometry_table`` row (the same arithmetic as
+``pair_geometry``), its lifted row and its Stokes vectors. The table
+supplies the lifted system, the collinearity test and the stacked
+validation. Both read each lifted point back the same way: each block is
+split by the root of its larger square, the point is polished by
+Gauss-Newton on the lifted system, one SVD of the Jacobian per step, until
+its residual reaches evaluation round-off and the caller's tolerance (or
+stops falling), both (z, w)-block signs are emitted (no constraint sees
+that sign), every point gets one canonical global sign, duplicates are
+dropped and the rest ordered by e, and all candidates are checked against
+all pairs in one stacked pass. The order depends on e alone, not on
+residuals at round-off level or on the order of the pairs.
 """
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -37,7 +44,9 @@ from .errors import (ConstraintViolation, DegenerateGeometry,
 from . import kernels
 from .lorentz import (TOL_K, ComplexParameter, RealParameter, apply,
                       k_from_nm, mueller_from_k, unit_ok)
-from .stokes import MeasurementPair, PairGeometry, pair_geometry
+from .stokes import (AVEC, AVEC2, BVEC, BVEC2, CROSS, CROSS2,
+                     MeasurementPair, PairGeometry, basis_collinear,
+                     geometry_table, pair_geometry)
 
 TOL_CONS = 1e-8
 TOL_DEG = 1e-12
@@ -86,16 +95,18 @@ def quad_coeffs(p: MeasurementPair) -> QuadCoeffs:
     return quad_coeffs_from_geometry(g)
 
 
+def _quad_terms(A, B, A2, B2):
+    """(a, b, c, alpha, beta, sigma) from A, B, Avec^2 and Bvec^2."""
+    return (A * A - B2,
+            A * (B * B - A2),
+            (A2 + B2 - B * B) * A2 - A * A * B * B,
+            B * B - A2,
+            B * (A * A - B2),
+            (A2 + B2 - A * A) * B2 - A * A * B * B)
+
+
 def quad_coeffs_from_geometry(g: PairGeometry) -> QuadCoeffs:
-    A, B, A2, B2 = g.A, g.B, g.Avec2, g.Bvec2
-    return QuadCoeffs(
-        a=A * A - B2,
-        b=A * (B * B - A2),
-        c=(A2 + B2 - B * B) * A2 - A * A * B * B,
-        alpha=B * B - A2,
-        beta=B * (A * A - B2),
-        sigma=(A2 + B2 - A * A) * B2 - A * A * B * B,
-    )
+    return QuadCoeffs(*_quad_terms(g.A, g.B, g.Avec2, g.Bvec2))
 
 
 def quad_coeffs_polarized(p: MeasurementPair) -> QuadCoeffs:
@@ -284,11 +295,24 @@ def lift(e) -> np.ndarray:
     return np.array([x * x, x * y, y * y, z * z, z * w, w * w])
 
 
-def _lifted_system(qs):
-    """Rows (a, 2b, c, -alpha, -2beta, -sigma): row . lift(e) = 1 is the
-    pair's quadratic constraint."""
-    return np.array([[q.a, 2.0 * q.b, q.c, -q.alpha, -2.0 * q.beta, -q.sigma]
-                     for q in qs])
+# Columns of the pair table after the 15 of ``geometry_table``: the lifted
+# row (a, 2b, c, -alpha, -2beta, -sigma), then the input and output Stokes
+# 4-vectors.
+_LIFT, _VIN, _VOUT = slice(15, 21), slice(21, 25), slice(25, 29)
+
+
+def _pair_table(pairs):
+    """One row of floats per pair (columns above), each pair's scalars
+    computed once; row[_LIFT] . lift(e) = 1 is the pair's quadratic
+    constraint."""
+    rows = geometry_table(pairs).tolist()
+    for r, p in zip(rows, pairs):
+        a, b, c, alpha, beta, sigma = _quad_terms(r[0], r[1], r[AVEC2],
+                                                  r[BVEC2])
+        r += [a, 2.0 * b, c, -alpha, -2.0 * beta, -sigma,
+              p.input.s0, *p.input.s.tolist(),
+              p.output.s0, *p.output.s.tolist()]
+    return np.array(rows)
 
 
 def _k_spread(K):
@@ -329,9 +353,11 @@ def _polish(M, e, tol):
     once max |residual| is within its evaluation round-off
     4 eps max_i (|M| |lift(e)|)_i and within the caller's tol, when a step
     fails to lower it, or after POLISH_STEPS steps. Where that round-off
-    exceeds tol (max_i (|M| |lift(e)|)_i above about 1e5), stopping at it
-    could leave a residual above tol that one more step would clear.
-    Returns e, max |residual| and the singular values of J at that e.
+    exceeds tol (max_i (|M| |lift(e)|)_i above about 1e5), the residual
+    cannot be resolved below it, and which multiple of the float spacing
+    the walk lands on is chance.
+    Returns e, max |residual|, its round-off bound and the singular values
+    of J at that e.
     """
     absM = np.abs(M)
     u = lift(e)
@@ -340,8 +366,8 @@ def _polish(M, e, tol):
     for step in range(POLISH_STEPS + 1):
         J = _lift_jacobian(M, e)
         U, S, Vt = np.linalg.svd(J, full_matrices=False)
-        if step == POLISH_STEPS or fn <= min(
-                tol, 4.0 * EPS * (absM @ np.abs(u)).max()):
+        bound = 4.0 * EPS * (absM @ np.abs(u)).max()
+        if step == POLISH_STEPS or fn <= min(tol, bound):
             break
         keep = S > EPS * max(J.shape) * S[0]
         e_new = e - Vt[keep].T @ ((U[:, keep].T @ f) / S[keep])
@@ -351,13 +377,15 @@ def _polish(M, e, tol):
         if not fn_new < fn:
             break
         e, u, f, fn = e_new, u_new, f_new, fn_new
-    return e, float(fn), S
+    return e, float(fn), float(bound), S
 
 
 def _split_polish(M, u, tol):
-    """(max |residual|, e, Jacobian singular values) for both (z, w)-block
-    signs of the real e that lifts to u, polished with ``tol``, or [] when
-    a block of u is imaginary.
+    """(max |residual|, e, Jacobian singular values, accepted) for both
+    (z, w)-block signs of the real e that lifts to u, polished with
+    ``tol``, or [] when a block of u is imaginary. e is a list of floats;
+    a point is accepted when its residual is within tol or within its
+    evaluation round-off (see _polish), whichever is larger.
 
     The point is polished once: flipping the (z, w) sign leaves lift(e),
     the residual and the singular values unchanged.
@@ -367,29 +395,32 @@ def _split_polish(M, u, tol):
     zw = _split_block(u[3], u[4], u[5], scale)
     if xy is None or zw is None:
         return []
-    e, fn, sv = _polish(M, np.array([*xy, *zw]), tol)
-    return [(fn, e, sv), (fn, e * np.array([1.0, 1.0, -1.0, -1.0]), sv)]
+    e, fn, bound, sv = _polish(M, np.array([*xy, *zw]), tol)
+    ok = fn <= max(tol, bound)
+    x, y, z, w = e.tolist()
+    return [(fn, [x, y, z, w], sv, ok), (fn, [x, y, -z, -w], sv, ok)]
 
 
 def _canonical_unique(found):
-    """The (fn, e, sv) points of _split_polish sorted by fn, each given the
+    """The points of _split_polish taken in order of fn, each given the
     canonical global sign (its first component of largest magnitude is
-    >= 0), without those within 1e-6 of an earlier one. Returns
-    (fn, ExpansionCoeffs, sv); sv holds for the canonical e, as neither
-    sign changes the Jacobian's singular values."""
+    >= 0), without those within 1e-6 of an earlier one, then sorted by
+    the canonical e. Returns (fn, e, sv) with e a list of floats; sv holds
+    for the canonical e, as neither sign changes the Jacobian's singular
+    values."""
     out = []
-    for fn, e, sv in sorted(found, key=lambda r: r[0]):
-        lead = np.argmax(np.abs(e))
-        if e[lead] < 0:
-            e = -e
-        if not any(np.linalg.norm(e - o.as_array()) < 1e-6
-                   for _, o, _ in out):
-            out.append((fn, ExpansionCoeffs(*[float(v) for v in e]), sv))
+    for fn, e, sv, _ in sorted(found, key=lambda r: r[0]):
+        if max(e, key=abs) < 0:
+            e = [-v for v in e]
+        if not any(math.dist(e, o) < 1e-6 for _, o, _ in out):
+            out.append((fn, e, sv))
+    out.sort(key=lambda r: r[1])
     return out
 
 
-def _validate(geoms, pairs, es):
-    """Every candidate e checked against every pair in one pass.
+def _validate(T, E):
+    """Every candidate e (rows of E) checked against every pair (rows of
+    the pair table T) in one pass.
 
     The parameters K (pairs, candidates, 4) are assembled as in
     k_from_expansion and checked by the rules of
@@ -400,12 +431,10 @@ def _validate(geoms, pairs, es):
     candidates), True where that per-pair path would raise a
     MuellerKitError.
     """
-    x, y, z, w = np.array([e.as_array() for e in es]).reshape(-1, 4).T
-    A, B, Avec2, Bvec2 = np.array(
-        [[g.A, g.B, g.Avec2, g.Bvec2] for g in geoms]).T[..., None]
-    Av, Bv, cr = np.array([[g.Avec, g.Bvec, g.cross]
-                           for g in geoms]).transpose(1, 0, 2)[:, :, None]
-    K = np.empty((len(geoms), len(es), 4), complex)
+    x, y, z, w = E.reshape(-1, 4).T
+    A, B, Avec2, Bvec2 = T[:, [0, 1, AVEC2, BVEC2]].T[..., None]
+    Av, Bv, cr = T[:, None, AVEC], T[:, None, BVEC], T[:, None, CROSS]
+    K = np.empty((len(T), len(x), 4), complex)
     K[..., 0] = (x * A - 1j * z * B) - (y * Avec2 - 1j * w * Bvec2)
     K[..., 1:] = (-(y * B + 1j * z)[..., None] * Av
                   + (x + 1j * w * A)[..., None] * Bv
@@ -417,10 +446,8 @@ def _validate(geoms, pairs, es):
     bad |= ~unit_ok(K, TOL_K)
     L = kernels.mueller_product(K)
 
-    vin = np.array([p.input.as_array() for p in pairs])
-    vout = np.array([p.output.as_array() for p in pairs])
-    res = np.linalg.norm(
-        np.einsum("pcij,pj->pci", L, vin) - vout[:, None], axis=-1)
+    res = np.linalg.norm(np.einsum("pcij,pj->pci", L, T[:, _VIN])
+                         - T[:, None, _VOUT], axis=-1)
     return K, res, bad
 
 
@@ -430,20 +457,22 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1) -> SixReport:
     The six per-pair quadratics are linear in the monomials
     u = (x^2, xy, y^2, z^2, zw, w^2); the 6x6 system (rows
     (a, 2b, c, -alpha, -2beta, -sigma), right side 1) is solved by dense
-    LU, with the Cramer determinants reported for reference. u must be
+    LU, with the Cramer determinants reported for reference; its rows
+    come from the pair table (see the module docstring). u must be
     rank-1 consistent in each block. It is split into (x, y, z, w) by the
     root of each block's larger square and polished on the six
     constraints down to round-off (see _polish); both (z, w)-block signs,
     under the canonical global sign (first component of largest
     magnitude >= 0), are validated on every pair through the transitivity
-    residual, and a candidate any pair rejects is dropped. Whether all six
-    per-pair parameters agree (a genuinely shared device parameter) is
-    reported, not assumed.
+    residual, and a candidate any pair rejects is dropped. The candidates
+    within tol_l on every pair come first, each group ordered by e.
+    Whether all six per-pair parameters agree (a genuinely shared device
+    parameter) is reported, not assumed.
     """
     if len(pairs) != 6:
         raise ValueError("exactly six pairs required")
-    geoms = [pair_geometry(p) for p in pairs]
-    M = _lifted_system([quad_coeffs_from_geometry(g) for g in geoms])
+    T = _pair_table(pairs)
+    M = T[:, _LIFT]
     rhs = np.ones(6)
 
     cond = float(np.linalg.cond(M))
@@ -468,13 +497,14 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1) -> SixReport:
             "(no single (x,y,z,w) generates it)")
 
     es = [e for _, e, _ in _canonical_unique(_split_polish(M, u, np.inf))]
-    K, res, bad = _validate(geoms, pairs, es)
+    K, res, bad = _validate(T, np.array(es))
     candidates = sorted(
-        (Candidate(e=es[c], per_pair_residuals=res[:, c].tolist(),
+        (Candidate(e=ExpansionCoeffs(*es[c]),
+                   per_pair_residuals=res[:, c].tolist(),
                    k_spread=_k_spread(K[:, c]),
                    k_list=[ComplexParameter(k) for k in K[:, c]])
          for c in np.flatnonzero(~bad.any(axis=0))),
-        key=lambda cnd: cnd.worst)
+        key=lambda cnd: cnd.worst > tol_l)
 
     valid = [cnd for cnd in candidates if cnd.worst <= tol_l]
     report = SixReport(
@@ -486,14 +516,14 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1) -> SixReport:
         raise NoValidCandidate(
             "no sign assignment passes the transitivity tolerance "
             f"(best worst-pair residual: "
-            f"{candidates[0].worst if candidates else np.inf:.3e})",
+            f"{min((c.worst for c in candidates), default=np.inf):.3e})",
             report=report)
     return report
 
 
 @dataclass
 class FourReport:
-    roots: list           # list of (ExpansionCoeffs, max |constraint residual|)
+    roots: list           # (ExpansionCoeffs, max |constraint residual|), by e
     per_pair_residuals: list  # inf where a pair rejects the root
     rank_deficient: list  # Jacobian-degenerate flags aligned with roots
     n_starts: int         # sign candidates read back from lifted points
@@ -563,30 +593,33 @@ def solve_four(pairs, seed=0, starts=64, tol=1e-10) -> FourReport:
 
     The four quadratics are linear in the lifted monomials
     u = (x^2, xy, y^2, z^2, zw, w^2), so u lies on the affine null-space
-    family of the 4x6 lifted system (one SVD). On it the two rank-1
-    conditions u_xy^2 = u_xx u_yy and u_zw^2 = u_zz u_ww are two conics
-    whose resultant is a quartic: at most 4 u, each read back as in
-    solve_six (split, polish until the residual is within both its
-    evaluation round-off and tol, both (z, w)-block signs) and accepted
-    when max |residual| <= tol. ``rank_deficient`` reads the singular
-    values of the constraint Jacobian that the polish factored at the
-    returned point: sv_min <= 1e-8 max(sv_max, 1). When the system has
+    family of the 4x6 lifted system (one SVD; its rows and the
+    collinearity test come from the pair table, see the module
+    docstring). On it the two rank-1 conditions u_xy^2 = u_xx u_yy and
+    u_zw^2 = u_zz u_ww are two conics whose resultant is a quartic: at
+    most 4 u, each read back as in solve_six (split, polish until the
+    residual is within both its evaluation round-off and tol, both
+    (z, w)-block signs) and accepted when max |residual| <= max(tol, that
+    round-off bound 4 eps max_i (|M| |lift(e)|)_i): no step can resolve a
+    residual below the bound, so acceptance does not depend on where the
+    polish lands within it. ``rank_deficient`` reads the singular values
+    of the constraint Jacobian that the polish factored at the returned
+    point: sv_min <= 1e-8 max(sv_max, 1). When the system has
     rank < 4 (e.g. a repeated pair) the roots form a positive-dimensional
     set; successive 2-D slices of the null space are tried until one yields
-    real points. Roots get the canonical global sign, are deduplicated and
-    validated by transitivity on every pair in one stacked pass; a pair
-    that rejects a root reports an infinite residual.
+    real points. Roots get the canonical global sign, are deduplicated,
+    ordered by e and validated by transitivity on every pair in one
+    stacked pass; a pair that rejects a root reports an infinite residual.
 
     ``seed`` and ``starts`` are accepted for compatibility and ignored;
     the result is deterministic.
     """
     if len(pairs) != 4:
         raise ValueError("exactly four pairs required")
-    geoms = [pair_geometry(p) for p in pairs]
-    for g in geoms:
-        if g.collinear:
-            raise DegenerateGeometry("collinear pair basis among the four")
-    M = _lifted_system([quad_coeffs_from_geometry(g) for g in geoms])
+    T = _pair_table(pairs)
+    if basis_collinear(T[:, CROSS2], T[:, AVEC2], T[:, BVEC2]).any():
+        raise DegenerateGeometry("collinear pair basis among the four")
+    M = T[:, _LIFT]
 
     U, S, Vt = np.linalg.svd(M)
     rank = int(np.sum(S > 1e-12 * S[0]))
@@ -599,7 +632,7 @@ def solve_four(pairs, seed=0, starts=64, tol=1e-10) -> FourReport:
         for u in _slice_points(u0, null[i], null[j]):
             cands = _split_polish(M, u, tol)
             n_cands += len(cands)
-            found.extend(c for c in cands if c[0] <= tol)
+            found.extend(c for c in cands if c[3])
         if found:
             break
     if not found:
@@ -608,10 +641,10 @@ def solve_four(pairs, seed=0, starts=64, tol=1e-10) -> FourReport:
             f"constraints below {tol:.0e}")
 
     unique = _canonical_unique(found)
-    roots = [(e, fn) for fn, e, _ in unique]
+    roots = [(ExpansionCoeffs(*e), fn) for fn, e, _ in unique]
     rank_flags = [bool(sv[-1] <= 1e-8 * max(sv[0], 1.0))
                   for _, _, sv in unique]
-    K, res, bad = _validate(geoms, pairs, [e for e, _ in roots])
+    K, res, bad = _validate(T, np.array([e for _, e, _ in unique]))
     res[bad] = np.inf
     return FourReport(roots=roots, per_pair_residuals=res.T.tolist(),
                       rank_deficient=rank_flags, n_starts=n_cands,

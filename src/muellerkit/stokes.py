@@ -1,7 +1,7 @@
 """Stokes 4-vectors, measurement pairs, and the derived pair geometry."""
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -45,26 +45,26 @@ class StokesVector:
                     f"non-finite Stokes vector: s0 = {self.s0}, s = {arr}")
             if not self.s0 > 0.0:
                 raise MuellerKitError(f"s0 must be positive, got {self.s0}")
-            smag = float(np.linalg.norm(arr))
-            if smag > self.s0 * (1.0 + 1e-12):
+            if self.smag > self.s0 * (1.0 + 1e-12):
                 raise MuellerKitError(
-                    f"|s| = {smag} exceeds s0 = {self.s0} (p > 1)")
+                    f"|s| = {self.smag} exceeds s0 = {self.s0} (p > 1)")
 
     @property
     def intensity(self):
         return self.s0
 
-    # The vector is immutable, so its derived quantities are computed once.
-    @cached_property
+    # Derived quantities are computed on each read, so that a vector's
+    # memory does not grow with the properties read from it.
+    @property
     def smag(self):
-        return float(np.linalg.norm(self.s))
+        return math.sqrt(self.s @ self.s)
 
-    @cached_property
+    @property
     def degree(self):
         """Degree of polarization p = |s| / s0."""
         return self.smag / self.s0
 
-    @cached_property
+    @property
     def direction(self):
         """Unit polarization direction (read-only); undefined (zero) for
         |s| = 0."""
@@ -84,7 +84,8 @@ class StokesVector:
 
 def invariant(v: StokesVector) -> float:
     """Lorentz invariant s0^2 - |s|^2; zero iff fully polarized."""
-    return v.s0 * v.s0 - float(v.s @ v.s)
+    s1, s2, s3 = v.s.tolist()
+    return v.s0 * v.s0 - (s1 * s1 + s2 * s2 + s3 * s3)
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,44 @@ class MeasurementPair:
                 f"invariants differ: {si} vs {so} (no Lorentz map exists)")
 
 
+# Columns of geometry_table.
+AVEC, BVEC, CROSS = slice(2, 5), slice(5, 8), slice(8, 11)
+AVEC2, BVEC2, CROSS2, ADOTB = 11, 12, 13, 14
+
+
+def geometry_table(pairs) -> np.ndarray:
+    """The geometry of each checked pair, one row of 15 floats per pair:
+    A, B, Avec (3), Bvec (3), Avec x Bvec (3), Avec^2, Bvec^2,
+    |Avec x Bvec|^2, Avec.Bvec (column names above).
+
+    The one definition of the per-pair arithmetic: ``pair_geometry`` and
+    the pair table of the lifted solvers both read it. Sums, differences
+    and cross products are taken in Python floats, the dot products of
+    all pairs by ``np.vecdot``: numpy's dot kernel gives them the bits of
+    ``Avec @ Avec``, on which the strong-boost expansion round trip
+    depends. Raises InvariantMismatch as ``MeasurementPair.check``.
+    """
+    rows = []
+    for p in pairs:
+        p.check()
+        s0, (s1, s2, s3) = p.input.s0, p.input.s.tolist()
+        t0, (t1, t2, t3) = p.output.s0, p.output.s.tolist()
+        a1, a2, a3 = s1 + t1, s2 + t2, s3 + t3
+        b1, b2, b3 = s1 - t1, s2 - t2, s3 - t3
+        rows.append([s0 + t0, s0 - t0, a1, a2, a3, b1, b2, b3,
+                     a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
+    R = np.array(rows)
+    V = R[:, 2:].reshape(-1, 3, 3)  # Avec, Bvec, Avec x Bvec
+    return np.concatenate((R, np.vecdot(V, V),
+                           np.vecdot(V[:, 0], V[:, 1])[:, None]), axis=1)
+
+
+def basis_collinear(cross2, Avec2, Bvec2):
+    """True when the (Avec, Bvec, Avec x Bvec) basis degenerates; takes
+    floats or arrays of them."""
+    return cross2 <= COLLINEAR_TOL * (Avec2 * Bvec2)
+
+
 @dataclass(frozen=True)
 class PairGeometry:
     """Sums/differences of a pair and their cached products.
@@ -120,36 +159,22 @@ class PairGeometry:
     Bvec2: float
     AdotB: float
     cross: np.ndarray
-
-    @property
-    def cross2(self):
-        return float(self.cross @ self.cross)
+    cross2: float
 
     @property
     def collinear(self):
         """True when the (Avec, Bvec, Avec x Bvec) basis degenerates."""
-        return self.cross2 <= COLLINEAR_TOL * (self.Avec2 * self.Bvec2)
+        return basis_collinear(self.cross2, self.Avec2, self.Bvec2)
 
 
 def pair_geometry(pair: MeasurementPair) -> PairGeometry:
-    """Derived geometry of a measurement pair.
+    """Derived geometry of a measurement pair (see ``geometry_table``).
 
     Raises InvariantMismatch when input/output invariants differ beyond
     tolerance (scalar identity A*B = Avec.Bvec would fail too).
     """
-    pair.check()
-    vin, vout = pair.input, pair.output
-    A = vin.s0 + vout.s0
-    B = vin.s0 - vout.s0
-    Avec = vin.s + vout.s
-    Bvec = vin.s - vout.s
-    return PairGeometry(
-        A=A,
-        B=B,
-        Avec=Avec,
-        Bvec=Bvec,
-        Avec2=float(Avec @ Avec),
-        Bvec2=float(Bvec @ Bvec),
-        AdotB=float(Avec @ Bvec),
-        cross=cross3(Avec, Bvec),
-    )
+    row = geometry_table([pair])[0]
+    r = row.tolist()
+    return PairGeometry(A=r[0], B=r[1], Avec=row[AVEC], Bvec=row[BVEC],
+                        Avec2=r[AVEC2], Bvec2=r[BVEC2], AdotB=r[ADOTB],
+                        cross=row[CROSS], cross2=r[CROSS2])

@@ -9,9 +9,9 @@ from muellerkit import (ComplexParameter, ConstraintViolation, ExpansionCoeffs,
                         solve_six)
 from muellerkit import kernels, relativistic
 from muellerkit.oracle import consistent_dataset, random_lorentz, random_stokes
-from muellerkit.relativistic import (_canonical_unique, _lifted_system,
+from muellerkit.relativistic import (_LIFT, _canonical_unique, _pair_table,
                                      _split_polish, _transitivity_residual,
-                                     _validate, quad_coeffs_from_geometry)
+                                     _validate)
 from muellerkit.stokes import cross3, pair_geometry
 
 
@@ -103,13 +103,14 @@ def test_stacked_six_validation_matches_scalar_path():
         except NoValidCandidate as exc:
             rep = exc.report
         geoms = [pair_geometry(p) for p in pairs]
-        M = _lifted_system([quad_coeffs_from_geometry(g) for g in geoms])
-        es = [e for _, e, _ in
+        M = _pair_table(pairs)[:, _LIFT]
+        es = [ExpansionCoeffs(*e) for _, e, _ in
               _canonical_unique(_split_polish(M, rep.u, np.inf))]
         ref = _scalar_candidates(geoms, pairs, es)
         _assert_same(rep.candidates, ref)
-        worst = [c.worst for c in rep.candidates]
-        assert worst == sorted(worst)
+        # valid candidates first, each group in the order of e
+        order = [(c.worst > 1e-6, tuple(c.e)) for c in rep.candidates]
+        assert order == sorted(order)
 
 
 def test_candidate_rejected_by_one_pair_is_dropped():
@@ -118,7 +119,8 @@ def test_candidate_rejected_by_one_pair_is_dropped():
     flipped = ExpansionCoeffs(e_a.x, e_a.y, -e_a.z, -e_a.w)
     geoms = [pair_geometry(p) for p in pairs_a]
     es = [e_a, flipped, e_b]
-    _, res, bad = _validate(geoms, pairs_a, es)
+    _, res, bad = _validate(_pair_table(pairs_a),
+                            np.array([e.as_array() for e in es]))
     assert bad.any(axis=0).tolist() == [False, False, True]
     ref = _scalar_candidates(geoms, pairs_a, es)
     assert [e for e, *_ in ref] == [e_a, flipped]
@@ -130,7 +132,7 @@ def test_candidate_rejected_by_one_pair_is_dropped():
     geoms = [pair_geometry(p) for p in mixed]
     assert len(_scalar_candidates(geoms[:5], mixed[:5], [e_a])) == 1
     assert _scalar_candidates(geoms, mixed, [e_a]) == []
-    _, _, bad = _validate(geoms, mixed, [e_a])
+    _, _, bad = _validate(_pair_table(mixed), e_a.as_array()[None])
     assert bad[:, 0].tolist() == [False] * 5 + [True]
 
 
@@ -145,8 +147,8 @@ def test_solve_six_drops_rejected_candidates(monkeypatch):
     flipped = ExpansionCoeffs(e_a.x, e_a.y, -e_a.z, -e_a.w)
     es = [e_a, flipped, e_b]
     monkeypatch.setattr(relativistic, "_split_polish",
-                        lambda M, u, tol: [(0.0, e.as_array(), np.ones(4))
-                                      for e in es])
+                        lambda M, u, tol: [(0.0, e.as_array().tolist(),
+                                            np.ones(4), True) for e in es])
     kept = solve_six(pairs_a).candidates
     assert len(kept) == 2
     assert all(any(_same_up_to_sign(c.e, e) for c in kept)

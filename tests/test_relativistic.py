@@ -11,8 +11,8 @@ from muellerkit import (DegenerateGeometry, ExpansionCoeffs, MeasurementPair,
 from muellerkit import MuellerKitError, boost_k, relativistic
 from muellerkit.oracle import (consistent_dataset, make_pair, random_lorentz,
                                random_stokes)
-from muellerkit.relativistic import (_lift_jacobian, _lifted_system, _polish,
-                                     lift, quad_coeffs_from_geometry,
+from muellerkit.relativistic import (_lift_jacobian, _polish, lift,
+                                     quad_coeffs_from_geometry,
                                      quad_coeffs_polarized)
 from muellerkit.stokes import pair_geometry
 
@@ -21,6 +21,12 @@ E42 = [-2.1157007644421757, -0.6603830070866943,
        -0.5276460781171577, 0.09505601182628705]
 Q42 = [23.6074382794632, -81.40431812344542, 281.54360463302646,
        -12.66198297885628, -72.49468957994785, -416.6282869208342]
+
+
+def _lifted(qs):
+    """Lifted system from QuadCoeffs: row . lift(e) = 1 is the quadratic."""
+    return np.array([[q.a, 2.0 * q.b, q.c, -q.alpha, -2.0 * q.beta, -q.sigma]
+                     for q in qs])
 
 
 def _chain(seed):
@@ -239,8 +245,7 @@ def test_solve_six_cramer_matches_per_matrix_det():
     # values of one det call per matrix, bit for bit
     for i in range(20):
         _, _, pairs = consistent_dataset(6, rng=np.random.default_rng([6, i]))
-        M = relativistic._lifted_system(
-            [quad_coeffs_from_geometry(pair_geometry(p)) for p in pairs])
+        M = _lifted([quad_coeffs(p) for p in pairs])
         expect = {"det": float(np.linalg.det(M)).hex()}
         for j, name in enumerate(("x2", "xy", "y2", "z2", "zw", "w2")):
             Mj = M.copy()
@@ -330,7 +335,7 @@ def test_solve_four_repeated_pair_rank_deficient():
         q = quad_coeffs(p)
         assert all(abs(constraint_residual(q, e)) <= 1e-10
                    for e, _ in rep.roots)
-        M = _lifted_system([q] * 4)
+        M = _lifted([q] * 4)
         assert all(_old_rank_flag(M, e) for e, _ in rep.roots)
 
 
@@ -341,7 +346,7 @@ def test_solve_four_rank_flags_match_explicit_rule():
     for i in range(200):
         _, _, pairs = consistent_dataset(4, rng=np.random.default_rng([8, i]))
         rep = solve_four(pairs)
-        M = _lifted_system([quad_coeffs(p) for p in pairs])
+        M = _lifted([quad_coeffs(p) for p in pairs])
         assert rep.rank_deficient == [_old_rank_flag(M, e)
                                       for e, _ in rep.roots]
         n_roots += len(rep.roots)
@@ -377,7 +382,7 @@ def test_polish_returns_a_converged_point_after_one_factorization(
     for x, fn_in in ((1.0, 0.0), (np.nextafter(1.0, 2.0), 4.44e-16)):
         e[0] = x
         log.clear()
-        e_out, fn, sv = _polish(M, e, 1e-10)
+        e_out, fn, _, sv = _polish(M, e, 1e-10)
         assert log == ["svd"]
         assert np.array_equal(e_out, e)
         assert fn == pytest.approx(fn_in, abs=1e-18)
@@ -390,12 +395,13 @@ def test_polish_stops_at_round_off():
     for i in range(20):
         _, e_star, pairs = consistent_dataset(
             4, rng=np.random.default_rng([4, i]))
-        M = _lifted_system([quad_coeffs(p) for p in pairs])
+        M = _lifted([quad_coeffs(p) for p in pairs])
         es = e_star.as_array()
-        e, fn, sv = _polish(M, es * (1.0 + 1e-6), np.inf)
+        e, fn, bound, sv = _polish(M, es * (1.0 + 1e-6), np.inf)
         u = lift(e)
         assert fn == np.abs(M @ u - 1.0).max()
-        assert fn <= 4 * np.finfo(float).eps * (np.abs(M) @ np.abs(u)).max()
+        assert bound == 4 * np.finfo(float).eps * (np.abs(M) @ np.abs(u)).max()
+        assert fn <= bound
         assert np.linalg.norm(e - es) <= 1e-9 * np.linalg.norm(es)
         assert np.allclose(sv, np.linalg.svd(_lift_jacobian(M, e),
                                              compute_uv=False), rtol=1e-13)
@@ -407,7 +413,7 @@ def test_solve_four_polishes_below_tol_where_round_off_exceeds_it():
     # a stop at round-off alone raised NoConvergedRoot
     _, e_star, pairs = consistent_dataset(
         4, rng=np.random.default_rng([2110, 4, 77]))
-    M = _lifted_system([quad_coeffs(p) for p in pairs])
+    M = _lifted([quad_coeffs(p) for p in pairs])
     u = lift(e_star.as_array())
     assert 4 * np.finfo(float).eps * (np.abs(M) @ np.abs(u)).max() > 5e-10
     rep = solve_four(pairs)
@@ -415,6 +421,114 @@ def test_solve_four_polishes_below_tol_where_round_off_exceeds_it():
     assert min(np.linalg.norm(e.as_array() - es) / np.linalg.norm(es)
                for e, _ in rep.roots) < 1e-8
     assert all(fn <= 1e-10 for _, fn in rep.roots)
+
+
+def test_solve_four_accepts_a_root_within_its_round_off(monkeypatch):
+    # without polish steps the split points of this dataset have residuals
+    # 3.5e-10 and 3.2e-10: above tol, within their round-off bound 6.4e-10;
+    # no step can resolve a residual below that bound, so they are roots
+    _, e_star, pairs = consistent_dataset(
+        4, rng=np.random.default_rng([2110, 4, 77]))
+    monkeypatch.setattr(relativistic, "POLISH_STEPS", 0)
+    rep = solve_four(pairs)
+    es = _canonical(e_star.as_array())
+    assert min(np.linalg.norm(e.as_array() - es) / np.linalg.norm(es)
+               for e, _ in rep.roots) < 1e-8
+    M = _lifted([quad_coeffs(p) for p in pairs])
+    eps = np.finfo(float).eps
+    assert max(fn for _, fn in rep.roots) > 1e-10
+    for e, fn in rep.roots:
+        u = lift(e)
+        assert fn == np.abs(M @ u - 1.0).max()
+        assert fn <= 4 * eps * (np.abs(M) @ np.abs(u)).max()
+
+
+def _permuted(pairs, i):
+    order = np.random.default_rng([13, i]).permutation(len(pairs))
+    return [pairs[j] for j in order]
+
+
+def test_root_order_does_not_depend_on_pair_order():
+    # roots are ordered by canonical e, candidates valid first and then by
+    # e, so permuting the pairs, which moves the last bits of every
+    # residual, keeps the order
+    for i in range(100):
+        _, _, pairs = consistent_dataset(4, rng=np.random.default_rng([9, i]))
+        a, b = solve_four(pairs), solve_four(_permuted(pairs, i))
+        ea = np.array([e.as_array() for e, _ in a.roots])
+        eb = np.array([e.as_array() for e, _ in b.roots])
+        assert ea.shape == eb.shape
+        assert np.allclose(ea, eb, rtol=1e-9, atol=0.0)
+        assert a.rank_deficient == b.rank_deficient
+    for i in range(100):
+        _, _, pairs = consistent_dataset(6, rng=np.random.default_rng([9, i]))
+        a, b = solve_six(pairs), solve_six(_permuted(pairs, i))
+        ea = np.array([c.e.as_array() for c in a.candidates])
+        eb = np.array([c.e.as_array() for c in b.candidates])
+        assert ea.shape == eb.shape
+        assert np.allclose(ea, eb, rtol=1e-9, atol=0.0)
+        order = [(c.worst > 1e-6, tuple(c.e)) for c in a.candidates]
+        assert order == sorted(order)
+
+
+def test_no_valid_candidate_reports_the_best_worst_residual():
+    # with nothing valid the candidates stay in the order of e, and the
+    # message still names the smallest worst-pair residual
+    for seed in range(10):
+        _, _, pairs = consistent_dataset(6, seed=seed)
+        with pytest.raises(NoValidCandidate) as info:
+            solve_six(pairs, tol_l=0.0)
+        cands = info.value.report.candidates
+        assert len(cands) == 2
+        assert [tuple(c.e) for c in cands] == sorted(tuple(c.e)
+                                                     for c in cands)
+        best = min(c.worst for c in cands)
+        assert f"best worst-pair residual: {best:.3e}" in str(info.value)
+
+
+def test_canonical_unique_keeps_the_best_of_near_duplicates():
+    # points within 1e-6 of a better one (up to global sign) are dropped;
+    # the rest come out under the canonical sign, ordered by e
+    sv = np.ones(4)
+    found = [(3e-11, [0.5, -2.0, 1.0, 0.25], sv, True),
+             (1e-11, [-0.5, 2.0, -1.0, -0.25 + 5e-7], sv, True),
+             (2e-11, [0.5, -2.0, -1.0, -0.25], sv, True),
+             (4e-11, [-3.0, 0.1, 0.2, 0.3], sv, True)]
+    out = relativistic._canonical_unique(found)
+    assert out == [(1e-11, [-0.5, 2.0, -1.0, -0.25 + 5e-7], sv),
+                   (2e-11, [-0.5, 2.0, 1.0, 0.25], sv),
+                   (4e-11, [3.0, -0.1, -0.2, -0.3], sv)]
+
+
+def test_solve_four_rejects_a_collinear_pair_basis():
+    # the identity pair has Bvec = 0, so its basis is collinear
+    _, _, pairs = consistent_dataset(4, rng=np.random.default_rng([4, 0]))
+    s = StokesVector(1.0, [0.2, -0.4, 0.5])
+    with pytest.raises(DegenerateGeometry, match="collinear pair basis"):
+        solve_four(pairs[:3] + [MeasurementPair(s, s)])
+
+
+def test_pair_geometry_is_the_solver_table_row():
+    # one definition of the per-pair arithmetic: pair_geometry's fields,
+    # the lifted row of its quadratic and the pair's Stokes vectors are
+    # the solvers' table row bit for bit; the dot products carry the bits
+    # of numpy's dot
+    for i in range(60):
+        _, _, pairs = consistent_dataset(
+            4 + 2 * (i % 2), rng=np.random.default_rng([10, i]))
+        T = relativistic._pair_table(pairs)
+        for row, p in zip(T, pairs):
+            g = pair_geometry(p)
+            assert g.Avec2 == float(g.Avec @ g.Avec)
+            assert g.Bvec2 == float(g.Bvec @ g.Bvec)
+            assert g.AdotB == float(g.Avec @ g.Bvec)
+            assert g.cross2 == float(g.cross @ g.cross)
+            assert np.array_equal(g.cross, np.cross(g.Avec, g.Bvec))
+            expect = [g.A, g.B, *g.Avec, *g.Bvec, *g.cross, g.Avec2,
+                      g.Bvec2, g.cross2, g.AdotB,
+                      *_lifted([quad_coeffs_from_geometry(g)])[0],
+                      *p.input.as_array(), *p.output.as_array()]
+            assert row.tolist() == expect
 
 
 def test_solve_four_factors_nothing_after_the_last_polish(monkeypatch):
