@@ -44,9 +44,9 @@ from .errors import (ConstraintViolation, DegenerateGeometry,
 from . import kernels
 from .lorentz import (TOL_K, ComplexParameter, RealParameter, apply,
                       k_from_nm, mueller_from_k, unit_ok)
-from .stokes import (AVEC, AVEC2, BVEC, BVEC2, CROSS, CROSS2,
-                     MeasurementPair, PairGeometry, basis_collinear,
-                     geometry_table, pair_geometry)
+from .stokes import (ASUM, AVEC, AVEC2, BDIFF, BVEC, BVEC2, CROSS, CROSS2,
+                     GEOMETRY_WIDTH, MeasurementPair, PairGeometry,
+                     basis_collinear, geometry_table, pair_geometry)
 
 TOL_CONS = 1e-8
 TOL_DEG = 1e-12
@@ -295,20 +295,23 @@ def lift(e) -> np.ndarray:
     return np.array([x * x, x * y, y * y, z * z, z * w, w * w])
 
 
-# Columns of the pair table after the 15 of ``geometry_table``: the lifted
+# Columns of the pair table after those of ``geometry_table``: the lifted
 # row (a, 2b, c, -alpha, -2beta, -sigma), then the input and output Stokes
 # 4-vectors.
-_LIFT, _VIN, _VOUT = slice(15, 21), slice(21, 25), slice(25, 29)
+_LIFT = slice(GEOMETRY_WIDTH, GEOMETRY_WIDTH + 6)
+_VIN = slice(GEOMETRY_WIDTH + 6, GEOMETRY_WIDTH + 10)
+_VOUT = slice(GEOMETRY_WIDTH + 10, GEOMETRY_WIDTH + 14)
 
 
 def _pair_table(pairs):
     """One row of floats per pair (columns above), each pair's scalars
     computed once; row[_LIFT] . lift(e) = 1 is the pair's quadratic
-    constraint."""
+    constraint. The appended columns are taken in Python floats: on a few
+    rows that costs less than the same arithmetic on arrays."""
     rows = geometry_table(pairs).tolist()
     for r, p in zip(rows, pairs):
-        a, b, c, alpha, beta, sigma = _quad_terms(r[0], r[1], r[AVEC2],
-                                                  r[BVEC2])
+        a, b, c, alpha, beta, sigma = _quad_terms(r[ASUM], r[BDIFF],
+                                                  r[AVEC2], r[BVEC2])
         r += [a, 2.0 * b, c, -alpha, -2.0 * beta, -sigma,
               p.input.s0, *p.input.s.tolist(),
               p.output.s0, *p.output.s.tolist()]
@@ -381,11 +384,10 @@ def _polish(M, e, tol):
 
 
 def _split_polish(M, u, tol):
-    """(max |residual|, e, Jacobian singular values, accepted) for both
-    (z, w)-block signs of the real e that lifts to u, polished with
-    ``tol``, or [] when a block of u is imaginary. e is a list of floats;
-    a point is accepted when its residual is within tol or within its
-    evaluation round-off (see _polish), whichever is larger.
+    """(max |residual|, e, Jacobian singular values, round-off bound of
+    the residual) for both (z, w)-block signs of the real e that lifts to
+    u, polished with ``tol`` (see _polish), or [] when a block of u is
+    imaginary. e is a list of floats.
 
     The point is polished once: flipping the (z, w) sign leaves lift(e),
     the residual and the singular values unchanged.
@@ -396,9 +398,8 @@ def _split_polish(M, u, tol):
     if xy is None or zw is None:
         return []
     e, fn, bound, sv = _polish(M, np.array([*xy, *zw]), tol)
-    ok = fn <= max(tol, bound)
     x, y, z, w = e.tolist()
-    return [(fn, [x, y, z, w], sv, ok), (fn, [x, y, -z, -w], sv, ok)]
+    return [(fn, [x, y, z, w], sv, bound), (fn, [x, y, -z, -w], sv, bound)]
 
 
 def _canonical_unique(found):
@@ -432,7 +433,7 @@ def _validate(T, E):
     MuellerKitError.
     """
     x, y, z, w = E.reshape(-1, 4).T
-    A, B, Avec2, Bvec2 = T[:, [0, 1, AVEC2, BVEC2]].T[..., None]
+    A, B, Avec2, Bvec2 = T[:, [ASUM, BDIFF, AVEC2, BVEC2]].T[..., None]
     Av, Bv, cr = T[:, None, AVEC], T[:, None, BVEC], T[:, None, CROSS]
     K = np.empty((len(T), len(x), 4), complex)
     K[..., 0] = (x * A - 1j * z * B) - (y * Avec2 - 1j * w * Bvec2)
@@ -632,7 +633,8 @@ def solve_four(pairs, seed=0, starts=64, tol=1e-10) -> FourReport:
         for u in _slice_points(u0, null[i], null[j]):
             cands = _split_polish(M, u, tol)
             n_cands += len(cands)
-            found.extend(c for c in cands if c[3])
+            # (fn, e, sv, bound): within tol or within its round-off
+            found.extend(c for c in cands if c[0] <= max(tol, c[3]))
         if found:
             break
     if not found:

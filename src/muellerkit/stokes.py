@@ -105,9 +105,12 @@ class MeasurementPair:
                 f"invariants differ: {si} vs {so} (no Lorentz map exists)")
 
 
-# Columns of geometry_table.
+# Columns of geometry_table: A = s0 + s0' and B = s0 - s0' first; a
+# table that extends it appends from GEOMETRY_WIDTH on.
+ASUM, BDIFF = 0, 1
 AVEC, BVEC, CROSS = slice(2, 5), slice(5, 8), slice(8, 11)
 AVEC2, BVEC2, CROSS2, ADOTB = 11, 12, 13, 14
+GEOMETRY_WIDTH = 15
 
 
 def geometry_table(pairs) -> np.ndarray:
@@ -175,6 +178,6 @@ def pair_geometry(pair: MeasurementPair) -> PairGeometry:
     """
     row = geometry_table([pair])[0]
     r = row.tolist()
-    return PairGeometry(A=r[0], B=r[1], Avec=row[AVEC], Bvec=row[BVEC],
-                        Avec2=r[AVEC2], Bvec2=r[BVEC2], AdotB=r[ADOTB],
-                        cross=row[CROSS], cross2=r[CROSS2])
+    return PairGeometry(A=r[ASUM], B=r[BDIFF], Avec=row[AVEC],
+                        Bvec=row[BVEC], Avec2=r[AVEC2], Bvec2=r[BVEC2],
+                        AdotB=r[ADOTB], cross=row[CROSS], cross2=r[CROSS2])

@@ -148,7 +148,7 @@ def test_solve_six_drops_rejected_candidates(monkeypatch):
     es = [e_a, flipped, e_b]
     monkeypatch.setattr(relativistic, "_split_polish",
                         lambda M, u, tol: [(0.0, e.as_array().tolist(),
-                                            np.ones(4), True) for e in es])
+                                            np.ones(4), 0.0) for e in es])
     kept = solve_six(pairs_a).candidates
     assert len(kept) == 2
     assert all(any(_same_up_to_sign(c.e, e) for c in kept)

@@ -490,10 +490,10 @@ def test_canonical_unique_keeps_the_best_of_near_duplicates():
     # points within 1e-6 of a better one (up to global sign) are dropped;
     # the rest come out under the canonical sign, ordered by e
     sv = np.ones(4)
-    found = [(3e-11, [0.5, -2.0, 1.0, 0.25], sv, True),
-             (1e-11, [-0.5, 2.0, -1.0, -0.25 + 5e-7], sv, True),
-             (2e-11, [0.5, -2.0, -1.0, -0.25], sv, True),
-             (4e-11, [-3.0, 0.1, 0.2, 0.3], sv, True)]
+    found = [(3e-11, [0.5, -2.0, 1.0, 0.25], sv, 0.0),
+             (1e-11, [-0.5, 2.0, -1.0, -0.25 + 5e-7], sv, 0.0),
+             (2e-11, [0.5, -2.0, -1.0, -0.25], sv, 0.0),
+             (4e-11, [-3.0, 0.1, 0.2, 0.3], sv, 0.0)]
     out = relativistic._canonical_unique(found)
     assert out == [(1e-11, [-0.5, 2.0, -1.0, -0.25 + 5e-7], sv),
                    (2e-11, [-0.5, 2.0, 1.0, 0.25], sv),
