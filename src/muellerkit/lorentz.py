@@ -149,14 +149,14 @@ class LorentzReport:
     m00: float
 
 
-def k_from_nm(r: RealParameter, tol=TOL_K) -> ComplexParameter:
+def k_from_nm(r: RealParameter) -> ComplexParameter:
     """Assemble k0 = n0 + i m0, k_j = -i n_j + m_j from a real split and
-    require it on the unit surface (``unit_ok`` at tol)."""
+    require it on the unit surface (``unit_ok`` at TOL_K)."""
     k = np.empty(4, complex)
     k[0] = r.n0 + 1j * r.m0
     k[1:] = r.m - 1j * r.n
     kp = ComplexParameter(k)
-    kp.require_unit(tol)
+    kp.require_unit()
     return kp
 
 

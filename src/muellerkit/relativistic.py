@@ -17,10 +17,15 @@ four pairs leave a 2-D family of u, on which the two rank-1 conditions
 u_xy^2 = u_xx u_yy and u_zw^2 = u_zz u_ww are conics solved in closed form
 through their resultant.
 
+As k0 = n0 + i m0 and k_j = -i n_j + m_j, the expansion is one linear map
+(Re k, Im k) = E e, E the pair's 8x4 expansion basis with rows (n0, m, m0,
+-n), built only by ``_basis_entries`` and inverted by projection (see
+``params_to_expansion``).
+
 Both solvers read their pairs once, into one pair table: a row of floats
 per pair holding its ``geometry_table`` row (the same arithmetic as
-``pair_geometry``), its lifted row and its Stokes vectors. The table
-supplies the lifted system, the collinearity test and the stacked
+``pair_geometry``), its lifted row, its Stokes vectors and its E. The
+table supplies the lifted system, the collinearity test and the stacked
 validation. Both read each lifted point back the same way: each block is
 split by the root of its larger square, the point is polished by
 Gauss-Newton on the lifted system, one SVD of the Jacobian per step, until
@@ -49,7 +54,6 @@ from .stokes import (ASUM, AVEC, AVEC2, BDIFF, BVEC, BVEC2, CROSS, CROSS2,
                      basis_collinear, geometry_table, pair_geometry)
 
 TOL_CONS = 1e-8
-TOL_DEG = 1e-12
 TOL_R1 = 1e-6
 COND_MAX = 1e10
 TOL_K_RAW = 1e-8   # unit defect of k assembled from e, before normalizing
@@ -129,6 +133,21 @@ def quad_coeffs_polarized(p: MeasurementPair) -> QuadCoeffs:
     )
 
 
+def _basis_entries(A, B, Av, Bv, cr, A2, B2):
+    """E row by row as 32 floats, the coefficients of (x, y, z, w) in n0,
+    m, m0 and -n (module docstring), from floats and float 3-sequences."""
+    m = [v for a, b, c in zip(Av, Bv, cr) for v in (b, -B * a, 0.0, c)]
+    minus_n = [v for a, b, c in zip(Av, Bv, cr) for v in (0.0, -c, -a, A * b)]
+    return [A, -A2, 0.0, 0.0, *m, 0.0, 0.0, -B, B2, *minus_n]
+
+
+def expansion_basis(g: PairGeometry) -> np.ndarray:
+    """The pair's 8x4 expansion basis E: (Re k, Im k) = E @ (x, y, z, w)."""
+    entries = _basis_entries(g.A, g.B, g.Avec.tolist(), g.Bvec.tolist(),
+                             g.cross.tolist(), g.Avec2, g.Bvec2)
+    return np.array(entries).reshape(8, 4)
+
+
 def expansion_to_params(g: PairGeometry, e: ExpansionCoeffs,
                         require_normalized=False) -> RealParameter:
     """Real-split parameters of the family member at e.
@@ -138,14 +157,9 @@ def expansion_to_params(g: PairGeometry, e: ExpansionCoeffs,
     quadratic 3-surface (checked only when ``require_normalized``, by
     ``k_from_nm``'s unit rule).
     """
-    x, y, z, w = e.x, e.y, e.z, e.w
-    Av, Bv, cr = g.Avec, g.Bvec, g.cross
-    n0 = g.A * x - g.Avec2 * y
-    n = z * Av - w * g.A * Bv + y * cr
-    m0 = -g.B * z + g.Bvec2 * w
-    m = x * Bv - y * g.B * Av + w * cr
-    r = RealParameter(n0=n0, n=n, m0=m0, m=m)
-    scale = max(1.0, abs(n0 * m0), abs(float(n @ m)))
+    v = expansion_basis(g) @ e.as_array()
+    r = RealParameter(n0=v[0], n=-v[5:], m0=v[4], m=v[1:4])
+    scale = max(1.0, abs(r.n0 * r.m0), abs(float(r.n @ r.m)))
     if r.ortho_defect() > 1e-11 * scale:
         raise ConstraintViolation(
             f"orthogonality identity violated by {r.ortho_defect():.3e}")
@@ -155,42 +169,34 @@ def expansion_to_params(g: PairGeometry, e: ExpansionCoeffs,
 
 
 def params_to_expansion(g: PairGeometry, r: RealParameter) -> ExpansionCoeffs:
-    """Invert the expansion by projecting n and m on the pair basis.
+    """The e with E e = v = (n0, m, m0, -n), E = expansion_basis(g), by one
+    Householder QR of [E | v], E's columns scaled to unit norm, and one
+    triangular solve: R[:4, 4] is v in the orthonormal basis of the span
+    of E, and |R[4, 4]| the distance of v from that span.
 
-    The shared denominator is Avec^2 Bvec^2 - (A B)^2 = |Avec x Bvec|^2
-    (using the invariant identity A B = Avec.Bvec); pairs with a collinear
-    basis, including all Bvec = 0 rotation-only pairs, are rejected.
-    y and w are each computable from both vectors; the duplicates are
-    checked for agreement wherever their own denominators are healthy.
+    E e, hence k, is kept to a few eps |k| at any rapidity, although e is
+    ill-determined where the basis is nearly collinear (a strong boost).
+    Rank below 4 (some |R_ii| within 8 eps of the largest), as for every
+    Bvec = 0 pair, raises DegenerateGeometry; a v farther than TOL_CONS |v|
+    from the span of E raises InconsistentPairs.
     """
-    Av, Bv, cr = g.Avec, g.Bvec, g.cross
-    A, B = g.A, g.B
-    D = g.Avec2 * g.Bvec2 - (A * B) ** 2
-    scale = max(g.Avec2 * g.Bvec2, 1.0)
-    if D <= TOL_DEG * scale:
+    E = expansion_basis(g)
+    c = np.linalg.norm(E, axis=0)
+    v = [r.n0, *r.m.tolist(), r.m0, *(-r.n).tolist()]
+    R = np.linalg.qr(np.column_stack((E / np.where(c > 0.0, c, 1.0), v)),
+                     mode="r")
+    d = np.abs(R.diagonal()[:4]).tolist()
+    if min(d) <= max(E.shape) * EPS * max(d):
         raise DegenerateGeometry(
-            "pair basis is collinear (|Avec x Bvec|^2 ~ 0); "
+            "pair basis is collinear (expansion basis of rank < 4); "
             "rotation-only pairs belong to the 3D solver")
-
-    An, Bn = float(Av @ r.n), float(Bv @ r.n)
-    Am, Bm = float(Av @ r.m), float(Bv @ r.m)
-    y = float(cr @ r.n) / D
-    z = -(Bn * A * B - An * g.Bvec2) / D
-    w_n = -(Bn * g.Avec2 - An * A * B) / (A * D)
-    w = float(cr @ r.m) / D
-    x = (-Am * A * B + Bm * g.Avec2) / D
-
-    amp = max(1.0, abs(y), abs(w))
-    if abs(w - w_n) > TOL_CONS * amp:
+    if abs(R[4, 4]) > TOL_CONS * math.hypot(*v):
         raise InconsistentPairs(
-            f"duplicate w computations disagree: {w} vs {w_n} "
-            "(parameter does not map this pair)")
-    if abs(B) > TOL_DEG * max(1.0, A):
-        y_m = (Bm * A * B - Am * g.Bvec2) / (B * D)
-        if abs(y - y_m) > TOL_CONS * amp:
-            raise InconsistentPairs(
-                f"duplicate y computations disagree: {y} vs {y_m}")
-    return ExpansionCoeffs(x=float(x), y=float(y), z=float(z), w=float(w))
+            f"parameter lies {abs(R[4, 4]):.3e} off the pair's expansion "
+            "span (it does not map this pair)")
+    # R[:4, :4] is upper triangular, so its LU is itself: back substitution
+    e = np.linalg.solve(R[:4, :4], R[:4, 4]) / c
+    return ExpansionCoeffs(*e.tolist())
 
 
 def constraint_residual(q: QuadCoeffs, e: ExpansionCoeffs) -> float:
@@ -208,12 +214,8 @@ def k_from_expansion(g: PairGeometry, e: ExpansionCoeffs,
     out must already be small relative to |k|^2, so this only absorbs
     round-off, never an off-surface e.
     """
-    x, y, z, w = e.x, e.y, e.z, e.w
-    Av, Bv, cr = g.Avec, g.Bvec, g.cross
-    k = np.empty(4, complex)
-    k[0] = (x * g.A - 1j * z * g.B) - (y * g.Avec2 - 1j * w * g.Bvec2)
-    k[1:] = (-(y * g.B + 1j * z) * Av + (x + 1j * w * g.A) * Bv
-             + (w - 1j * y) * cr)
+    v = expansion_basis(g) @ e.as_array()
+    k = v[:4] + 1j * v[4:]
     kp = ComplexParameter(k)
     kp.require_unit(TOL_K_RAW)
     if normalize:
@@ -296,11 +298,12 @@ def lift(e) -> np.ndarray:
 
 
 # Columns of the pair table after those of ``geometry_table``: the lifted
-# row (a, 2b, c, -alpha, -2beta, -sigma), then the input and output Stokes
-# 4-vectors.
+# row (a, 2b, c, -alpha, -2beta, -sigma), the input and output Stokes
+# 4-vectors, then the expansion basis E row by row.
 _LIFT = slice(GEOMETRY_WIDTH, GEOMETRY_WIDTH + 6)
 _VIN = slice(GEOMETRY_WIDTH + 6, GEOMETRY_WIDTH + 10)
 _VOUT = slice(GEOMETRY_WIDTH + 10, GEOMETRY_WIDTH + 14)
+_BASIS = slice(GEOMETRY_WIDTH + 14, GEOMETRY_WIDTH + 46)
 
 
 def _pair_table(pairs):
@@ -315,6 +318,8 @@ def _pair_table(pairs):
         r += [a, 2.0 * b, c, -alpha, -2.0 * beta, -sigma,
               p.input.s0, *p.input.s.tolist(),
               p.output.s0, *p.output.s.tolist()]
+        r += _basis_entries(r[ASUM], r[BDIFF], r[AVEC], r[BVEC], r[CROSS],
+                            r[AVEC2], r[BVEC2])
     return np.array(rows)
 
 
@@ -419,12 +424,12 @@ def _canonical_unique(found):
     return out
 
 
-def _validate(T, E):
-    """Every candidate e (rows of E) checked against every pair (rows of
+def _validate(T, es):
+    """Every candidate e (rows of es) checked against every pair (rows of
     the pair table T) in one pass.
 
-    The parameters K (pairs, candidates, 4) are assembled as in
-    k_from_expansion and checked by the rules of
+    The parameters K (pairs, candidates, 4) are E e for each pair's
+    expansion basis E, as in k_from_expansion, and checked by the rules of
     k_from_expansion(normalize=True) followed by mueller_from_k:
     ``unit_ok`` at TOL_K_RAW, |q| ~ 0, ``unit_ok`` of the normalized k at
     TOL_K. Returns K (normalized where accepted), the transitivity
@@ -432,14 +437,9 @@ def _validate(T, E):
     candidates), True where that per-pair path would raise a
     MuellerKitError.
     """
-    x, y, z, w = E.reshape(-1, 4).T
-    A, B, Avec2, Bvec2 = T[:, [ASUM, BDIFF, AVEC2, BVEC2]].T[..., None]
-    Av, Bv, cr = T[:, None, AVEC], T[:, None, BVEC], T[:, None, CROSS]
-    K = np.empty((len(T), len(x), 4), complex)
-    K[..., 0] = (x * A - 1j * z * B) - (y * Avec2 - 1j * w * Bvec2)
-    K[..., 1:] = (-(y * B + 1j * z)[..., None] * Av
-                  + (x + 1j * w * A)[..., None] * Bv
-                  + (w - 1j * y)[..., None] * cr)
+    es = es.reshape(-1, 4)  # no point: (0, 4), so K is empty
+    V = np.swapaxes(T[:, _BASIS].reshape(-1, 8, 4) @ es.T, 1, 2)
+    K = V[..., :4] + 1j * V[..., 4:]
 
     q = K[..., 0] ** 2 - np.sum(K[..., 1:] ** 2, axis=-1)
     bad = ~unit_ok(K, TOL_K_RAW) | (np.abs(q) < 1e-12)

@@ -122,8 +122,7 @@ def geometry_table(pairs) -> np.ndarray:
     the pair table of the lifted solvers both read it. Sums, differences
     and cross products are taken in Python floats, the dot products of
     all pairs by ``np.vecdot``: numpy's dot kernel gives them the bits of
-    ``Avec @ Avec``, on which the strong-boost expansion round trip
-    depends. Raises InvariantMismatch as ``MeasurementPair.check``.
+    ``Avec @ Avec``. Raises InvariantMismatch as ``MeasurementPair.check``.
     """
     rows = []
     for p in pairs:

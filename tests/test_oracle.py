@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from muellerkit import (RankDeficient, is_lorentz, mueller_from_k,
-                        nm_from_k)
+from muellerkit import (RankDeficient, is_lorentz, k_from_expansion,
+                        mueller_from_k, nm_from_k)
 from muellerkit.oracle import (consistent_dataset, direct_linear_solve,
                                make_pair, random_lorentz, random_pairs,
                                random_stokes, rotation_dataset)
@@ -52,6 +52,20 @@ def test_consistent_dataset_shared_lifted_solution(rng):
         for p in pairs:
             q = quad_coeffs_from_geometry(pair_geometry(p))
             assert abs(constraint_residual(q, e_star)) < 1e-8
+
+
+@pytest.mark.parametrize("seeds", [[[2110, 4, 77]],
+                                   [[31, i] for i in range(500)]])
+def test_consistent_dataset_e_star_maps_to_its_device(seeds):
+    # e* expands the generating device on the first pair's basis, to
+    # within the round-off of the pair data: the first seed has
+    # |E| |e*| about 800 |k|
+    for seed in seeds:
+        k, e_star, pairs = consistent_dataset(
+            4, rng=np.random.default_rng(seed))
+        k2 = k_from_expansion(pair_geometry(pairs[0]), e_star).k
+        err = min(np.linalg.norm(k2 - k.k), np.linalg.norm(k2 + k.k))
+        assert err <= 1e-13 * np.linalg.norm(k.k)
 
 
 def test_direct_linear_solve_recovery(rng):

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from muellerkit import (DegenerateGeometry, ExpansionCoeffs, MeasurementPair,
-                        NoRealRoot, NoValidCandidate, Rank1Violation,
-                        SingularSystem, StokesVector, apply,
+from muellerkit import (DegenerateGeometry, ExpansionCoeffs,
+                        InconsistentPairs, MeasurementPair, NoRealRoot,
+                        NoValidCandidate, Rank1Violation, SingularSystem,
+                        StokesVector, apply,
                         constraint_residual, expansion_to_params, family_4d,
                         k_from_expansion, mueller_from_k, nm_from_k,
                         params_to_expansion, quad_coeffs, solve_four,
                         solve_six)
-from muellerkit import MuellerKitError, boost_k, relativistic
+from muellerkit import boost_k, relativistic
 from muellerkit.oracle import (consistent_dataset, make_pair, random_lorentz,
                                random_stokes)
-from muellerkit.relativistic import (_lift_jacobian, _polish, lift,
+from muellerkit.relativistic import (_lift_jacobian, _polish,
+                                     expansion_basis, lift,
                                      quad_coeffs_from_geometry,
                                      quad_coeffs_polarized)
 from muellerkit.stokes import pair_geometry
@@ -100,51 +102,54 @@ def test_params_expansion_round_trip(rng):
         assert np.allclose(r2.m, r.m, atol=1e-9)
 
 
-@pytest.mark.parametrize("chi", range(1, 10))
+# the probes of the README strong-boost note; the expansion round trip of
+# boost_k(axis, chi) keeps the parameter to ROUND_TRIP_EPS eps cosh(chi/2)
+BOOST_PROBES = [(0.2, -0.4, 0.5), (0.6, 0.0, 0.8)]
+ROUND_TRIP_EPS = 16
+
+
+@pytest.mark.parametrize("chi", range(1, 21))
 def test_expansion_to_params_normalized_strong_boost(chi):
     # the normalization check scaled by max(1, |n0 m0|, |n.m|), about 1 for
     # a boost, and rejected chi 7 to 9; chi 0 is the identity, whose pair
     # basis is collinear
-    from muellerkit import boost_k
     k = boost_k([0.3, 0.5, 0.8], chi)
-    g = pair_geometry(make_pair(k, StokesVector(1.0, [0.2, -0.4, 0.5])))
+    g = pair_geometry(make_pair(k, StokesVector(1.0, BOOST_PROBES[0])))
     e = params_to_expansion(g, nm_from_k(k))
     r = expansion_to_params(g, e, require_normalized=True)
-    assert np.abs(r.m - nm_from_k(k).m).max() <= 1e-9 * np.cosh(chi / 2)
+    assert np.abs(r.m - nm_from_k(k).m).max() <= (
+        ROUND_TRIP_EPS * np.finfo(float).eps * np.cosh(chi / 2))
 
 
-# last rapidity of boost_k([0.3, 0.5, 0.8], chi) whose pair-basis round
-# trip is returned, per probe
-ROUND_TRIP_LIMIT = {(0.2, -0.4, 0.5): 13, (0.6, 0.0, 0.8): 11}
-
-
-@pytest.mark.parametrize("probe", sorted(ROUND_TRIP_LIMIT))
+@pytest.mark.parametrize("probe", BOOST_PROBES)
 def test_strong_boost_round_trip_is_exact_or_typed(probe):
-    # the expansion loses about eps e^(2 chi) relative: the round trip is
-    # returned up to the limit and raises a typed error beyond it
-    # (ConstraintViolation, then DegenerateGeometry from chi 15), never
-    # returning a wrong e
+    # the pair basis of a strong boost is nearly collinear, so e is
+    # ill-determined, but the projection keeps E e, hence k, to round-off
     for chi in range(1, 21):
         k = boost_k([0.3, 0.5, 0.8], chi)
         r_true = nm_from_k(k)
         g = pair_geometry(make_pair(k, StokesVector(1.0, list(probe))))
-        try:
-            e = params_to_expansion(g, r_true)
-            r = expansion_to_params(g, e, require_normalized=True)
-        except MuellerKitError:
-            assert chi > ROUND_TRIP_LIMIT[probe]
-            continue
-        assert chi <= ROUND_TRIP_LIMIT[probe]
+        e = params_to_expansion(g, r_true)
+        r = expansion_to_params(g, e, require_normalized=True)
         err = max(abs(r.n0 - r_true.n0), abs(r.m0 - r_true.m0),
                   np.abs(r.n - r_true.n).max(), np.abs(r.m - r_true.m).max())
-        bound = 1e-14 + 4 * np.finfo(float).eps * np.exp(2 * chi)
-        assert err <= bound * np.cosh(chi / 2)
+        assert err <= ROUND_TRIP_EPS * np.finfo(float).eps * np.cosh(chi / 2)
 
 
 def test_params_to_expansion_frozen():
     k, p, g = _chain(42)
     e = params_to_expansion(g, nm_from_k(k))
     assert np.allclose(e.as_array(), E42, atol=1e-12)
+
+
+def test_params_to_expansion_rejects_another_devices_parameter(rng):
+    # another device's k lies off the 4-D span of this pair's basis
+    for _ in range(50):
+        k = random_lorentz(rng=rng)
+        g = pair_geometry(make_pair(k, random_stokes(rng)))
+        params_to_expansion(g, nm_from_k(k))
+        with pytest.raises(InconsistentPairs, match="expansion span"):
+            params_to_expansion(g, nm_from_k(random_lorentz(rng=rng)))
 
 
 def test_degenerate_pair_rejected():
@@ -180,21 +185,33 @@ def test_constraint_residual_basics():
     assert constraint_residual(q, doubled) == pytest.approx(3.0, abs=1e-8)
 
 
+def _paper_split(g, e):
+    """(n0, m, m0, -n), the real and imaginary parts of k, by the module
+    docstring's formulas."""
+    x, y, z, w = e
+    n0 = g.A * x - g.Avec2 * y
+    n = z * g.Avec - w * g.A * g.Bvec + y * g.cross
+    m0 = -g.B * z + g.Bvec2 * w
+    m = x * g.Bvec - y * g.B * g.Avec + w * g.cross
+    return np.concatenate(([n0], m, [m0], -n))
+
+
 def test_k_from_expansion_two_routes(rng):
-    for _ in range(100):
+    # the expansion basis against the paper's formulas written out: E @ e
+    # at a random e off the constraint surface and at the device's own e,
+    # and k_from_expansion at the latter, within the round-off of the terms
+    eps = np.finfo(float).eps
+    for _ in range(200):
         k = random_lorentz(rng=rng)
-        p = make_pair(k, random_stokes(rng))
-        g = pair_geometry(p)
-        if g.collinear:
-            continue
-        e = params_to_expansion(g, nm_from_k(k))
-        k_direct = k_from_expansion(g, e)
-        # nm-route: e -> (n0,n,m0,m) -> k
-        from muellerkit import k_from_nm
-        r = expansion_to_params(g, e)
-        k_nm = k_from_nm(r, tol=1e-8)
-        assert np.max(np.abs(k_direct.k - k_nm.k)) < 1e-10 * max(
-            1.0, np.max(np.abs(k.k)))
+        g = pair_geometry(make_pair(k, random_stokes(rng)))
+        E = expansion_basis(g)
+        e_dev = params_to_expansion(g, nm_from_k(k))
+        for e in (rng.normal(size=4), e_dev.as_array()):
+            v = _paper_split(g, e)
+            allow = 8 * eps * (np.abs(E) @ np.abs(e)).max()
+            assert np.abs(E @ e - v).max() <= allow
+        kf = k_from_expansion(g, e_dev).k  # v and allow are e_dev's
+        assert np.abs(kf - (v[:4] + 1j * v[4:])).max() <= allow
 
 
 def test_k_from_expansion_sign_flip():
@@ -267,6 +284,22 @@ def test_solve_six_rank1_violation_via_generic_data(rng):
     pairs = [make_pair(k, random_stokes(rng)) for _ in range(6)]
     with pytest.raises((Rank1Violation, NoValidCandidate, SingularSystem)):
         solve_six(pairs)
+
+
+def test_solve_six_with_no_split_point_raises_typed(monkeypatch):
+    # generic pairs, rank-1 check off: a block of u is imaginary, the split
+    # yields no point, and the empty candidate set is a typed error
+    rng = np.random.default_rng([11, 0])
+    k = random_lorentz(rng=rng)
+    pairs = [make_pair(k, random_stokes(rng)) for _ in range(6)]
+    split = []
+    real_split = relativistic._split_polish
+    monkeypatch.setattr(relativistic, "_split_polish",
+                        lambda *a: split.append(real_split(*a)) or split[-1])
+    with pytest.raises(NoValidCandidate) as info:
+        solve_six(pairs, tol_r1=np.inf)
+    assert split == [[]]
+    assert info.value.report.candidates == []
 
 
 def _canonical(e):
@@ -409,8 +442,8 @@ def test_polish_stops_at_round_off():
 
 def test_solve_four_polishes_below_tol_where_round_off_exceeds_it():
     # |lift(e*)| is about 1e4, so the round-off bound of the residual is
-    # 6.4e-10; the split point is within it at 3.5e-10 but above tol, and
-    # a stop at round-off alone raised NoConvergedRoot
+    # 6.4e-10; the split points are within it at 2.9e-10 and 2.6e-10 but
+    # above tol, and the polish brings every root below tol
     _, e_star, pairs = consistent_dataset(
         4, rng=np.random.default_rng([2110, 4, 77]))
     M = _lifted([quad_coeffs(p) for p in pairs])
@@ -425,7 +458,7 @@ def test_solve_four_polishes_below_tol_where_round_off_exceeds_it():
 
 def test_solve_four_accepts_a_root_within_its_round_off(monkeypatch):
     # without polish steps the split points of this dataset have residuals
-    # 3.5e-10 and 3.2e-10: above tol, within their round-off bound 6.4e-10;
+    # 2.9e-10 and 2.6e-10: above tol, within their round-off bound 6.4e-10;
     # no step can resolve a residual below that bound, so they are roots
     _, e_star, pairs = consistent_dataset(
         4, rng=np.random.default_rng([2110, 4, 77]))
@@ -510,9 +543,9 @@ def test_solve_four_rejects_a_collinear_pair_basis():
 
 def test_pair_geometry_is_the_solver_table_row():
     # one definition of the per-pair arithmetic: pair_geometry's fields,
-    # the lifted row of its quadratic and the pair's Stokes vectors are
-    # the solvers' table row bit for bit; the dot products carry the bits
-    # of numpy's dot
+    # the lifted row of its quadratic, the pair's Stokes vectors and its
+    # expansion basis are the solvers' table row bit for bit; the dot
+    # products carry the bits of numpy's dot
     for i in range(60):
         _, _, pairs = consistent_dataset(
             4 + 2 * (i % 2), rng=np.random.default_rng([10, i]))
@@ -527,7 +560,8 @@ def test_pair_geometry_is_the_solver_table_row():
             expect = [g.A, g.B, *g.Avec, *g.Bvec, *g.cross, g.Avec2,
                       g.Bvec2, g.cross2, g.AdotB,
                       *_lifted([quad_coeffs_from_geometry(g)])[0],
-                      *p.input.as_array(), *p.output.as_array()]
+                      *p.input.as_array(), *p.output.as_array(),
+                      *expansion_basis(g).ravel()]
             assert row.tolist() == expect
 
 
