@@ -93,6 +93,12 @@ def _need_pairs(pairs, n, what):
         raise InputError(f"{what} needs exactly {n} pairs, got {len(pairs)}")
 
 
+def _residual(L, p):
+    """Transitivity residual |L s - s'| of a matrix on one pair."""
+    return float(np.linalg.norm(
+        lorentz_apply(L, p.input).as_array() - p.output.as_array()))
+
+
 def _solution_record(k, residuals):
     return {
         "k": serialize.k_to_json(k),
@@ -115,7 +121,7 @@ def cmd_family3(args):
     _need_pairs(pairs, 1, "family3")
     sol = rotation.family_3d(pairs[0], args.gamma)
     k = rotation.k_from_nm(sol.real_parameter())
-    res = relativistic._transitivity_residual(sol.matrix(), pairs[0])
+    res = _residual(sol.matrix(), pairs[0])
     out = _solution_record(k, [res])
     out["gamma"] = sol.gamma
     _emit(out, args)
@@ -128,7 +134,7 @@ def cmd_solve2(args):
     sol = rotation.solve_two_3d(pairs[0], pairs[1], tol_cons=args.tol)
     k = rotation.k_from_nm(sol.real_parameter())
     L = sol.matrix()
-    res = [relativistic._transitivity_residual(L, p) for p in pairs]
+    res = [_residual(L, p) for p in pairs]
     out = _solution_record(k, res)
     out["gamma"] = sol.gamma
     _emit(out, args)
@@ -305,7 +311,7 @@ def cmd_verify(args):
     rows = []
     all_ok = True
     for i, p in enumerate(pairs):
-        res = relativistic._transitivity_residual(L, p)
+        res = _residual(L, p)
         ok = res <= args.tol
         all_ok = all_ok and ok
         rows.append({"pair": i, "residual": res, "ok": ok})

@@ -28,13 +28,18 @@ per pair holding its ``geometry_table`` row (the same arithmetic as
 table supplies the lifted system, the collinearity test and the stacked
 validation. Both read each lifted point back the same way: each block is
 split by the root of its larger square, the point is polished by
-Gauss-Newton on the lifted system, one SVD of the Jacobian per step, until
-its residual reaches evaluation round-off and the caller's tolerance (or
-stops falling), both (z, w)-block signs are emitted (no constraint sees
-that sign), every point gets one canonical global sign, duplicates are
-dropped and the rest ordered by e, and all candidates are checked against
-all pairs in one stacked pass. The order depends on e alone, not on
-residuals at round-off level or on the order of the pairs.
+Gauss-Newton on the lifted system, one SVD of the Jacobian per step and
+none at a point already within tolerance, until its residual reaches
+evaluation round-off and the caller's tolerance (or stops falling), both
+(z, w)-block signs are emitted (no constraint sees that sign), every
+point gets one canonical global sign, duplicates are dropped and the rest
+ordered by e, and all candidates are checked against all pairs in one
+stacked pass (``_validate``: one unit check of each k = E e, normalized
+in place, and L(k) s applied through ``kernels.mueller_apply`` without
+forming L). ``family_4d`` reads its roots back through the same pass on
+its one-pair table. The order depends on e alone, not on residuals at
+round-off level or on the order of the pairs; solve_four's rank flags
+come from one batched SVD of the Jacobians at its returned roots.
 """
 
 import math
@@ -47,8 +52,7 @@ from .errors import (ConstraintViolation, DegenerateGeometry,
                      InconsistentPairs, NoConvergedRoot, NoRealRoot,
                      NoValidCandidate, Rank1Violation, SingularSystem)
 from . import kernels
-from .lorentz import (TOL_K, ComplexParameter, RealParameter, apply,
-                      k_from_nm, mueller_from_k, unit_ok)
+from .lorentz import ComplexParameter, RealParameter, k_from_nm, unit_ok
 from .stokes import (ASUM, AVEC, AVEC2, BDIFF, BVEC, BVEC2, CROSS, CROSS2,
                      GEOMETRY_WIDTH, MeasurementPair, PairGeometry,
                      basis_collinear, geometry_table, pair_geometry)
@@ -226,23 +230,22 @@ def k_from_expansion(g: PairGeometry, e: ExpansionCoeffs,
     return kp
 
 
-def _transitivity_residual(L, pair):
-    return float(np.linalg.norm(
-        apply(L, pair.input).as_array() - pair.output.as_array()))
-
-
 def family_4d(p: MeasurementPair, y: float, z: float, w: float):
     """Solve the pair's quadratic for x at fixed (y, z, w).
 
     Returns the 0/1/2 real solutions as (ExpansionCoeffs, ComplexParameter,
-    transitivity residual) triples, sorted by residual.
+    transitivity residual) triples, ordered by x. Each root is read back
+    as the solvers read theirs: k = E e on the pair's table row,
+    normalized, and checked by ``_validate``; a root it rejects (k off the
+    unit surface, or not normalizable) raises ConstraintViolation.
     """
-    g = pair_geometry(p)
-    q = quad_coeffs_from_geometry(g)
-    # a x^2 + (2 b y) x + (constraint residual at x = 0) = 0
-    ca = q.a
-    cb = 2.0 * q.b * y
-    cc = constraint_residual(q, ExpansionCoeffs(0.0, y, z, w))
+    T = _pair_table([p])
+    # the lifted row (a, 2b, c, -alpha, -2beta, -sigma); the quadratic in x
+    # is a x^2 + (2b y) x + (constraint residual at x = 0) = 0
+    ca, b2, c, m_alpha, m_beta2, m_sigma = T[0, _LIFT].tolist()
+    cb = b2 * y
+    cc = (c * y * y + m_alpha * z * z + m_beta2 * z * w + m_sigma * w * w
+          - 1.0)
     coeff_scale = max(abs(ca), abs(cb), abs(cc), 1.0)
     if abs(ca) <= 1e-14 * coeff_scale:
         if abs(cb) <= 1e-14 * coeff_scale:
@@ -254,18 +257,17 @@ def family_4d(p: MeasurementPair, y: float, z: float, w: float):
         if disc < 0.0:
             raise NoRealRoot(f"discriminant {disc:.3e} < 0: "
                              "(y, z, w) off the surface projection")
-        sq = np.sqrt(disc)
-        xs = [(-cb + sq) / (2.0 * ca), (-cb - sq) / (2.0 * ca)]
-        if disc == 0.0:
-            xs = xs[:1]
+        sq = math.sqrt(disc)
+        xs = sorted({(-cb + sq) / (2.0 * ca), (-cb - sq) / (2.0 * ca)})
 
-    out = []
-    for x in xs:
-        e = ExpansionCoeffs(x=float(x), y=float(y), z=float(z), w=float(w))
-        k = k_from_expansion(g, e, normalize=True)
-        out.append((e, k, _transitivity_residual(mueller_from_k(k), p)))
-    out.sort(key=lambda t: t[2])
-    return out
+    es = [[x, float(y), float(z), float(w)] for x in xs]
+    K, res, bad = _validate(T, np.array(es))
+    if bad.any():
+        raise ConstraintViolation(
+            f"root x = {xs[int(np.argmax(bad[0]))]:.17g} rejected: k = E e "
+            "is off the unit surface or not normalizable")
+    return [(ExpansionCoeffs(*e), ComplexParameter(k), r)
+            for e, k, r in zip(es, K[0], res[0].tolist())]
 
 
 @dataclass
@@ -336,90 +338,104 @@ def _split_block(sq_a, prod, sq_b, scale):
     division is never by a small root."""
     if max(sq_a, sq_b) < -1e-9 * scale:
         return None
-    r = np.sqrt(max(sq_a, sq_b, 0.0))
+    r = math.sqrt(max(sq_a, sq_b, 0.0))
     if r == 0.0:
         return 0.0, 0.0
     return (r, prod / r) if sq_a >= sq_b else (prod / r, r)
 
 
+# The nonzero entries of the 6x4 derivative of lift(e), row-major: their
+# flat index, the component of e and its factor.
+_D_INDEX = np.array([0, 4, 5, 9, 14, 18, 19, 23])
+_D_SOURCE = np.array([0, 1, 0, 1, 2, 3, 2, 3])
+_D_FACTOR = np.array([2.0, 1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 2.0])
+
+
 def _lift_jacobian(M, e):
-    """Jacobian of M @ lift(e) - 1 with respect to e = (x, y, z, w)."""
-    x, y, z, w = e
-    return M @ np.array([[2.0 * x, 0.0, 0.0, 0.0],
-                         [y, x, 0.0, 0.0],
-                         [0.0, 2.0 * y, 0.0, 0.0],
-                         [0.0, 0.0, 2.0 * z, 0.0],
-                         [0.0, 0.0, w, z],
-                         [0.0, 0.0, 0.0, 2.0 * w]])
+    """Jacobian of M @ lift(e) - 1 with respect to e = (x, y, z, w); for a
+    stack e (..., 4), the stack of Jacobians (..., rows of M, 4)."""
+    e = np.asarray(e, float)
+    D = np.zeros(e.shape[:-1] + (24,))
+    D[..., _D_INDEX] = e.take(_D_SOURCE, axis=-1) * _D_FACTOR
+    return M @ D.reshape(*e.shape[:-1], 6, 4)
+
+
+def _rank_deficient(M, es):
+    """The flags of solve_four's roots es (n, 4), from one batched SVD of
+    their Jacobians: sv_min <= 1e-8 max(sv_max, 1). No sign of a root
+    changes its singular values."""
+    S = np.linalg.svd(_lift_jacobian(M, es), compute_uv=False)
+    return [s[-1] <= 1e-8 * max(s[0], 1.0) for s in S.tolist()]
 
 
 def _polish(M, e, tol):
     """Gauss-Newton on M @ lift(e) = 1; M has four or six rows.
 
-    Each step is a least-squares solve through one SVD of the Jacobian J,
-    dropping singular values <= eps max(J.shape) S[0]. The polish stops
-    once max |residual| is within its evaluation round-off
-    4 eps max_i (|M| |lift(e)|)_i and within the caller's tol, when a step
-    fails to lower it, or after POLISH_STEPS steps. Where that round-off
-    exceeds tol (max_i (|M| |lift(e)|)_i above about 1e5), the residual
-    cannot be resolved below it, and which multiple of the float spacing
-    the walk lands on is chance.
-    Returns e, max |residual|, its round-off bound and the singular values
-    of J at that e.
+    The polish stops once max |residual| is within its evaluation
+    round-off 4 eps max_i (|M| |lift(e)|)_i and within the caller's tol,
+    when a step fails to lower it, or after POLISH_STEPS steps. Each step
+    is a least-squares solve through one SVD of the Jacobian J, dropping
+    singular values <= eps max(J.shape) S[0]; a point that needs no step
+    is not factored. Where that round-off exceeds tol
+    (max_i (|M| |lift(e)|)_i above about 1e5), the residual cannot be
+    resolved below it, and which multiple of the float spacing the walk
+    lands on is chance.
+    Returns e, max |residual| and its round-off bound.
     """
     absM = np.abs(M)
     u = lift(e)
     f = M @ u - 1.0
     fn = np.abs(f).max()
-    for step in range(POLISH_STEPS + 1):
+    bound = 4.0 * EPS * (absM @ np.abs(u)).max()
+    for _ in range(POLISH_STEPS):
+        if fn <= min(tol, bound):
+            break
         J = _lift_jacobian(M, e)
         U, S, Vt = np.linalg.svd(J, full_matrices=False)
-        bound = 4.0 * EPS * (absM @ np.abs(u)).max()
-        if step == POLISH_STEPS or fn <= min(tol, bound):
-            break
-        keep = S > EPS * max(J.shape) * S[0]
-        e_new = e - Vt[keep].T @ ((U[:, keep].T @ f) / S[keep])
+        # S falls, so the kept singular values are a leading slice
+        n = int(np.count_nonzero(S > EPS * max(J.shape) * S[0]))
+        e_new = e - Vt[:n].T @ ((U[:, :n].T @ f) / S[:n])
         u_new = lift(e_new)
         f_new = M @ u_new - 1.0
         fn_new = np.abs(f_new).max()
         if not fn_new < fn:
             break
         e, u, f, fn = e_new, u_new, f_new, fn_new
-    return e, float(fn), float(bound), S
+        bound = 4.0 * EPS * (absM @ np.abs(u)).max()
+    return e, float(fn), float(bound)
 
 
 def _split_polish(M, u, tol):
-    """(max |residual|, e, Jacobian singular values, round-off bound of
-    the residual) for both (z, w)-block signs of the real e that lifts to
-    u, polished with ``tol`` (see _polish), or [] when a block of u is
-    imaginary. e is a list of floats.
+    """(max |residual|, e, round-off bound of the residual) for both
+    (z, w)-block signs of the real e that lifts to u, polished with
+    ``tol`` (see _polish), or [] when a block of u is imaginary. e is a
+    list of floats.
 
-    The point is polished once: flipping the (z, w) sign leaves lift(e),
-    the residual and the singular values unchanged.
+    The point is polished once: flipping the (z, w) sign leaves lift(e)
+    and the residual unchanged.
     """
-    scale = max(1.0, float(np.linalg.norm(u)))
-    xy = _split_block(u[0], u[1], u[2], scale)
-    zw = _split_block(u[3], u[4], u[5], scale)
+    scale = max(1.0, math.sqrt(u @ u))  # the bits of np.linalg.norm(u)
+    u_xx, u_xy, u_yy, u_zz, u_zw, u_ww = u.tolist()
+    xy = _split_block(u_xx, u_xy, u_yy, scale)
+    zw = _split_block(u_zz, u_zw, u_ww, scale)
     if xy is None or zw is None:
         return []
-    e, fn, bound, sv = _polish(M, np.array([*xy, *zw]), tol)
+    e, fn, bound = _polish(M, np.array([*xy, *zw]), tol)
     x, y, z, w = e.tolist()
-    return [(fn, [x, y, z, w], sv, bound), (fn, [x, y, -z, -w], sv, bound)]
+    return [(fn, [x, y, z, w], bound), (fn, [x, y, -z, -w], bound)]
 
 
 def _canonical_unique(found):
     """The points of _split_polish taken in order of fn, each given the
     canonical global sign (its first component of largest magnitude is
     >= 0), without those within 1e-6 of an earlier one, then sorted by
-    the canonical e. Returns (fn, e, sv) with e a list of floats; sv holds
-    for the canonical e, as neither sign changes the Jacobian's singular
-    values."""
+    the canonical e. Returns (fn, e) with e a list of floats."""
     out = []
-    for fn, e, sv, _ in sorted(found, key=lambda r: r[0]):
+    for fn, e, _ in sorted(found, key=lambda r: r[0]):
         if max(e, key=abs) < 0:
             e = [-v for v in e]
-        if not any(math.dist(e, o) < 1e-6 for _, o, _ in out):
-            out.append((fn, e, sv))
+        if not any(math.dist(e, o) < 1e-6 for _, o in out):
+            out.append((fn, e))
     out.sort(key=lambda r: r[1])
     return out
 
@@ -430,12 +446,15 @@ def _validate(T, es):
 
     The parameters K (pairs, candidates, 4) are E e for each pair's
     expansion basis E, as in k_from_expansion, and checked by the rules of
-    k_from_expansion(normalize=True) followed by mueller_from_k:
-    ``unit_ok`` at TOL_K_RAW, |q| ~ 0, ``unit_ok`` of the normalized k at
-    TOL_K. Returns K (normalized where accepted), the transitivity
-    residuals (pairs, candidates) and the rejection mask (pairs,
-    candidates), True where that per-pair path would raise a
-    MuellerKitError.
+    k_from_expansion(normalize=True) followed by mueller_from_k: ``unit_ok``
+    at TOL_K_RAW and |q| ~ 0, q = k0^2 - k.k. The third rule, ``unit_ok``
+    of the normalized k at TOL_K, is implied: k / sqrt(q) misses the unit
+    surface by a few eps sum |k_i|^2 / |q|, its own scale, and a non-finite
+    k fails the first rule (this holds while sum |k_i|^2 / |q| does not
+    overflow). Returns K, read-only and normalized where accepted, the
+    transitivity residuals |L(k) s - s'| (pairs, candidates) and the
+    rejection mask (pairs, candidates), True where that per-pair path
+    would raise a MuellerKitError.
     """
     es = es.reshape(-1, 4)  # no point: (0, 4), so K is empty
     V = np.swapaxes(T[:, _BASIS].reshape(-1, 8, 4) @ es.T, 1, 2)
@@ -443,13 +462,11 @@ def _validate(T, es):
 
     q = K[..., 0] ** 2 - np.sum(K[..., 1:] ** 2, axis=-1)
     bad = ~unit_ok(K, TOL_K_RAW) | (np.abs(q) < 1e-12)
-    K = K / np.sqrt(np.where(bad, 1.0, q))[..., None]  # rejected: left as is
-    bad |= ~unit_ok(K, TOL_K)
-    L = kernels.mueller_product(K)
+    K /= np.sqrt(np.where(bad, 1.0, q))[..., None]  # rejected: left as is
+    K.flags.writeable = False
 
-    res = np.linalg.norm(np.einsum("pcij,pj->pci", L, T[:, _VIN])
-                         - T[:, None, _VOUT], axis=-1)
-    return K, res, bad
+    d = kernels.mueller_apply(K, T[:, None, _VIN]) - T[:, None, _VOUT]
+    return K, np.sqrt(np.vecdot(d, d)), bad
 
 
 def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1) -> SixReport:
@@ -497,7 +514,7 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1) -> SixReport:
             f"|u_zw^2 - u_zz u_ww| = {d2:.3e} "
             "(no single (x,y,z,w) generates it)")
 
-    es = [e for _, e, _ in _canonical_unique(_split_polish(M, u, np.inf))]
+    es = [e for _, e in _canonical_unique(_split_polish(M, u, np.inf))]
     K, res, bad = _validate(T, np.array(es))
     candidates = sorted(
         (Candidate(e=ExpansionCoeffs(*es[c]),
@@ -550,7 +567,8 @@ def _rank1_conic(u0, v1, v2, i, j, k):
 
 
 def _slice_points(u0, v1, v2):
-    """Points u = u0 + s v1 + t v2 on both rank-1 conics, s and t real.
+    """Points u = u0 + s v1 + t v2 on both rank-1 conics, s and t real, as
+    the rows of one array.
 
     The Sylvester resultant of the two conics f = a2 t^2 + a1 t + a0 and
     g = b2 t^2 + b1 t + b0 is the quartic d20^2 - d21 d10 in s, with
@@ -573,20 +591,35 @@ def _slice_points(u0, v1, v2):
                2.0 * e1 * e0 - (g1 * h0 + g0 * h1),
                e0 * e0 - g0 * h0]
     g_scale = max(abs(g1), abs(g0))
-    out = []
-    for s in np.roots(quartic):
-        if abs(s.imag) > 1e-6 * (1.0 + abs(s)):
-            continue
-        s = float(s.real)
+    st = []
+    for s in _real_roots(quartic):
         den = g1 * s + g0
         if abs(den) > 1e-10 * g_scale * (1.0 + abs(s)):
-            ts = [-((e2 * s + e1) * s + e0) / den]
+            st.append((s, -((e2 * s + e1) * s + e0) / den))
         else:
-            ts = [t.real for t in np.roots([a2, a11 * s + a10,
-                                            (a02 * s + a01) * s + a00])
-                  if abs(t.imag) <= 1e-6 * (1.0 + abs(t))]
-        out.extend(u0 + s * v1 + t * v2 for t in ts)
-    return out
+            st.extend((s, t) for t in _real_roots(
+                [a2, a11 * s + a10, (a02 * s + a01) * s + a00]))
+    s, t = np.array(st).reshape(-1, 2).T[..., None]
+    return u0 + s * v1 + t * v2
+
+
+def _real_roots(coeffs):
+    """The real parts of the roots of the polynomial with float
+    coefficients ``coeffs`` (highest power first) whose imaginary part is
+    within 1e-6 (1 + |root|), as floats: ``np.roots`` arithmetic, the
+    eigenvalues of the companion matrix with leading zero coefficients
+    dropped and one zero root per trailing zero coefficient."""
+    nonzero = [i for i, c in enumerate(coeffs) if c != 0.0]
+    if not nonzero:
+        return []
+    p = coeffs[nonzero[0]:nonzero[-1] + 1]
+    roots = [0.0] * (len(coeffs) - 1 - nonzero[-1])
+    if len(p) > 1:
+        n = len(p) - 1
+        C = [[-c / p[0] for c in p[1:]]] + [
+            [float(j == i) for j in range(n)] for i in range(n - 1)]
+        roots = np.linalg.eigvals(np.array(C)).tolist() + roots
+    return [r.real for r in roots if abs(r.imag) <= 1e-6 * (1.0 + abs(r))]
 
 
 def solve_four(pairs, seed=0, starts=64, tol=1e-10) -> FourReport:
@@ -604,8 +637,8 @@ def solve_four(pairs, seed=0, starts=64, tol=1e-10) -> FourReport:
     round-off bound 4 eps max_i (|M| |lift(e)|)_i): no step can resolve a
     residual below the bound, so acceptance does not depend on where the
     polish lands within it. ``rank_deficient`` reads the singular values
-    of the constraint Jacobian that the polish factored at the returned
-    point: sv_min <= 1e-8 max(sv_max, 1). When the system has
+    of the constraint Jacobian at each returned root, all roots in one
+    batched SVD: sv_min <= 1e-8 max(sv_max, 1). When the system has
     rank < 4 (e.g. a repeated pair) the roots form a positive-dimensional
     set; successive 2-D slices of the null space are tried until one yields
     real points. Roots get the canonical global sign, are deduplicated,
@@ -633,8 +666,8 @@ def solve_four(pairs, seed=0, starts=64, tol=1e-10) -> FourReport:
         for u in _slice_points(u0, null[i], null[j]):
             cands = _split_polish(M, u, tol)
             n_cands += len(cands)
-            # (fn, e, sv, bound): within tol or within its round-off
-            found.extend(c for c in cands if c[0] <= max(tol, c[3]))
+            # (fn, e, bound): within tol or within its round-off
+            found.extend(c for c in cands if c[0] <= max(tol, c[2]))
         if found:
             break
     if not found:
@@ -643,11 +676,11 @@ def solve_four(pairs, seed=0, starts=64, tol=1e-10) -> FourReport:
             f"constraints below {tol:.0e}")
 
     unique = _canonical_unique(found)
-    roots = [(ExpansionCoeffs(*e), fn) for fn, e, _ in unique]
-    rank_flags = [bool(sv[-1] <= 1e-8 * max(sv[0], 1.0))
-                  for _, _, sv in unique]
-    K, res, bad = _validate(T, np.array([e for _, e, _ in unique]))
+    es = np.array([e for _, e in unique])
+    K, res, bad = _validate(T, es)
     res[bad] = np.inf
-    return FourReport(roots=roots, per_pair_residuals=res.T.tolist(),
-                      rank_deficient=rank_flags, n_starts=n_cands,
+    return FourReport(roots=[(ExpansionCoeffs(*e), fn) for fn, e in unique],
+                      per_pair_residuals=res.T.tolist(),
+                      rank_deficient=_rank_deficient(M, es),
+                      n_starts=n_cands,
                       k=[ComplexParameter(k) for k in K[0]])

@@ -84,8 +84,23 @@ class StokesVector:
 
 def invariant(v: StokesVector) -> float:
     """Lorentz invariant s0^2 - |s|^2; zero iff fully polarized."""
-    s1, s2, s3 = v.s.tolist()
-    return v.s0 * v.s0 - (s1 * s1 + s2 * s2 + s3 * s3)
+    return _invariant(v.s0, *v.s.tolist())
+
+
+def _invariant(s0, s1, s2, s3):
+    return s0 * s0 - (s1 * s1 + s2 * s2 + s3 * s3)
+
+
+def check_invariants(s0, s, t0, t):
+    """Raise InvariantMismatch unless the invariants of an input (s0, s)
+    and an output (t0, t), floats and float 3-sequences, agree; a Lorentz
+    map preserves them. The allowance adds their round-off
+    64 eps max(s0^2, t0^2)."""
+    si, so = _invariant(s0, *s), _invariant(t0, *t)
+    s0_sq = max(s0 * s0, t0 * t0)
+    if abs(si - so) > TOL_INV * max(1.0, abs(si)) + ROUND_OFF * s0_sq:
+        raise InvariantMismatch(
+            f"invariants differ: {si} vs {so} (no Lorentz map exists)")
 
 
 @dataclass(frozen=True)
@@ -96,13 +111,9 @@ class MeasurementPair:
     output: StokesVector
 
     def check(self):
-        """Verify the shared invariant; a Lorentz map preserves it. The
-        allowance adds its round-off 64 eps max(s0^2, s0'^2)."""
-        si, so = invariant(self.input), invariant(self.output)
-        s0_sq = max(self.input.s0 ** 2, self.output.s0 ** 2)
-        if abs(si - so) > TOL_INV * max(1.0, abs(si)) + ROUND_OFF * s0_sq:
-            raise InvariantMismatch(
-                f"invariants differ: {si} vs {so} (no Lorentz map exists)")
+        """Verify the shared invariant (see ``check_invariants``)."""
+        check_invariants(self.input.s0, self.input.s.tolist(),
+                         self.output.s0, self.output.s.tolist())
 
 
 # Columns of geometry_table: A = s0 + s0' and B = s0 - s0' first; a
@@ -122,13 +133,15 @@ def geometry_table(pairs) -> np.ndarray:
     the pair table of the lifted solvers both read it. Sums, differences
     and cross products are taken in Python floats, the dot products of
     all pairs by ``np.vecdot``: numpy's dot kernel gives them the bits of
-    ``Avec @ Avec``. Raises InvariantMismatch as ``MeasurementPair.check``.
+    ``Avec @ Avec``. Raises InvariantMismatch as ``MeasurementPair.check``,
+    through ``check_invariants`` on the floats the row is built from.
     """
     rows = []
     for p in pairs:
-        p.check()
-        s0, (s1, s2, s3) = p.input.s0, p.input.s.tolist()
-        t0, (t1, t2, t3) = p.output.s0, p.output.s.tolist()
+        s0, s = p.input.s0, p.input.s.tolist()
+        t0, t = p.output.s0, p.output.s.tolist()
+        check_invariants(s0, s, t0, t)
+        (s1, s2, s3), (t1, t2, t3) = s, t
         a1, a2, a3 = s1 + t1, s2 + t2, s3 + t3
         b1, b2, b3 = s1 - t1, s2 - t2, s3 - t3
         rows.append([s0 + t0, s0 - t0, a1, a2, a3, b1, b2, b3,

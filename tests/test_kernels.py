@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from muellerkit import (ComplexParameter, ConstraintViolation, ExpansionCoeffs,
-                        MuellerKitError, NoValidCandidate, k_from_expansion,
+                        MeasurementPair, MuellerKitError, NoValidCandidate,
+                        StokesVector, apply, boost_k, k_from_expansion,
                         little_element, mueller_from_k, sample_little,
                         solve_six)
 from muellerkit import kernels, relativistic
+from muellerkit.lorentz import TOL_K, unit_ok
 from muellerkit.oracle import consistent_dataset, random_lorentz, random_stokes
-from muellerkit.relativistic import (_LIFT, _canonical_unique, _pair_table,
-                                     _split_polish, _transitivity_residual,
-                                     _validate)
+from muellerkit.relativistic import (_BASIS, _LIFT, TOL_K_RAW,
+                                     _canonical_unique, _pair_table,
+                                     _split_polish, _validate)
 from muellerkit.stokes import cross3, pair_geometry
+
+EPS = np.finfo(float).eps
 
 
 def _layout(k):
@@ -59,6 +63,93 @@ def test_max_im_is_round_off_on_and_off_the_unit_surface():
             mueller_from_k(ComplexParameter(k))
 
 
+def test_mueller_apply_matches_the_product():
+    # L(k) v from the two factor products equals mueller_product(K) @ v
+    # within 8 eps |k|^2 |v|, on and off the unit surface and for strong
+    # boosts, with the leading axes broadcast
+    rng = np.random.default_rng(10)
+    boosts = [boost_k(rng.normal(size=3), chi).k for chi in range(0, 21)]
+    K = np.concatenate([
+        np.array([random_lorentz(rng=rng).k for _ in range(30)]),
+        rng.normal(size=(30, 4)) + 1j * rng.normal(size=(30, 4)),
+        np.array(boosts)]).reshape(9, 9, 4)
+    v = rng.normal(size=(9, 1, 4)) * rng.uniform(0.1, 10.0, size=(9, 1, 1))
+    out = kernels.mueller_apply(K, v)
+    ref = (kernels.mueller_product(K) @ v[..., None])[..., 0]
+    assert out.shape == (9, 9, 4) and out.dtype == float
+    bound = (8 * EPS * np.sum(np.abs(K) ** 2, axis=-1)
+             * np.linalg.norm(v, axis=-1))
+    assert (np.abs(out - ref).max(axis=-1) <= bound).all()
+    k, w = K[8, 8], v[8, 0]
+    assert kernels.mueller_apply(k, w).shape == (4,)
+    assert np.abs(kernels.mueller_apply(k, w)
+                  - kernels.mueller_product(k) @ w).max() <= bound[8, 8]
+
+
+def _two_check_rejects(K):
+    """The rule _validate applied before it checked once: unit_ok of the
+    raw k at TOL_K_RAW, |q| below 1e-12, then unit_ok of the normalized k
+    at TOL_K."""
+    q = K[..., 0] ** 2 - np.sum(K[..., 1:] ** 2, axis=-1)
+    bad = ~unit_ok(K, TOL_K_RAW) | (np.abs(q) < 1e-12)
+    return bad | ~unit_ok(K / np.sqrt(np.where(bad, 1.0, q))[..., None],
+                          TOL_K)
+
+
+def _synthetic_rows(bases):
+    """Pair-table rows holding only an expansion basis each (8x4)."""
+    T = np.zeros((len(bases), _BASIS.stop))
+    T[:, _BASIS] = np.reshape(bases, (len(bases), 32))
+    return T
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def test_validate_rejects_by_the_two_check_rule():
+    # one unit check of the raw k and the |q| test reject exactly what the
+    # old two checks rejected: on genuine pair bases (boosts to rapidity
+    # 20 among them) and on bases that make k = e, i e, (1 + i) e and
+    # (e0 + i e3, e1, e2, e3), for on- and off-surface e, near-null e whose
+    # |q| straddles 1e-12 while the raw check passes, and non-finite e
+    # (whose products warn, as before)
+    rng = np.random.default_rng(14)
+    eye, zero = np.eye(4), np.zeros((4, 4))
+    mix = np.zeros((4, 4))
+    mix[0, 3] = 1.0
+    probes = [[0.2, -0.4, 0.5], [0.6, 0.0, 0.8]]
+    boosted = [MeasurementPair(
+        StokesVector(1.0, s), apply(mueller_from_k(boost_k(
+            [0.3, 0.5, 0.8], chi)), StokesVector(1.0, s)))
+        for chi in (5, 10, 15, 20) for s in probes]
+    _, e_star, pairs = consistent_dataset(4, rng=rng)
+    T = np.concatenate((
+        _pair_table(pairs), _pair_table(boosted)[:, :_BASIS.stop],
+        _synthetic_rows([np.vstack((eye, zero)), np.vstack((zero, eye)),
+                         np.vstack((eye, eye)), np.vstack((eye, mix))])))
+    es = [e_star.as_array(), -e_star.as_array()]
+    for chi in range(21):
+        k = boost_k(rng.normal(size=3), chi).k.real
+        es += [k, k * (1.0 + 1e-9), k * (1.0 - 3e-9), k * (1.0 + 1e-7)]
+    for a in (2.0 ** 13, 2.0 ** 15):
+        # q = 2i a d: its modulus is c 1e-12, the raw defect |q - 1| ~ 1
+        # is within 1e-8 sum |k_i|^2
+        es += [[a, a, 0.0, c * 1e-12 / (2.0 * a)]
+               for c in (0.0, 0.5, 0.9999, 1.0, 1.0001, 2.0, 1e3)]
+    es += list(rng.normal(size=(40, 4)) * 10.0 ** rng.integers(-3, 4, (40, 1)))
+    es += [[np.nan, 1.0, 2.0, 3.0], [np.inf, 0.0, 0.0, 0.0],
+           [1.0, -np.inf, 0.0, 0.0], [np.inf, np.inf, 0.0, 0.0]]
+    es = np.array(es)
+    K, _, bad = _validate(T, es)
+    raw = np.swapaxes(T[:, _BASIS].reshape(-1, 8, 4) @ es.T, 1, 2)
+    raw = raw[..., :4] + 1j * raw[..., 4:]
+    assert np.array_equal(bad, _two_check_rejects(raw))
+    assert not K.flags.writeable
+    q = np.abs(raw[..., 0] ** 2 - np.sum(raw[..., 1:] ** 2, axis=-1))
+    unit = unit_ok(raw, TOL_K_RAW)
+    assert (unit & (q < 1e-12)).sum() >= 6
+    assert (unit & (q >= 1e-12) & (q < 1e-11)).sum() >= 6
+    assert 0 < bad.sum() < bad.size
+
+
 def test_cross3_equals_numpy_cross_bitwise():
     rng = np.random.default_rng(9)
     for _ in range(500):
@@ -78,7 +169,8 @@ def _scalar_candidates(geoms, pairs, es):
             continue
         spread = max((min(np.linalg.norm(a.k - b.k), np.linalg.norm(a.k + b.k))
                       for a, b in combinations(ks, 2)), default=0.0)
-        out.append((e, [_transitivity_residual(L, p)
+        out.append((e, [float(np.linalg.norm(apply(L, p.input).as_array()
+                                             - p.output.as_array()))
                         for L, p in zip(Ls, pairs)], spread, ks))
     return out
 
@@ -104,7 +196,7 @@ def test_stacked_six_validation_matches_scalar_path():
             rep = exc.report
         geoms = [pair_geometry(p) for p in pairs]
         M = _pair_table(pairs)[:, _LIFT]
-        es = [ExpansionCoeffs(*e) for _, e, _ in
+        es = [ExpansionCoeffs(*e) for _, e in
               _canonical_unique(_split_polish(M, rep.u, np.inf))]
         ref = _scalar_candidates(geoms, pairs, es)
         _assert_same(rep.candidates, ref)
@@ -147,8 +239,8 @@ def test_solve_six_drops_rejected_candidates(monkeypatch):
     flipped = ExpansionCoeffs(e_a.x, e_a.y, -e_a.z, -e_a.w)
     es = [e_a, flipped, e_b]
     monkeypatch.setattr(relativistic, "_split_polish",
-                        lambda M, u, tol: [(0.0, e.as_array().tolist(),
-                                            np.ones(4), 0.0) for e in es])
+                        lambda M, u, tol: [(0.0, e.as_array().tolist(), 0.0)
+                                           for e in es])
     kept = solve_six(pairs_a).candidates
     assert len(kept) == 2
     assert all(any(_same_up_to_sign(c.e, e) for c in kept)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from muellerkit import (DegenerateGeometry, ExpansionCoeffs,
-                        InconsistentPairs, MeasurementPair, NoRealRoot,
-                        NoValidCandidate, Rank1Violation, SingularSystem,
-                        StokesVector, apply,
+from muellerkit import (ConstraintViolation, DegenerateGeometry,
+                        ExpansionCoeffs, InconsistentPairs, MeasurementPair,
+                        NoRealRoot, NoValidCandidate, Rank1Violation,
+                        SingularSystem, StokesVector, apply,
                         constraint_residual, expansion_to_params, family_4d,
                         k_from_expansion, mueller_from_k, nm_from_k,
                         params_to_expansion, quad_coeffs, solve_four,
@@ -232,6 +232,60 @@ def test_family_4d_recovers_ground_truth(rng):
         assert sols[0][2] < 1e-8  # transitivity residual of best root
 
 
+def test_family_4d_orders_roots_by_x_and_matches_the_scalar_path():
+    # each triple is the scalar path k_from_expansion(normalize=True), then
+    # mueller_from_k and apply, and the roots come ordered by x, not by a
+    # residual at round-off level
+    n_two = 0
+    for i in range(200):
+        _, e_star, pairs = consistent_dataset(
+            1, rng=np.random.default_rng([12, i]))
+        p, g = pairs[0], pair_geometry(pairs[0])
+        sols = family_4d(p, e_star.y, e_star.z, e_star.w)
+        xs = [e.x for e, _, _ in sols]
+        assert xs == sorted(xs)
+        assert min(abs(x - e_star.x) for x in xs) <= 1e-8 * max(
+            1.0, abs(e_star.x))
+        n_two += len(sols) == 2
+        for e, k, res in sols:
+            assert (e.y, e.z, e.w) == (e_star.y, e_star.z, e_star.w)
+            ref = k_from_expansion(g, e, normalize=True)
+            ref_res = np.linalg.norm(apply(mueller_from_k(ref), p.input)
+                                     .as_array() - p.output.as_array())
+            assert np.abs(k.k - ref.k).max() <= 1e-12 * max(
+                1.0, np.abs(ref.k).max())
+            assert abs(res - ref_res) <= 1e-12
+    assert n_two == 200
+
+
+def test_family_4d_raises_where_the_scalar_path_rejects_a_root():
+    # at (y, z, w) = 1e7 the root's k = E e cancels to far off the unit
+    # surface; the scalar path rejects the same root
+    _, _, pairs = consistent_dataset(1, rng=np.random.default_rng(3))
+    p = pairs[0]
+    with pytest.raises(ConstraintViolation, match="rejected") as info:
+        family_4d(p, 1e7, 1e7, 1e7)
+    x = float(str(info.value).split("x = ")[1].split()[0])
+    with pytest.raises(ConstraintViolation):
+        mueller_from_k(k_from_expansion(
+            pair_geometry(p), ExpansionCoeffs(x, 1e7, 1e7, 1e7),
+            normalize=True))
+
+
+def test_real_roots_are_those_of_np_roots():
+    # the companion-matrix roots, leading and trailing zero coefficients
+    # handled as np.roots does, bit for bit
+    rng = np.random.default_rng(15)
+    for i in range(400):
+        c = rng.normal(size=5) * 10.0 ** rng.integers(-3, 4, size=5)
+        c[:i % 3] = 0.0
+        c[5 - (i // 3) % 3:] = 0.0
+        ref = [r.real for r in np.roots(c)
+               if abs(r.imag) <= 1e-6 * (1.0 + abs(r))]
+        assert relativistic._real_roots(c.tolist()) == ref
+    assert relativistic._real_roots([0.0] * 5) == []
+
+
 def test_family_4d_no_real_root():
     _, p, _ = _chain(42)
     with pytest.raises(NoRealRoot):
@@ -373,8 +427,8 @@ def test_solve_four_repeated_pair_rank_deficient():
 
 
 def test_solve_four_rank_flags_match_explicit_rule():
-    # the flags come from the polish's own factorization at the returned
-    # point; the singular values do not change under either sign
+    # the flags come from one batched SVD of the Jacobians at the returned
+    # points; the singular values do not change under either sign
     n_roots = 0
     for i in range(200):
         _, _, pairs = consistent_dataset(4, rng=np.random.default_rng([8, i]))
@@ -387,16 +441,17 @@ def test_solve_four_rank_flags_match_explicit_rule():
 
 
 def _count_svd(monkeypatch, log):
+    # logs the shape of every matrix (stack) factored
     svd = np.linalg.svd
 
-    def counted(*args, **kw):
-        log.append("svd")
-        return svd(*args, **kw)
+    def counted(a, *args, **kw):
+        log.append(np.shape(a))
+        return svd(a, *args, **kw)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
 
 
-def test_polish_returns_a_converged_point_after_one_factorization(
+def test_polish_returns_a_converged_point_without_factorization(
         monkeypatch):
     # lift(e) = (1, 0, 0, 1/4, 0, 0); column 0 in [0.5, 1] and column 3
     # four times its complement make M @ lift(e) = 1 without rounding
@@ -411,33 +466,35 @@ def test_polish_returns_a_converged_point_after_one_factorization(
     log = []
     _count_svd(monkeypatch, log)
     # one ulp off in x, the residual is 2 eps M[:, 0], within round-off: a
-    # step would move e
+    # step would move e, and a point that takes none is not factored
     for x, fn_in in ((1.0, 0.0), (np.nextafter(1.0, 2.0), 4.44e-16)):
         e[0] = x
         log.clear()
-        e_out, fn, _, sv = _polish(M, e, 1e-10)
-        assert log == ["svd"]
+        e_out, fn, _ = _polish(M, e, 1e-10)
+        assert log == []
         assert np.array_equal(e_out, e)
         assert fn == pytest.approx(fn_in, abs=1e-18)
-        assert np.allclose(sv, S, rtol=1e-15)
 
 
 def test_polish_stops_at_round_off():
     # from a perturbed root the polish reaches the evaluation round-off of
-    # the residual and stops there, with the singular values at that point
+    # the residual and stops there, factoring once per step it took
     for i in range(20):
         _, e_star, pairs = consistent_dataset(
             4, rng=np.random.default_rng([4, i]))
         M = _lifted([quad_coeffs(p) for p in pairs])
         es = e_star.as_array()
-        e, fn, bound, sv = _polish(M, es * (1.0 + 1e-6), np.inf)
+        log = []
+        with pytest.MonkeyPatch.context() as mp:
+            _count_svd(mp, log)
+            e, fn, bound = _polish(M, es * (1.0 + 1e-6), np.inf)
         u = lift(e)
         assert fn == np.abs(M @ u - 1.0).max()
         assert bound == 4 * np.finfo(float).eps * (np.abs(M) @ np.abs(u)).max()
         assert fn <= bound
         assert np.linalg.norm(e - es) <= 1e-9 * np.linalg.norm(es)
-        assert np.allclose(sv, np.linalg.svd(_lift_jacobian(M, e),
-                                             compute_uv=False), rtol=1e-13)
+        assert 1 <= len(log) <= relativistic.POLISH_STEPS
+        assert set(log) == {(4, 4)}
 
 
 def test_solve_four_polishes_below_tol_where_round_off_exceeds_it():
@@ -522,15 +579,14 @@ def test_no_valid_candidate_reports_the_best_worst_residual():
 def test_canonical_unique_keeps_the_best_of_near_duplicates():
     # points within 1e-6 of a better one (up to global sign) are dropped;
     # the rest come out under the canonical sign, ordered by e
-    sv = np.ones(4)
-    found = [(3e-11, [0.5, -2.0, 1.0, 0.25], sv, 0.0),
-             (1e-11, [-0.5, 2.0, -1.0, -0.25 + 5e-7], sv, 0.0),
-             (2e-11, [0.5, -2.0, -1.0, -0.25], sv, 0.0),
-             (4e-11, [-3.0, 0.1, 0.2, 0.3], sv, 0.0)]
+    found = [(3e-11, [0.5, -2.0, 1.0, 0.25], 0.0),
+             (1e-11, [-0.5, 2.0, -1.0, -0.25 + 5e-7], 0.0),
+             (2e-11, [0.5, -2.0, -1.0, -0.25], 0.0),
+             (4e-11, [-3.0, 0.1, 0.2, 0.3], 0.0)]
     out = relativistic._canonical_unique(found)
-    assert out == [(1e-11, [-0.5, 2.0, -1.0, -0.25 + 5e-7], sv),
-                   (2e-11, [-0.5, 2.0, 1.0, 0.25], sv),
-                   (4e-11, [3.0, -0.1, -0.2, -0.3], sv)]
+    assert out == [(1e-11, [-0.5, 2.0, -1.0, -0.25 + 5e-7]),
+                   (2e-11, [-0.5, 2.0, 1.0, 0.25]),
+                   (4e-11, [3.0, -0.1, -0.2, -0.3])]
 
 
 def test_solve_four_rejects_a_collinear_pair_basis():
@@ -565,7 +621,7 @@ def test_pair_geometry_is_the_solver_table_row():
             assert row.tolist() == expect
 
 
-def test_solve_four_factors_nothing_after_the_last_polish(monkeypatch):
+def test_solve_four_factors_only_its_rank_flags_after_polishing(monkeypatch):
     log = []
     _count_svd(monkeypatch, log)
 
@@ -584,22 +640,52 @@ def test_solve_four_factors_nothing_after_the_last_polish(monkeypatch):
     for i in range(20):
         _, _, pairs = consistent_dataset(4, rng=np.random.default_rng([4, i]))
         log.clear()
-        solve_four(pairs)
+        rep = solve_four(pairs)
         last = len(log) - 1 - log[::-1].index("polish")
-        assert "svd" not in log[last + 1:]
+        # after the last polish, only the batched SVD of the rank flags
+        assert log[last + 1:] == [(len(rep.roots), 4, 4)]
+
+
+def test_solve_four_counts_its_factorizations(monkeypatch):
+    # case 5 of the seed-11 four_pair corpus: one SVD of the lifted system,
+    # one per polish step and one batched SVD for the rank flags. A step
+    # lifts its new point once, beyond the one lift of each polished point;
+    # here one point is within tolerance as split and is not factored
+    _, _, pairs = consistent_dataset(4, rng=np.random.default_rng([11, 4, 5]))
+    log, lifts, steps = [], [], []
+    _count_svd(monkeypatch, log)
+    lift_, polish = relativistic.lift, relativistic._polish
+
+    def counted_lift(e):
+        lifts.append(e)
+        return lift_(e)
+
+    def counted_polish(*args):
+        before = len(lifts)
+        out = polish(*args)
+        steps.append(len(lifts) - before - 1)
+        return out
+
+    monkeypatch.setattr(relativistic, "lift", counted_lift)
+    monkeypatch.setattr(relativistic, "_polish", counted_polish)
+    rep = solve_four(pairs)
+    assert log == [(4, 6)] + [(4, 4)] * sum(steps) + [(len(rep.roots), 4, 4)]
+    assert sorted(steps) == [0, 1]
 
 
 def test_solve_four_propagates_programming_errors(monkeypatch):
-    def broken(K):
-        raise TypeError("bug in mueller_product")
+    def broken(K, v):
+        raise TypeError("bug in mueller_apply")
 
     _, _, four = consistent_dataset(4, rng=np.random.default_rng(3))
-    _, _, six = consistent_dataset(6, seed=1)
-    monkeypatch.setattr(relativistic.kernels, "mueller_product", broken)
+    _, e, six = consistent_dataset(6, seed=1)
+    monkeypatch.setattr(relativistic.kernels, "mueller_apply", broken)
     with pytest.raises(TypeError):
         solve_four(four)
     with pytest.raises(TypeError):
         solve_six(six)
+    with pytest.raises(TypeError):
+        family_4d(six[0], e.y, e.z, e.w)
 
 
 @pytest.mark.parametrize("seed", [926] + [[77, i] for i in (
