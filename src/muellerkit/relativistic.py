@@ -326,10 +326,11 @@ def _pair_table(pairs):
 
 
 def _k_spread(K):
-    """Max over pairs i, j of min(||ki - kj||, ||ki + kj||), K (pairs, 4)."""
+    """Max over pairs i, j of min(||ki - kj||, ||ki + kj||) for each
+    candidate of K (pairs, candidates, 4), as a list."""
     d = np.minimum(np.linalg.norm(K[:, None] - K[None], axis=-1),
                    np.linalg.norm(K[:, None] + K[None], axis=-1))
-    return float(d.max())
+    return d.max(axis=(0, 1)).tolist()
 
 
 def _split_block(sq_a, prod, sq_b, scale):
@@ -493,8 +494,10 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1) -> SixReport:
     M = T[:, _LIFT]
     rhs = np.ones(6)
 
-    cond = float(np.linalg.cond(M))
-    if not np.isfinite(cond) or cond > COND_MAX:
+    # the arithmetic of np.linalg.cond(M), inf where M is singular
+    S = np.linalg.svd(M, compute_uv=False).tolist()
+    cond = S[0] / S[-1] if S[-1] > 0.0 else math.inf
+    if not cond <= COND_MAX:
         raise SingularSystem(f"lifted 6x6 system condition {cond:.3e} "
                              f"exceeds {COND_MAX:.0e}")
     u = np.linalg.solve(M, rhs)
@@ -516,12 +519,13 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1) -> SixReport:
 
     es = [e for _, e in _canonical_unique(_split_polish(M, u, np.inf))]
     K, res, bad = _validate(T, np.array(es))
+    keep = np.flatnonzero(~bad.any(axis=0))
     candidates = sorted(
-        (Candidate(e=ExpansionCoeffs(*es[c]),
-                   per_pair_residuals=res[:, c].tolist(),
-                   k_spread=_k_spread(K[:, c]),
+        (Candidate(e=ExpansionCoeffs(*es[c]), per_pair_residuals=r,
+                   k_spread=spread,
                    k_list=[ComplexParameter(k) for k in K[:, c]])
-         for c in np.flatnonzero(~bad.any(axis=0))),
+         for c, r, spread in zip(keep.tolist(), res[:, keep].T.tolist(),
+                                 _k_spread(K[:, keep]))),
         key=lambda cnd: cnd.worst > tol_l)
 
     valid = [cnd for cnd in candidates if cnd.worst <= tol_l]

@@ -10,22 +10,28 @@ parametrized by an angle Gamma:
 
 with n0^2 + n^2 = 1. Two independent measurements pin Gamma down up to
 pi; Gamma + pi negates (n0, n), which is the same device (double cover).
+
+The arithmetic is on 3-vectors, so it is done in Python floats: each
+vector is read once as floats and |S| once from ``StokesVector.smag``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import (AntipodalInput, DegenerateGeometry, HalfTurn,
                      InconsistentPairs, LengthMismatch)
 from .lorentz import (MuellerMatrix, RealParameter, frozen, k_from_nm,
                       mueller_from_k, TOL_K)
-from .stokes import MeasurementPair, StokesVector, cross3
+from .stokes import MeasurementPair, cross3
 
 TOL_CONS = 1e-8
 TOL_DEG = 1e-12
 TOL_LEN = 1e-9   # relative |S| - |S'| of a rotation pair
 TOL_MAP = 1e-7   # residual of the solved device on both unit pairs
+ROUND_OFF = 16 * np.finfo(float).eps  # per unit length of a ratio form
 
 
 @dataclass(frozen=True)
@@ -46,103 +52,127 @@ class Family3DSolution:
         return mueller_from_k(k_from_nm(self.real_parameter()))
 
 
-def _rotation_vectors(p: MeasurementPair):
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _rotation_floats(p: MeasurementPair):
+    """(S, S', |S|, |S'|) of a rotation pair, the vectors as float lists;
+    LengthMismatch unless |S| = |S'|."""
     smag, spmag = p.input.smag, p.output.smag
     if abs(smag - spmag) > TOL_LEN * max(1.0, smag):
         raise LengthMismatch(f"|S| = {smag} vs |S'| = {spmag}")
-    return p.input.s, p.output.s, smag
+    return p.input.s.tolist(), p.output.s.tolist(), smag, spmag
 
 
-def family_3d(p: MeasurementPair, gamma: float) -> Family3DSolution:
-    """One-measurement rotation family at angle `gamma`."""
-    s, sp, smag = _rotation_vectors(p)
-    denom = smag * smag + float(s @ sp)
+def _family_denom(s, sp, smag):
+    """S^2 + S.S', which must not vanish for the family to be defined."""
+    denom = smag * smag + _dot(s, sp)
     if denom <= TOL_DEG:
         raise AntipodalInput(
             "S' antipodal to S: family parametrization singular "
             "(solutions are half-turns about axes perpendicular to S)")
-    root = np.sqrt(2.0 * denom)
-    alpha = np.sin(gamma) / root
-    beta = np.cos(gamma) / (smag * root)
+    return denom
+
+
+def _member(s, sp, smag, gamma):
+    """(alpha, beta, n0, n) of the family member of (S, S') at `gamma`,
+    in floats."""
+    denom = _family_denom(s, sp, smag)
+    root = math.sqrt(2.0 * denom)
+    alpha = math.sin(gamma) / root
+    beta = math.cos(gamma) / (smag * root)
     n0 = beta * denom
-    n = alpha * (s + sp) + beta * cross3(s, sp)
+    n = [alpha * (a + b) + beta * c for a, b, c in zip(s, sp, cross3(s, sp))]
     # n0^2 + n^2 = 1 holds exactly; in floating point it drifts by about
     # eps / denom, so near-antipodal pairs are put back on the unit sphere.
-    norm = np.sqrt(n0 * n0 + float(n @ n))
-    n0, n = n0 / norm, n / norm
-    return Family3DSolution(gamma=float(gamma), alpha=float(alpha),
-                            beta=float(beta), n0=float(n0), n=n)
+    norm = math.sqrt(n0 * n0 + _dot(n, n))
+    return alpha, beta, n0 / norm, [x / norm for x in n]
+
+
+def family_3d(p: MeasurementPair, gamma: float) -> Family3DSolution:
+    """One-measurement rotation family at angle `gamma`."""
+    s, sp, smag, _ = _rotation_floats(p)
+    return Family3DSolution(float(gamma), *_member(s, sp, smag, gamma))
 
 
 def gibbs_3d(p: MeasurementPair, gamma: float) -> np.ndarray:
     """Gibbs rotation vector c = n / n0 of the family member at `gamma`."""
-    s, sp, smag = _rotation_vectors(p)
-    denom = smag * smag + float(s @ sp)
-    if denom <= TOL_DEG:
-        raise AntipodalInput("S' antipodal to S")
-    if abs(np.cos(gamma)) <= TOL_K:
+    s, sp, smag, _ = _rotation_floats(p)
+    denom = _family_denom(s, sp, smag)
+    if abs(math.cos(gamma)) <= TOL_K:
         raise HalfTurn("n0 = 0: Gibbs vector undefined")
-    return (np.tan(gamma) * smag * (s + sp) + cross3(s, sp)) / denom
+    t = math.tan(gamma) * smag
+    return np.array([(t * (a + b) + c) / denom
+                     for a, b, c in zip(s, sp, cross3(s, sp))])
 
 
 def _unit_pair(p: MeasurementPair):
-    _rotation_vectors(p)
-    if p.input.smag == 0.0 or p.output.smag == 0.0:
+    s, sp, smag, spmag = _rotation_floats(p)
+    if smag == 0.0 or spmag == 0.0:
         raise DegenerateGeometry("zero polarization vector: no direction")
-    return p.input.s / p.input.smag, p.output.s / p.output.smag
+    return [x / smag for x in s], [x / spmag for x in sp]
+
+
+def _ratio(a, b, c, x):
+    """(a.x, (b - a).(b + c)) for float 3-vectors."""
+    return (_dot(a, x), _dot([q - p for p, q in zip(a, b)],
+                             [q + r for q, r in zip(b, c)]))
 
 
 def _gamma_expressions(N1, N1p, N2, N2p):
-    """The four tan(Gamma) = num/den forms from the two-pair elimination."""
-    return [
-        (float(N1 @ cross3(N2, N2p)), float((N2 - N1) @ (N2 + N2p))),
-        (-float(N1p @ cross3(N2p, N2)), float((N2p - N1p) @ (N2p + N2))),
-        (float(N2 @ cross3(N1, N1p)), float((N1 - N2) @ (N1 + N1p))),
-        (-float(N2p @ cross3(N1p, N1)), float((N1p - N2p) @ (N1p + N1))),
-    ]
+    """The four tan(Gamma) = num/den forms from the two-pair elimination:
+    (A.(N2 x N2'), (B - A).(B + C)) for (A, B, C) = (N1, N2, N2') and
+    (N1', N2', N2), and the same with the pairs swapped."""
+    x2, x1 = cross3(N2, N2p), cross3(N1, N1p)
+    return [_ratio(N1, N2, N2p, x2), _ratio(N1p, N2p, N2, x2),
+            _ratio(N2, N1, N1p, x1), _ratio(N2p, N1p, N1, x1)]
 
 
 def solve_two_3d(p1: MeasurementPair, p2: MeasurementPair,
                  tol_cons=TOL_CONS) -> Family3DSolution:
     """Unique rotation device from two independent measurements.
 
-    Gamma is extracted as atan2(num, den) from the best-conditioned of the
-    four equivalent ratio expressions; the remaining expressions are
-    cross-checked. The ratio fixes Gamma only up to pi, but Gamma + pi
-    negates (n0, n) and so gives the same device: the one device at Gamma
-    is built and must map both unit pairs within TOL_MAP, else
-    InconsistentPairs.
+    Gamma is extracted as atan2(num, den) from the one of the four
+    equivalent ratio forms with the largest |den|. Each form is a multiple
+    of (sin Gamma, cos Gamma), so every form is cross-checked against it
+    by direction, |n_i den - num d_i| <= tol_cons |(n_i, d_i)| |(num, den)|
+    plus the round-off ROUND_OFF (|(n_i, d_i)| + |(num, den)|) of forms
+    built from unit vectors; unlike a ratio test this stays resolved
+    where tan Gamma diverges, at half-turns. The ratio fixes Gamma only up
+    to pi, but Gamma + pi negates (n0, n) and so gives the same device:
+    the one device at Gamma is built and must map both unit pairs within
+    TOL_MAP, else InconsistentPairs.
     """
     N1, N1p = _unit_pair(p1)
     N2, N2p = _unit_pair(p2)
 
-    c1, c2 = float(N1 @ N1p), float(N2 @ N2p)
+    c1, c2 = _dot(N1, N1p), _dot(N2, N2p)
     if abs(c1 - c2) > tol_cons * max(1.0, abs(c1)):
         raise InconsistentPairs(
             f"N1.N1' = {c1} vs N2.N2' = {c2}: no common rotation")
 
     exprs = _gamma_expressions(N1, N1p, N2, N2p)
-    if all(np.hypot(num, den) <= TOL_CONS for num, den in exprs):
+    if all(math.hypot(num, den) <= TOL_CONS for num, den in exprs):
         raise DegenerateGeometry(
             "all ratio expressions vanish: pairs do not pin the axis")
 
     num, den = max(exprs, key=lambda e: abs(e[1]))
-    # cross-check every non-degenerate expression against the chosen one
-    tan_ref = num / den if abs(den) > TOL_CONS else np.inf
+    h = math.hypot(num, den)
     for n_i, d_i in exprs:
-        if abs(d_i) > tol_cons and abs(den) > tol_cons:
-            if abs(n_i / d_i - tan_ref) > tol_cons * max(1.0, abs(tan_ref)):
-                raise InconsistentPairs("ratio expressions disagree")
+        h_i = math.hypot(n_i, d_i)
+        if not (abs(n_i * den - num * d_i)
+                <= tol_cons * h_i * h + ROUND_OFF * (h_i + h)):
+            raise InconsistentPairs("ratio expressions disagree")
 
-    gamma = np.arctan2(num, den)
-    up1 = MeasurementPair(input=StokesVector(1.0, N1),
-                          output=StokesVector(1.0, N1p))
-
-    sol = family_3d(up1, gamma)
-    M = sol.matrix().m
-    res = max(np.linalg.norm(M[1:, 1:] @ N1 - N1p),
-              np.linalg.norm(M[1:, 1:] @ N2 - N2p))
+    gamma = math.atan2(num, den)
+    alpha, beta, n0, n = _member(N1, N1p, 1.0, gamma)
+    # the k of k_from_nm at (n0, n, 0, 0): R is that of sol.matrix()
+    k = [complex(n0)] + [complex(0.0, 0.0 - x) for x in n]
+    R = kernels.mueller_product(k)[1:, 1:].tolist()
+    res = max(math.dist([_dot(r, N1) for r in R], N1p),
+              math.dist([_dot(r, N2) for r in R], N2p))
     if not res <= TOL_MAP:
         raise InconsistentPairs(
             f"the device at Gamma misses a pair by {res:.3e}")
-    return sol
+    return Family3DSolution(gamma, alpha, beta, n0, n)

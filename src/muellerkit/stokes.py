@@ -13,11 +13,12 @@ COLLINEAR_TOL = 1e-12
 
 
 def cross3(a, b):
-    """a x b for two 3-vectors: the arithmetic of numpy's cross product,
-    without its per-call overhead on vectors this short."""
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    """a x b for two float 3-sequences, as a list of floats: the
+    arithmetic of numpy's cross product, without its per-call overhead on
+    vectors this short."""
+    return [a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
 
 
 @dataclass(frozen=True)
@@ -142,10 +143,9 @@ def geometry_table(pairs) -> np.ndarray:
         t0, t = p.output.s0, p.output.s.tolist()
         check_invariants(s0, s, t0, t)
         (s1, s2, s3), (t1, t2, t3) = s, t
-        a1, a2, a3 = s1 + t1, s2 + t2, s3 + t3
-        b1, b2, b3 = s1 - t1, s2 - t2, s3 - t3
-        rows.append([s0 + t0, s0 - t0, a1, a2, a3, b1, b2, b3,
-                     a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
+        a = [s1 + t1, s2 + t2, s3 + t3]
+        b = [s1 - t1, s2 - t2, s3 - t3]
+        rows.append([s0 + t0, s0 - t0, *a, *b, *cross3(a, b)])
     R = np.array(rows)
     V = R[:, 2:].reshape(-1, 3, 3)  # Avec, Bvec, Avec x Bvec
     return np.concatenate((R, np.vecdot(V, V),

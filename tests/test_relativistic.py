@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,36 @@ def test_solve_six_identical_pairs_singular():
     _, p, _ = _chain(1)
     with pytest.raises(SingularSystem):
         solve_six([p] * 6)
+
+
+def test_solve_six_report_matches_the_per_candidate_rules():
+    # condition is np.linalg.cond of the lifted matrix and k_spread the
+    # spread of each candidate's own k stack, bit for bit
+    for i in range(50):
+        _, _, pairs = consistent_dataset(6, rng=np.random.default_rng([6, i]))
+        rep = solve_six(pairs)
+        M = relativistic._pair_table(pairs)[:, relativistic._LIFT]
+        assert rep.condition.hex() == float(np.linalg.cond(M)).hex()
+        assert rep.candidates
+        for c in rep.candidates:
+            K = np.array([kp.k for kp in c.k_list])
+            d = np.minimum(np.linalg.norm(K[:, None] - K[None], axis=-1),
+                           np.linalg.norm(K[:, None] + K[None], axis=-1))
+            assert c.k_spread.hex() == float(d.max()).hex()
+
+
+def test_solve_six_identity_pairs_are_singular_without_warning():
+    # s' = s on all six pairs: Bvec = 0 leaves the lifted matrix with exact
+    # zero singular values, so the condition is inf, not a division warning
+    rng = np.random.default_rng(5)
+    pairs = [MeasurementPair(v, v)
+             for v in (random_stokes(rng) for _ in range(6))]
+    M = relativistic._pair_table(pairs)[:, relativistic._LIFT]
+    assert np.linalg.svd(M, compute_uv=False)[-1] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem, match="condition inf"):
+            solve_six(pairs)
 
 
 def test_solve_six_rank1_violation_via_generic_data(rng):

@@ -3,9 +3,12 @@ import pytest
 
 from muellerkit import (AntipodalInput, DegenerateGeometry, HalfTurn,
                         InconsistentPairs, LengthMismatch, MeasurementPair,
-                        StokesVector, apply, family_3d, gibbs_3d,
+                        StokesVector, apply, family_3d, gibbs_3d, kernels,
                         mueller_from_k, rotation_k, solve_two_3d)
+from muellerkit.lorentz import RealParameter, k_from_nm
 from muellerkit.oracle import random_unit, rotation_dataset
+
+EPS = np.finfo(float).eps
 
 
 def _pair(s0_in, s_in, s0_out, s_out):
@@ -153,3 +156,104 @@ def test_solve_two_half_turn_near_antipodal():
         pairs.append(MeasurementPair(vin, apply(L, vin)))
     sol = solve_two_3d(*pairs)
     assert np.max(np.abs(sol.matrix().m - L.m)) <= 1e-12
+
+
+def _numpy_member(s, sp, smag, gamma):
+    """The family member at gamma in numpy 3-vector arithmetic: (alpha,
+    beta, n0, n), (n0, n) renormalized."""
+    denom = smag * smag + float(s @ sp)
+    root = np.sqrt(2.0 * denom)
+    alpha = np.sin(gamma) / root
+    beta = np.cos(gamma) / (smag * root)
+    n0 = beta * denom
+    n = alpha * (s + sp) + beta * np.cross(s, sp)
+    norm = np.sqrt(n0 * n0 + float(n @ n))
+    return alpha, beta, n0 / norm, n / norm
+
+
+def _numpy_solve_two(p1, p2):
+    """Gamma and the member at Gamma of solve_two_3d, in numpy 3-vector
+    arithmetic: tan(Gamma) from the ratio form with the largest |den|."""
+    N1, N1p = p1.input.s / p1.input.smag, p1.output.s / p1.output.smag
+    N2, N2p = p2.input.s / p2.input.smag, p2.output.s / p2.output.smag
+    exprs = [(N1 @ np.cross(N2, N2p), (N2 - N1) @ (N2 + N2p)),
+             (-N1p @ np.cross(N2p, N2), (N2p - N1p) @ (N2p + N2)),
+             (N2 @ np.cross(N1, N1p), (N1 - N2) @ (N1 + N1p)),
+             (-N2p @ np.cross(N1p, N1), (N1p - N2p) @ (N1p + N1))]
+    num, den = max(exprs, key=lambda e: abs(e[1]))
+    gamma = np.arctan2(num, den)
+    return (gamma, *_numpy_member(N1, N1p, np.sqrt(N1 @ N1), gamma))
+
+
+def _close(a, b, ulps=16):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return np.all(np.abs(a - b) <= ulps * EPS * np.maximum(1.0, np.abs(b)))
+
+
+def test_float_rotation_path_matches_numpy_reference(monkeypatch):
+    # the float arithmetic of family_3d, gibbs_3d and solve_two_3d against
+    # the same formulas in numpy; solve_two_3d checks the device it returns
+    checked = []
+    product = kernels.mueller_product
+
+    def record(K):
+        checked.append(product(K))
+        return checked[-1]
+
+    monkeypatch.setattr(kernels, "mueller_product", record)
+    for i in range(500):
+        rng = np.random.default_rng([7, i])
+        _, p1, p2 = rotation_dataset(rng=rng)
+        g = rng.uniform(-1.4, 1.4)
+        s, sp, smag = p1.input.s, p1.output.s, p1.input.smag
+
+        sol = family_3d(p1, g)
+        alpha, beta, n0, n = _numpy_member(s, sp, smag, g)
+        assert _close([sol.alpha, sol.beta, sol.n0, *sol.n],
+                      [alpha, beta, n0, *n])
+        c = (np.tan(g) * smag * (s + sp) + np.cross(s, sp)) \
+            / (smag * smag + float(s @ sp))
+        assert _close(gibbs_3d(p1, g), c)
+
+        checked.clear()
+        sol = solve_two_3d(p1, p2)
+        assert len(checked) == 1
+        M = sol.matrix().m
+        assert np.array_equal(checked[0], M)
+        gamma, alpha, beta, n0, n = _numpy_solve_two(p1, p2)
+        assert _close([sol.gamma, sol.alpha, sol.beta, sol.n0, *sol.n],
+                      [gamma, alpha, beta, n0, *n])
+        ref = RealParameter(n0, n, 0.0, np.zeros(3))
+        assert _close(M, mueller_from_k(k_from_nm(ref)).m)
+
+
+def _half_turn_pairs(i, count):
+    """Two genuine pairs of a device at angle pi - delta, delta
+    log-spaced over [1e-11, 1e-3]; the second probe is the first turned
+    about the device axis, so both lie on one cone about it."""
+    rng = np.random.default_rng([13, i])
+    axis = random_unit(rng)
+    delta = 10.0 ** (-11.0 + 8.0 * i / (count - 1))
+    L = mueller_from_k(rotation_k(axis, np.pi - delta))
+    N1 = random_unit(rng)
+    while abs(float(N1 @ axis)) > 0.95:
+        N1 = random_unit(rng)
+    cone = mueller_from_k(rotation_k(axis, rng.uniform(0.5, 5.8))).m[1:, 1:]
+    pairs = []
+    for N in (N1, cone @ N1):
+        s0 = rng.uniform(0.5, 2.0)
+        vin = StokesVector(s0, s0 * rng.uniform(0.2, 1.0) * N)
+        pairs.append(MeasurementPair(vin, apply(L, vin)))
+    return L, pairs
+
+
+@pytest.mark.parametrize("tol_cons", [1e-8, 1e-12])
+def test_solve_two_accepts_genuine_pairs_near_half_turns(tol_cons):
+    # near a half-turn tan(Gamma) diverges and the round-off of a ratio
+    # num/den grows as eps / |den|: genuine pairs must pass the cross-check
+    # of the four forms at any tolerance above their round-off
+    count = 660
+    for i in range(count):
+        L, pairs = _half_turn_pairs(i, count)
+        sol = solve_two_3d(*pairs, tol_cons=tol_cons)
+        assert np.max(np.abs(sol.matrix().m - L.m)) <= 1e-10
