@@ -17,13 +17,14 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict, astuple
 
 import numpy as np
 
 from . import littlegroup, oracle, quadform, relativistic, rotation, serialize
 from .errors import MuellerKitError, NoValidCandidate
 from .lorentz import apply as lorentz_apply
-from .lorentz import is_lorentz, mueller_from_k
+from .lorentz import is_lorentz, k_from_nm, mueller_from_k
 from .stokes import MeasurementPair
 
 log = logging.getLogger("muellerkit")
@@ -33,43 +34,47 @@ class InputError(Exception):
     pass
 
 
-def _load_json(path):
+def _load(path, parse, what):
+    """parse(the JSON value in path), every failure an InputError."""
     try:
         with open(path) as f:
-            return json.load(f)
+            d = json.load(f)
     except OSError as e:
         raise InputError(f"{path}: {e}") from e
     except json.JSONDecodeError as e:
         raise InputError(
             f"{path}: parse error at line {e.lineno}, column {e.colno}: "
             f"{e.msg}") from e
+    try:
+        return parse(d)
+    except (KeyError, TypeError, ValueError, MuellerKitError) as e:
+        raise InputError(f"{path}: bad {what}: {e}") from e
+
+
+def _finite_matrix(d):
+    L = serialize.mueller_from_json(d)
+    if not np.isfinite(L.m).all():
+        raise ValueError("non-finite entry")
+    return L
 
 
 def _load_dataset(path):
-    d = _load_json(path)
-    try:
-        return serialize.dataset_from_json(d)
-    except (KeyError, TypeError, ValueError, MuellerKitError) as e:
-        raise InputError(f"{path}: bad dataset: {e}") from e
+    return _load(path, lambda d: serialize.dataset_from_json(d)[0], "dataset")
 
 
 def _load_stokes(path):
-    d = _load_json(path)
-    try:
-        return serialize.stokes_from_json(d)
-    except (KeyError, TypeError, ValueError, MuellerKitError) as e:
-        raise InputError(f"{path}: bad Stokes vector: {e}") from e
+    return _load(path, serialize.stokes_from_json, "Stokes vector")
 
 
 def _load_matrix(path):
-    d = _load_json(path)
-    try:
-        L = serialize.mueller_from_json(d)
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"{path}: bad matrix: {e}") from e
-    if not np.isfinite(L.m).all():
-        raise InputError(f"{path}: bad matrix: non-finite entry")
-    return L
+    return _load(path, _finite_matrix, "matrix")
+
+
+def _load_pairs(path, n, what):
+    pairs = _load_dataset(path)
+    if len(pairs) != n:
+        raise InputError(f"{what} needs exactly {n} pairs, got {len(pairs)}")
+    return pairs
 
 
 def _finite(text):
@@ -88,23 +93,26 @@ def _emit(obj, args):
         sys.stdout.write(text)
 
 
-def _need_pairs(pairs, n, what):
-    if len(pairs) != n:
-        raise InputError(f"{what} needs exactly {n} pairs, got {len(pairs)}")
-
-
 def _residual(L, p):
     """Transitivity residual |L s - s'| of a matrix on one pair."""
     return float(np.linalg.norm(
         lorentz_apply(L, p.input).as_array() - p.output.as_array()))
 
 
-def _solution_record(k, residuals):
+def _solution_record(k, residuals, **extra):
     return {
         "k": serialize.k_to_json(k),
         "mueller": serialize.mueller_to_json(mueller_from_k(k)),
         "residuals": list(residuals),
+        **extra,
     }
+
+
+def _rotation_record(sol, pairs):
+    k = k_from_nm(sol.real_parameter())
+    L = mueller_from_k(k)
+    return _solution_record(k, [_residual(L, p) for p in pairs],
+                            gamma=sol.gamma)
 
 
 # ------------------------------------------------------------- subcommands
@@ -117,88 +125,60 @@ def cmd_apply(args):
 
 
 def cmd_family3(args):
-    pairs, _ = _load_dataset(args.data)
-    _need_pairs(pairs, 1, "family3")
-    sol = rotation.family_3d(pairs[0], args.gamma)
-    k = rotation.k_from_nm(sol.real_parameter())
-    res = _residual(sol.matrix(), pairs[0])
-    out = _solution_record(k, [res])
-    out["gamma"] = sol.gamma
-    _emit(out, args)
+    pairs = _load_pairs(args.data, 1, "family3")
+    _emit(_rotation_record(rotation.family_3d(pairs[0], args.gamma), pairs),
+          args)
     return 0
 
 
 def cmd_solve2(args):
-    pairs, _ = _load_dataset(args.data)
-    _need_pairs(pairs, 2, "solve2")
+    pairs = _load_pairs(args.data, 2, "solve2")
     sol = rotation.solve_two_3d(pairs[0], pairs[1], tol_cons=args.tol)
-    k = rotation.k_from_nm(sol.real_parameter())
-    L = sol.matrix()
-    res = [_residual(L, p) for p in pairs]
-    out = _solution_record(k, res)
-    out["gamma"] = sol.gamma
-    _emit(out, args)
+    _emit(_rotation_record(sol, pairs), args)
     return 0
 
 
 def cmd_family4(args):
-    pairs, _ = _load_dataset(args.data)
-    _need_pairs(pairs, 1, "family4")
+    pairs = _load_pairs(args.data, 1, "family4")
     sols = relativistic.family_4d(pairs[0], args.y, args.z, args.w)
-    out = {"solutions": []}
-    for e, k, res in sols:
-        rec = _solution_record(k, [res])
-        rec["e"] = list(e.as_array())
-        out["solutions"].append(rec)
-    _emit(out, args)
+    _emit({"solutions": [_solution_record(k, [res], e=list(e.as_array()))
+                         for e, k, res in sols]}, args)
     return 0
 
 
 def cmd_solve4(args):
-    pairs, _ = _load_dataset(args.data)
-    _need_pairs(pairs, 4, "solve4")
+    pairs = _load_pairs(args.data, 4, "solve4")
     rep = relativistic.solve_four(pairs, tol=args.tol)
-    out = {"roots": [], "n_starts": rep.n_starts}
-    for (e, fnorm), res, rdef, k in zip(rep.roots, rep.per_pair_residuals,
-                                        rep.rank_deficient, rep.k):
-        rec = _solution_record(k, res)
-        rec["e"] = list(e.as_array())
-        rec["residual_norm"] = fnorm
-        rec["jacobian_rank_deficient"] = rdef
-        out["roots"].append(rec)
-    _emit(out, args)
+    roots = [_solution_record(k, res, e=list(e.as_array()),
+                              residual_norm=fnorm,
+                              jacobian_rank_deficient=rdef)
+             for (e, fnorm), res, rdef, k in zip(
+                 rep.roots, rep.per_pair_residuals, rep.rank_deficient,
+                 rep.k)]
+    _emit({"roots": roots, "n_starts": rep.n_starts}, args)
     return 0
 
 
 def _six_report_json(rep):
-    out = {"u": list(rep.u), "candidates": [], "diagnostics": {
+    candidates = [{"e": list(cand.e.as_array()),
+                   **_solution_record(cand.k_list[0],
+                                      cand.per_pair_residuals),
+                   "k_spread": cand.k_spread}
+                  for cand in rep.candidates]
+    return {"u": list(rep.u), "candidates": candidates, "diagnostics": {
         "cramer": rep.cramer,
         "rank1_defects": list(rep.rank1_defects),
         "condition": rep.condition,
         "shared_solution": rep.shared_solution,
     }}
-    for cand in rep.candidates:
-        out["candidates"].append({
-            "e": list(cand.e.as_array()),
-            "k": serialize.k_to_json(cand.k_list[0]) if cand.k_list else None,
-            "mueller": (serialize.mueller_to_json(
-                mueller_from_k(cand.k_list[0])) if cand.k_list else None),
-            "residuals": list(cand.per_pair_residuals),
-            "k_spread": cand.k_spread,
-        })
-    return out
 
 
 def cmd_solve6(args):
-    pairs, _ = _load_dataset(args.data)
-    _need_pairs(pairs, 6, "solve6")
+    pairs = _load_pairs(args.data, 6, "solve6")
     try:
         rep = relativistic.solve_six(pairs, tol_l=args.tol)
     except NoValidCandidate as e:
-        if e.report is not None:
-            out = _six_report_json(e.report)
-            out["error"] = str(e)
-            _emit(out, args)
+        _emit({**_six_report_json(e.report), "error": str(e)}, args)
         print(f"error: {e}", file=sys.stderr)
         return 2
     _emit(_six_report_json(rep), args)
@@ -206,23 +186,11 @@ def cmd_solve6(args):
 
 
 def cmd_diag(args):
-    pairs, _ = _load_dataset(args.data)
     out = {"pairs": []}
-    for p in pairs:
+    for p in _load_dataset(args.data):
         q = relativistic.quad_coeffs(p)
-        rep = quadform.classify_signature(q.a, q.b, q.c,
-                                          q.alpha, q.beta, q.sigma)
-        out["pairs"].append({
-            "coefficients": {"a": q.a, "b": q.b, "c": q.c,
-                             "alpha": q.alpha, "beta": q.beta,
-                             "sigma": q.sigma},
-            "xy": {"F": rep.xy.F, "G": rep.xy.G, "phi": rep.xy.phi},
-            "zw": {"F": rep.zw.F, "G": rep.zw.G, "phi": rep.zw.phi},
-            "signs": list(rep.signs),
-            "boundary": rep.boundary,
-            "definite_xy": rep.definite_xy,
-            "definite_zw": rep.definite_zw,
-        })
+        rep = quadform.classify_signature(*astuple(q))
+        out["pairs"].append({"coefficients": asdict(q), **asdict(rep)})
     _emit(out, args)
     return 0
 
@@ -307,7 +275,7 @@ def cmd_gen(args):
 
 def cmd_verify(args):
     L = _load_matrix(args.matrix)
-    pairs, _ = _load_dataset(args.data)
+    pairs = _load_dataset(args.data)
     rows = []
     all_ok = True
     for i, p in enumerate(pairs):
@@ -315,10 +283,7 @@ def cmd_verify(args):
         ok = res <= args.tol
         all_ok = all_ok and ok
         rows.append({"pair": i, "residual": res, "ok": ok})
-    rep = is_lorentz(L)
-    _emit({"residuals": rows,
-           "lorentz": {"ok": rep.ok, "ortho_residual": rep.ortho_residual,
-                       "det_residual": rep.det_residual, "m00": rep.m00},
+    _emit({"residuals": rows, "lorentz": asdict(is_lorentz(L)),
            "all_ok": all_ok}, args)
     return 0 if all_ok else 2
 
@@ -350,9 +315,6 @@ def _build_parser():
     add("family4", cmd_family4, data=dict(required=True), y=num, z=num, w=num)
     add("solve4", cmd_solve4,
         data=dict(required=True),
-        seed=dict(type=int, default=0, help="ignored (the solve is exact)"),
-        starts=dict(type=int, default=64,
-                    help="ignored (the solve is exact)"),
         tol=dict(type=_finite, default=1e-10))
     add("solve6", cmd_solve6,
         data=dict(required=True), tol=dict(type=_finite, default=1e-6))

@@ -71,14 +71,6 @@ class ComplexParameter:
     def __post_init__(self):
         object.__setattr__(self, "k", frozen(self.k, complex, (4,)))
 
-    @property
-    def k0(self):
-        return self.k[0]
-
-    @property
-    def kvec(self):
-        return self.k[1:]
-
     @np.errstate(invalid="ignore", over="ignore")
     def unit_defect(self):
         """|k0^2 - kvec^2 - 1| (complex modulus); NaN or inf, without a

@@ -43,7 +43,7 @@ come from one batched SVD of the Jacobians at its returned roots.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -275,7 +275,7 @@ class Candidate:
     e: ExpansionCoeffs
     per_pair_residuals: list
     k_spread: float
-    k_list: list = field(default_factory=list)
+    k_list: list
 
     @property
     def worst(self):
@@ -626,7 +626,7 @@ def _real_roots(coeffs):
     return [r.real for r in roots if abs(r.imag) <= 1e-6 * (1.0 + abs(r))]
 
 
-def solve_four(pairs, seed=0, starts=64, tol=1e-10) -> FourReport:
+def solve_four(pairs, tol=1e-10) -> FourReport:
     """Reconstruct from four measurements exactly.
 
     The four quadratics are linear in the lifted monomials
@@ -648,9 +648,6 @@ def solve_four(pairs, seed=0, starts=64, tol=1e-10) -> FourReport:
     real points. Roots get the canonical global sign, are deduplicated,
     ordered by e and validated by transitivity on every pair in one
     stacked pass; a pair that rejects a root reports an infinite residual.
-
-    ``seed`` and ``starts`` are accepted for compatibility and ignored;
-    the result is deterministic.
     """
     if len(pairs) != 4:
         raise ValueError("exactly four pairs required")

@@ -50,10 +50,6 @@ class StokesVector:
                 raise MuellerKitError(
                     f"|s| = {self.smag} exceeds s0 = {self.s0} (p > 1)")
 
-    @property
-    def intensity(self):
-        return self.s0
-
     # Derived quantities are computed on each read, so that a vector's
     # memory does not grow with the properties read from it.
     @property
@@ -111,11 +107,6 @@ class MeasurementPair:
     input: StokesVector
     output: StokesVector
 
-    def check(self):
-        """Verify the shared invariant (see ``check_invariants``)."""
-        check_invariants(self.input.s0, self.input.s.tolist(),
-                         self.output.s0, self.output.s.tolist())
-
 
 # Columns of geometry_table: A = s0 + s0' and B = s0 - s0' first; a
 # table that extends it appends from GEOMETRY_WIDTH on.
@@ -134,8 +125,8 @@ def geometry_table(pairs) -> np.ndarray:
     the pair table of the lifted solvers both read it. Sums, differences
     and cross products are taken in Python floats, the dot products of
     all pairs by ``np.vecdot``: numpy's dot kernel gives them the bits of
-    ``Avec @ Avec``. Raises InvariantMismatch as ``MeasurementPair.check``,
-    through ``check_invariants`` on the floats the row is built from.
+    ``Avec @ Avec``. Raises InvariantMismatch, through
+    ``check_invariants`` on the floats the row is built from.
     """
     rows = []
     for p in pairs:

@@ -201,9 +201,9 @@ def test_criterion_5_six_measurement():
 def test_criterion_6_four_measurement():
     rng = np.random.default_rng(6)
     w_res = w_val = 0.0
-    for i in range(5):
+    for _ in range(5):
         k, e_star, pairs = consistent_dataset(4, rng=rng)
-        rep = solve_four(pairs, seed=i, starts=64)
+        rep = solve_four(pairs)
         es = e_star.as_array()
         dists = [min(np.linalg.norm(r[0].as_array() - es),
                      np.linalg.norm(r[0].as_array() + es))

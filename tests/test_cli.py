@@ -71,6 +71,47 @@ def test_solve6_generic_data_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_solve6_no_valid_candidate_writes_report(tmp_path, capsys):
+    # consistent data whose best candidate misses by round-off only:
+    # --tol 0 rejects every candidate, and the report is still written
+    data = str(tmp_path / "six.json")
+    assert run(["gen", "--kind", "consistent6", "--seed", "5",
+                "--output", data], capsys)[0] == 0
+    code, out, err = run(["solve6", "--data", data, "--tol", "0"], capsys)
+    assert code == 2 and "error" in err
+    rep = json.loads(out)
+    assert list(rep) == ["u", "candidates", "diagnostics", "error"]
+    assert not rep["diagnostics"]["shared_solution"]
+    assert "transitivity tolerance" in rep["error"]
+    assert 0.0 < min(max(c["residuals"]) for c in rep["candidates"]) < 1e-12
+
+
+def test_gen_solve4_roots(tmp_path, capsys):
+    from muellerkit.oracle import consistent_dataset
+    data = str(tmp_path / "four.json")
+    assert run(["gen", "--kind", "consistent4", "--seed", "2",
+                "--output", data], capsys)[0] == 0
+    code, out, _ = run(["solve4", "--data", data], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert list(rep) == ["roots", "n_starts"]
+    for root in rep["roots"]:
+        assert list(root) == ["k", "mueller", "residuals", "e",
+                              "residual_norm", "jacobian_rank_deficient"]
+    # the generator's e* (the same seeded draw as gen) is a root, up to sign
+    _, e_star, _ = consistent_dataset(4, rng=np.random.default_rng(2))
+    es = e_star.as_array()
+    assert min(min(np.linalg.norm(np.array(r["e"]) - es),
+                   np.linalg.norm(np.array(r["e"]) + es))
+               for r in rep["roots"]) <= 1e-8
+    code, again, _ = run(["solve4", "--data", data], capsys)
+    assert code == 0 and again == out
+    # --seed and --starts were ignored by the exact solve and are gone
+    for flag in ("--seed=0", "--starts=64"):
+        code, out, err = run(["solve4", "--data", data, flag], capsys)
+        assert code == 1 and out == "" and "unrecognized" in err
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     for path in (a, b):
@@ -111,6 +152,12 @@ def test_diag_subcommand(tmp_path, capsys):
     assert len(d["pairs"]) == 2
     for rec in d["pairs"]:
         assert rec["xy"]["F"] <= rec["xy"]["G"]
+        # the order of QuadCoeffs' and SignatureReport's fields
+        assert list(rec) == ["coefficients", "xy", "zw", "signs",
+                             "boundary", "definite_xy", "definite_zw"]
+        assert list(rec["coefficients"]) == ["a", "b", "c", "alpha",
+                                             "beta", "sigma"]
+        assert list(rec["xy"]) == list(rec["zw"]) == ["F", "G", "phi"]
 
 
 def test_family3_and_family4(tmp_path, capsys):

@@ -427,18 +427,6 @@ def test_solve_four_recovers_root_missed_by_multistart():
                for r in rep.roots) < 1e-8
 
 
-def test_solve_four_ignores_seed_and_starts():
-    _, _, pairs = consistent_dataset(4, rng=np.random.default_rng(3))
-    base = solve_four(pairs)
-    for kw in ({"seed": 7}, {"starts": 1}, {"seed": 99, "starts": 500}):
-        rep = solve_four(pairs, **kw)
-        assert [(r[0].as_array().tolist(), r[1]) for r in rep.roots] == [
-            (r[0].as_array().tolist(), r[1]) for r in base.roots]
-        assert rep.per_pair_residuals == base.per_pair_residuals
-        assert rep.rank_deficient == base.rank_deficient
-        assert rep.n_starts == base.n_starts
-
-
 def _old_rank_flag(M, e):
     # the explicit rule solve_four applied in a separate pass over its roots
     sv = np.linalg.svd(_lift_jacobian(M, e.as_array()), compute_uv=False)
@@ -449,7 +437,7 @@ def test_solve_four_repeated_pair_rank_deficient():
     for seed in (9, 10, 11):
         _, p, g = _chain(seed)
         assert not g.collinear
-        rep = solve_four([p] * 4, seed=0)
+        rep = solve_four([p] * 4)
         assert rep.roots and all(rep.rank_deficient)
         q = quad_coeffs(p)
         assert all(abs(constraint_residual(q, e)) <= 1e-10

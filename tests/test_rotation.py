@@ -117,6 +117,28 @@ def test_solve_two_inconsistent_rejected(rng):
             # a random second device almost surely breaks Eq-consistency
 
 
+def test_solve_two_two_devices_on_one_cone_angle_rejected():
+    # pairs of two different rotations whose probes share one cone angle,
+    # N2.R_b N2 = N1.R_a N1, pass the N1.N1' = N2.N2' check; the four
+    # tan(Gamma) forms then disagree
+    rng = np.random.default_rng(41)
+    R_a = mueller_from_k(rotation_k(random_unit(rng), 1.1))
+    N1 = random_unit(rng)
+    c = float(N1 @ R_a.m[1:, 1:] @ N1)
+    axis, theta = random_unit(rng), 0.5 * (np.arccos(c) + np.pi)
+    R_b = mueller_from_k(rotation_k(axis, theta))
+    # N.R_b N = cos(theta) + (1 - cos(theta)) (N.axis)^2
+    t = np.sqrt((c - np.cos(theta)) / (1.0 - np.cos(theta)))
+    u = np.cross(axis, random_unit(rng))
+    N2 = t * axis + np.sqrt(1.0 - t * t) * u / np.linalg.norm(u)
+    assert abs(float(N2 @ R_b.m[1:, 1:] @ N2) - c) <= 1e-14
+    pairs = [MeasurementPair(v, apply(R, v))
+             for R, v in ((R_a, StokesVector(1.0, 0.8 * N1)),
+                          (R_b, StokesVector(1.0, 0.8 * N2)))]
+    with pytest.raises(InconsistentPairs, match="ratio expressions disagree"):
+        solve_two_3d(*pairs)
+
+
 def test_gamma_plus_pi_is_the_same_device():
     # Gamma + pi negates (n0, n): the double-cover twin, so solve_two_3d
     # has no second branch to try
