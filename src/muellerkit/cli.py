@@ -12,12 +12,9 @@ logging; MT_LOG is read as an alias when MUELLERKIT_LOG is unset.
 """
 
 import argparse
-import csv
 import json
-import logging
 import os
 import sys
-from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -26,8 +23,6 @@ from .errors import MuellerKitError, NoValidCandidate
 from .lorentz import apply as lorentz_apply
 from .lorentz import is_lorentz, k_from_nm, mueller_from_k
 from .stokes import MeasurementPair
-
-log = logging.getLogger("muellerkit")
 
 
 class InputError(Exception):
@@ -189,8 +184,8 @@ def cmd_diag(args):
     out = {"pairs": []}
     for p in _load_dataset(args.data):
         q = relativistic.quad_coeffs(p)
-        rep = quadform.classify_signature(*astuple(q))
-        out["pairs"].append({"coefficients": asdict(q), **asdict(rep)})
+        out["pairs"].append({"coefficients": q,
+                             **quadform.classify_signature(*q)._asdict()})
     _emit(out, args)
     return 0
 
@@ -236,6 +231,7 @@ def _gen_dataset(kind, seed, count):
 
 
 def _csv_to_dataset(path):
+    import csv
     pairs = []
     try:
         with open(path, newline="") as f:
@@ -283,7 +279,7 @@ def cmd_verify(args):
         ok = res <= args.tol
         all_ok = all_ok and ok
         rows.append({"pair": i, "residual": res, "ok": ok})
-    _emit({"residuals": rows, "lorentz": asdict(is_lorentz(L)),
+    _emit({"residuals": rows, "lorentz": is_lorentz(L),
            "all_ok": all_ok}, args)
     return 0 if all_ok else 2
 
@@ -335,7 +331,8 @@ def _build_parser():
 
 def main(argv=None):
     level = os.environ.get("MUELLERKIT_LOG") or os.environ.get("MT_LOG")
-    if level:
+    if level:  # logging is imported only when it is switched on
+        import logging
         logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO))
     ap = _build_parser()
     try:
@@ -348,7 +345,9 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MuellerKitError as e:
-        log.debug("solver failure", exc_info=True)
+        if level:
+            logging.getLogger("muellerkit").debug("solver failure",
+                                                  exc_info=True)
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

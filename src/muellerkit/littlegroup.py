@@ -16,7 +16,7 @@ One stacked core maps a block of n to elements: ``little_element`` is its
 one-row case, ``sample_little`` draws n in blocks (see its docstring).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -28,13 +28,12 @@ from .stokes import StokesVector
 R_EPS = 1e-12  # keeps the sampling box finite for fully polarized states
 
 
-@dataclass(frozen=True)
-class LittleGroupElement:
-    k: ComplexParameter
-    n: np.ndarray
+class LittleGroupElement(namedtuple("LittleGroupElement", "k n")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", frozen(self.n, float, (3,)))
+    def __new__(cls, k, n):
+        return super().__new__(cls, k, frozen(n, float, (3,)))
 
     def matrix(self) -> MuellerMatrix:
         return mueller_from_k(self.k)

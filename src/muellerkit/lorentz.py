@@ -15,7 +15,7 @@ n0^2 + n^2 - m0^2 - m^2 = 1 and n0 m0 + n.m = 0; rotations have
 of k0^2 - k.k = 1, so ``unit_ok`` is the one validity rule for k.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -64,12 +64,14 @@ def frozen(a, dtype, shape):
     return arr if arr.shape == shape else arr.reshape(shape)
 
 
-@dataclass(frozen=True)
-class ComplexParameter:
-    k: np.ndarray  # complex128[4]
+class ComplexParameter(namedtuple("ComplexParameter", "k")):
+    """k = (k0, k1, k2, k3), complex128[4]."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", frozen(self.k, complex, (4,)))
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__
+
+    def __new__(cls, k):
+        return super().__new__(cls, frozen(k, complex, (4,)))
 
     @np.errstate(invalid="ignore", over="ignore")
     def unit_defect(self):
@@ -87,21 +89,15 @@ class ComplexParameter:
         return ComplexParameter(-self.k)
 
 
-@dataclass(frozen=True)
-class RealParameter:
+class RealParameter(namedtuple("RealParameter", "n0 n m0 m")):
     """Real split (n0, n, m0, m) of a complex parameter."""
 
-    n0: float
-    n: np.ndarray
-    m0: float
-    m: np.ndarray
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__
 
-    def __post_init__(self):
-        for name in ("n", "m"):
-            object.__setattr__(self, name, frozen(getattr(self, name),
-                                                  float, (3,)))
-        object.__setattr__(self, "n0", float(self.n0))
-        object.__setattr__(self, "m0", float(self.m0))
+    def __new__(cls, n0, n, m0, m):
+        return super().__new__(cls, float(n0), frozen(n, float, (3,)),
+                               float(m0), frozen(m, float, (3,)))
 
     # Diagnostics: the real and half the imaginary part of k0^2 - k.k - 1.
     def norm_defect(self):
@@ -112,33 +108,33 @@ class RealParameter:
         return abs(self.n0 * self.m0 + self.n @ self.m)
 
 
-@dataclass(frozen=True)
-class MuellerMatrix:
-    m: np.ndarray  # float64[4,4]
+class MuellerMatrix(namedtuple("MuellerMatrix", "m")):
+    """m, float64[4, 4]."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", frozen(self.m, float, (4, 4)))
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__
+
+    def __new__(cls, m):
+        return super().__new__(cls, frozen(m, float, (4, 4)))
 
     def __matmul__(self, other):
         return MuellerMatrix(self.m @ other.m)
 
 
-@dataclass(frozen=True)
-class GibbsVector:
-    """q = kvec / k0; i*q is the real Gibbs rotation vector for pure rotations."""
+class GibbsVector(namedtuple("GibbsVector", "q")):
+    """q = kvec / k0, complex128[3]; i*q is the real Gibbs rotation vector
+    for pure rotations."""
 
-    q: np.ndarray  # complex128[3]
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", frozen(self.q, complex, (3,)))
+    def __new__(cls, q):
+        return super().__new__(cls, frozen(q, complex, (3,)))
 
 
-@dataclass(frozen=True)
-class LorentzReport:
-    ok: bool
-    ortho_residual: float
-    det_residual: float
-    m00: float
+class LorentzReport(namedtuple(
+        "LorentzReport", "ok ortho_residual det_residual m00")):
+    __slots__ = ()
 
 
 def k_from_nm(r: RealParameter) -> ComplexParameter:
@@ -189,7 +185,7 @@ def is_lorentz(L: MuellerMatrix, tol=TOL_L) -> LorentzReport:
     det = np.linalg.det(M[1:, 1:]) / m00 if m00 > 0.0 else np.linalg.det(M)
     det = float(abs(det - 1.0))
     allow = tol + 64 * np.finfo(float).eps * float(np.max(np.abs(M))) ** 2
-    ok = ortho <= allow and det <= min(allow, 1.0) and m00 > 0.0
+    ok = bool(ortho <= allow and det <= min(allow, 1.0) and m00 > 0.0)
     return LorentzReport(ok=ok, ortho_residual=ortho, det_residual=det, m00=m00)
 
 

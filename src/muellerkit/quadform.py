@@ -11,20 +11,17 @@ diagonalizing (alpha, beta, sigma) with the same convention and negating
 the eigenvalues, so the full surface type follows from the two signatures.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 TOL_ZERO = 1e-10
 
 
-@dataclass(frozen=True)
-class DiagResult:
+class DiagResult(namedtuple("DiagResult", "F G phi")):
     """Eigenvalues F <= G and principal angle phi of one 2x2 block."""
 
-    F: float
-    G: float
-    phi: float
+    __slots__ = ()
 
 
 def diagonalize2(a: float, b: float, c: float) -> DiagResult:
@@ -41,14 +38,15 @@ def diagonalize2(a: float, b: float, c: float) -> DiagResult:
                       phi=float(0.5 * np.arctan2(2.0 * b, c - a)))
 
 
-@dataclass(frozen=True)
-class SignatureReport:
-    xy: DiagResult
-    zw: DiagResult
-    signs: tuple          # sign pattern of the four diagonal coefficients
-    boundary: bool        # any eigenvalue within TOL_ZERO of zero
-    definite_xy: bool     # sufficient condition a > 0, c > 0, ac > b^2
-    definite_zw: bool     # sufficient condition alpha < 0, sigma < 0, a*s > b^2
+class SignatureReport(namedtuple(
+        "SignatureReport", "xy zw signs boundary definite_xy definite_zw")):
+    """The DiagResult of the xy and zw blocks; signs, the sign pattern of
+    the four diagonal coefficients; boundary, any eigenvalue within
+    TOL_ZERO of zero; and the sufficient conditions a > 0, c > 0,
+    ac > b^2 (definite_xy) and alpha < 0, sigma < 0, a*s > b^2
+    (definite_zw)."""
+
+    __slots__ = ()
 
 
 def classify_signature(a, b, c, alpha, beta, sigma) -> SignatureReport:

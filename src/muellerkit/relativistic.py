@@ -43,6 +43,7 @@ come from one batched SVD of the Jacobians at its returned roots.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -65,37 +66,23 @@ POLISH_STEPS = 8
 EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class ExpansionCoeffs:
+class ExpansionCoeffs(namedtuple("ExpansionCoeffs", "x y z w")):
     """Expansion scalars (x, y, z, w)."""
 
-    x: float
-    y: float
-    z: float
-    w: float
-
-    def __iter__(self):
-        return iter((self.x, self.y, self.z, self.w))
+    __slots__ = ()
 
     def as_array(self):
-        return np.array([self.x, self.y, self.z, self.w])
+        return np.array(self)
 
 
-@dataclass(frozen=True)
-class QuadCoeffs:
+class QuadCoeffs(namedtuple("QuadCoeffs", "a b c alpha beta sigma")):
     """Coefficients of a x^2 + 2b xy + c y^2 - alpha z^2 - 2 beta zw
     - sigma w^2 = 1."""
 
-    a: float
-    b: float
-    c: float
-    alpha: float
-    beta: float
-    sigma: float
+    __slots__ = ()
 
     def as_row(self):
-        return np.array([self.a, self.b, self.c, self.alpha, self.beta,
-                         self.sigma])
+        return np.array(self)
 
 
 def quad_coeffs(p: MeasurementPair) -> QuadCoeffs:

@@ -16,7 +16,7 @@ vector is read once as floats and |S| once from ``StokesVector.smag``.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -34,16 +34,14 @@ TOL_MAP = 1e-7   # residual of the solved device on both unit pairs
 ROUND_OFF = 16 * np.finfo(float).eps  # per unit length of a ratio form
 
 
-@dataclass(frozen=True)
-class Family3DSolution:
-    gamma: float
-    alpha: float
-    beta: float
-    n0: float
-    n: np.ndarray
+class Family3DSolution(namedtuple(
+        "Family3DSolution", "gamma alpha beta n0 n")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", frozen(self.n, float, (3,)))
+    def __new__(cls, gamma, alpha, beta, n0, n):
+        return super().__new__(cls, gamma, alpha, beta, n0,
+                               frozen(n, float, (3,)))
 
     def real_parameter(self) -> RealParameter:
         return RealParameter(n0=self.n0, n=self.n, m0=0.0, m=np.zeros(3))

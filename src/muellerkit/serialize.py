@@ -21,11 +21,14 @@ def _fmt(x: float) -> str:
 
 
 def _walk(obj):
-    """Replace floats by tagged strings so the encoder cannot re-round them."""
+    """Replace floats by tagged strings so the encoder cannot re-round them.
+    A record (a named tuple) becomes an object of its fields in order."""
     if isinstance(obj, (float, np.floating)):
         return _TOKEN + _fmt(float(obj))
     if isinstance(obj, (np.integer,)):
         return int(obj)
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        obj = obj._asdict()
     if isinstance(obj, dict):
         return {k: _walk(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -1,7 +1,7 @@
 """Stokes 4-vectors, measurement pairs, and the derived pair geometry."""
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -21,26 +21,23 @@ def cross3(a, b):
             a[0] * b[1] - a[1] * b[0]]
 
 
-@dataclass(frozen=True)
-class StokesVector:
+class StokesVector(namedtuple("StokesVector", "s0 s")):
     """A physical beam state (s0, s) with finite entries, s0 > 0 and
-    s0 >= |s|.
+    s0 >= |s|; s is a read-only copy of the caller's 3 floats.
 
     The Lorentz invariant s0^2 - |s|^2 vanishes exactly for fully
     polarized light. Pass ``validate=False`` to admit slightly perturbed
-    vectors in synthetic tests.
+    vectors in synthetic tests; it is not stored.
     """
 
-    s0: float
-    s: np.ndarray
-    validate: bool = field(default=True, compare=False)
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__
 
-    def __post_init__(self):
-        object.__setattr__(self, "s0", float(self.s0))
-        arr = np.asarray(self.s, dtype=float).reshape(3).copy()
+    def __new__(cls, s0, s, validate=True):
+        arr = np.asarray(s, dtype=float).reshape(3).copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "s", arr)
-        if self.validate:
+        self = super().__new__(cls, float(s0), arr)
+        if validate:
             if not (np.isfinite(self.s0) and np.isfinite(arr).all()):
                 raise MuellerKitError(
                     f"non-finite Stokes vector: s0 = {self.s0}, s = {arr}")
@@ -49,6 +46,10 @@ class StokesVector:
             if self.smag > self.s0 * (1.0 + 1e-12):
                 raise MuellerKitError(
                     f"|s| = {self.smag} exceeds s0 = {self.s0} (p > 1)")
+        return self
+
+    def __getnewargs__(self):  # a copy is not checked again
+        return (*self, False)
 
     # Derived quantities are computed on each read, so that a vector's
     # memory does not grow with the properties read from it.
@@ -100,12 +101,10 @@ def check_invariants(s0, s, t0, t):
             f"invariants differ: {si} vs {so} (no Lorentz map exists)")
 
 
-@dataclass(frozen=True)
-class MeasurementPair:
+class MeasurementPair(namedtuple("MeasurementPair", "input output")):
     """An (input, output) Stokes pair produced by one device measurement."""
 
-    input: StokesVector
-    output: StokesVector
+    __slots__ = ()
 
 
 # Columns of geometry_table: A = s0 + s0' and B = s0 - s0' first; a
@@ -149,23 +148,15 @@ def basis_collinear(cross2, Avec2, Bvec2):
     return cross2 <= COLLINEAR_TOL * (Avec2 * Bvec2)
 
 
-@dataclass(frozen=True)
-class PairGeometry:
+class PairGeometry(namedtuple(
+        "PairGeometry", "A B Avec Bvec Avec2 Bvec2 AdotB cross cross2")):
     """Sums/differences of a pair and their cached products.
 
     A = s0 + s0', B = s0 - s0', Avec = s + s', Bvec = s - s'.
     The identity A*B = Avec.Bvec holds for every genuine Lorentz pair.
     """
 
-    A: float
-    B: float
-    Avec: np.ndarray
-    Bvec: np.ndarray
-    Avec2: float
-    Bvec2: float
-    AdotB: float
-    cross: np.ndarray
-    cross2: float
+    __slots__ = ()
 
     @property
     def collinear(self):
@@ -179,7 +170,9 @@ def pair_geometry(pair: MeasurementPair) -> PairGeometry:
     Raises InvariantMismatch when input/output invariants differ beyond
     tolerance (scalar identity A*B = Avec.Bvec would fail too).
     """
-    row = geometry_table([pair])[0]
+    table = geometry_table([pair])
+    table.setflags(write=False)  # the vector fields view its row
+    row = table[0]
     r = row.tolist()
     return PairGeometry(A=r[ASUM], B=r[BDIFF], Avec=row[AVEC],
                         Bvec=row[BVEC], Avec2=r[AVEC2], Bvec2=r[BVEC2],

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import muellerkit
 from muellerkit.cli import main
+
+SRC = str(Path(muellerkit.__file__).resolve().parents[1])
 
 
 def run(argv, capsys):
@@ -254,13 +261,132 @@ def test_csv_conversion(tmp_path, capsys):
 def test_log_level_from_environment(env, level, monkeypatch):
     import logging
 
-    from muellerkit import cli
     for name in ("MUELLERKIT_LOG", "MT_LOG"):
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     seen = []
-    monkeypatch.setattr(cli.logging, "basicConfig",
+    monkeypatch.setattr(logging, "basicConfig",
                         lambda **kw: seen.append(kw["level"]))
     assert main(["--help"]) == 0
     assert seen == [getattr(logging, level)]
+
+
+# A diag and a verify record, byte for byte: records are written as JSON
+# objects of their fields, in field order, nested records included.
+DIAG_TEXT = """{
+  "pairs": [
+    {
+      "coefficients": {
+        "a": 3.5,
+        "b": -1,
+        "c": 0.5,
+        "alpha": -0.5,
+        "beta": 0,
+        "sigma": -1.5
+      },
+      "xy": {
+        "F": 0.19722436226800544,
+        "G": 3.8027756377319948,
+        "phi": -1.2767950250211129
+      },
+      "zw": {
+        "F": -1.5,
+        "G": -0.5,
+        "phi": 1.5707963267948966
+      },
+      "signs": [
+        1,
+        1,
+        1,
+        1
+      ],
+      "boundary": false,
+      "definite_xy": true,
+      "definite_zw": true
+    }
+  ]
+}
+"""
+
+VERIFY_TEXT = """{
+  "residuals": [
+    {
+      "pair": 0,
+      "residual": 1.1180339887498949,
+      "ok": false
+    }
+  ],
+  "lorentz": {
+    "ok": false,
+    "ortho_residual": 3,
+    "det_residual": 2.9999999999999991,
+    "m00": 2
+  },
+  "all_ok": false
+}
+"""
+
+
+def _one_pair(tmp_path, name, s_in, s_out):
+    return _write(tmp_path, name, {"pairs": [
+        {"in": {"s0": 1.0, "s": s_in}, "out": {"s0": 1.0, "s": s_out}}]})
+
+
+def test_diag_and_verify_records_byte_for_byte(tmp_path, capsys):
+    data = _one_pair(tmp_path, "d.json", [0.5, 0.0, 0.0], [0.0, 0.5, 0.0])
+    assert run(["diag", "--data", data], capsys) == (0, DIAG_TEXT, "")
+    # 2 * identity is no Lorentz matrix: ok is a JSON false, not an error
+    m = _write(tmp_path, "m.json", {"m": list(2.0 * np.eye(4).reshape(16))})
+    data = _one_pair(tmp_path, "v.json", [0.5, 0.0, 0.0], [0.5, 0.0, 0.0])
+    assert run(["verify", "--matrix", m, "--data", data],
+               capsys) == (2, VERIFY_TEXT, "")
+
+
+def _python(code, tmp_path, **env):
+    """Run `code` in a new interpreter that imports this muellerkit."""
+    env = {**{k: v for k, v in os.environ.items()
+              if k not in ("MUELLERKIT_LOG", "MT_LOG")},
+           "PYTHONPATH": SRC, **env}
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+
+
+def test_startup_loads_every_module_and_no_logging_or_csv(tmp_path):
+    modules = sorted("muellerkit." + p.stem
+                     for p in Path(SRC, "muellerkit").glob("*.py")
+                     if p.stem != "__init__")
+    p = _python(
+        "import dataclasses, sys\n"
+        "import muellerkit.cli\n"
+        "print(sorted(m for m in ('logging', 'csv') if m in sys.modules))\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith('muellerkit.')))\n"
+        "print(sorted(o.__name__ for n, m in list(sys.modules.items())"
+        " if n.startswith('muellerkit.') for o in vars(m).values()"
+        " if isinstance(o, type) and dataclasses.is_dataclass(o)"
+        " and o.__module__ == n))\n", tmp_path)
+    assert p.returncode == 0, p.stderr
+    lazy, loaded, dataclasses = p.stdout.splitlines()
+    assert lazy == "[]"
+    assert loaded == str(modules)
+    assert dataclasses == str(["Candidate", "FourReport", "SixReport"])
+
+
+def test_lazy_logging_and_csv_paths_in_a_new_process(tmp_path):
+    cli = "import sys; from muellerkit.cli import main; sys.exit(main(%r))"
+    p = _python(cli % ["gen", "--kind", "random", "--count", "6",
+                       "--seed", "1", "--output", "r6.json"], tmp_path)
+    assert p.returncode == 0, p.stderr
+    p = _python(cli % ["solve6", "--data", "r6.json"], tmp_path,
+                MUELLERKIT_LOG="DEBUG")
+    assert p.returncode == 2 and p.stdout == ""
+    assert "DEBUG:muellerkit:solver failure" in p.stderr
+    assert "Traceback" in p.stderr
+    assert p.stderr.splitlines()[-1].startswith("error: Rank1Violation: ")
+    p = _python(cli % ["solve6", "--data", "r6.json"], tmp_path)
+    assert p.returncode == 2 and "Traceback" not in p.stderr
+    (tmp_path / "t.csv").write_text("1,0.5,0,0,1,0,0.5,0\n")
+    p = _python(cli % ["gen", "--to-json", "t.csv"], tmp_path)
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout)["pairs"][0]["out"]["s"] == [0.0, 0.5, 0.0]

@@ -8,7 +8,8 @@ Rules of the scan:
 
 - A call is matched to a definition by name (``f(...)`` and
   ``obj.f(...)`` both match every ``def f`` their arguments fit); a class
-  name matches its ``__init__`` or, for a dataclass, its fields.
+  name matches its ``__init__`` or ``__new__`` or, for a dataclass, its
+  fields.
 - A parameter is set by a call that passes it by keyword or reaches its
   position. Arguments spread from ``*args`` or ``**kwargs`` are not
   assumed to reach it.
@@ -74,7 +75,8 @@ def _scan(tree):
     def visit(node, cls, enclosing):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = (cls.name if cls is not None and child.name == "__init__"
+                name = (cls.name if cls is not None
+                        and child.name in ("__init__", "__new__")
                         else child.name)
                 d = _function(child, name, cls is not None)
                 defs.append(d)

@@ -39,3 +39,15 @@ def test_dumps_is_valid_json():
     import json
     text = S.dumps({"a": 0.1, "b": [1.5, 2], "c": {"d": -0.0}})
     assert json.loads(text) == {"a": 0.1, "b": [1.5, 2], "c": {"d": -0.0}}
+
+
+def test_records_are_written_as_objects_of_their_fields():
+    from muellerkit import DiagResult, SignatureReport
+    d = DiagResult(F=-1.0, G=2.0, phi=0.5)
+    rep = SignatureReport(xy=d, zw=d, signs=(1, -1, 0, 1), boundary=True,
+                          definite_xy=False, definite_zw=True)
+    as_dict = {"F": -1.0, "G": 2.0, "phi": 0.5}
+    assert S.dumps([rep]) == S.dumps([{
+        "xy": as_dict, "zw": as_dict, "signs": [1, -1, 0, 1],
+        "boundary": True, "definite_xy": False, "definite_zw": True}])
+    assert S.dumps((1.0, 2)) == S.dumps([1.0, 2])  # a plain tuple: a list
