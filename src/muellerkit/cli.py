@@ -214,6 +214,8 @@ _GEN_KINDS = ("rotation2", "consistent4", "consistent6", "random")
 
 
 def _gen_dataset(kind, seed, count):
+    if count < 0:
+        raise InputError(f"--count: must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
     if kind == "rotation2":
         k, p1, p2 = oracle.rotation_dataset(rng=rng)

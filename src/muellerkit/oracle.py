@@ -4,7 +4,14 @@ Everything here is deliberately simple and solver-free: devices are sampled
 directly in the real-split parametrization, datasets are built by applying
 a known matrix, and ``direct_linear_solve`` reconstructs a matrix from
 pairs by plain least squares without any structural assumption.
+
+A seed, or an rng in a given state, fixes what a generator draws, the
+state it leaves the rng in and every bit of what it returns; the bits
+are those of the platform's numpy and LAPACK (``consistent_dataset``
+reads eigenvalues and a QR factorization).
 """
+
+import math
 
 import numpy as np
 
@@ -12,9 +19,12 @@ from .errors import DegenerateGeometry, RankDeficient
 from .lorentz import (ComplexParameter, MuellerMatrix, RealParameter,
                       apply, is_lorentz, k_from_nm, mueller_from_k, nm_from_k,
                       rotation_k)
-from .relativistic import (ExpansionCoeffs, constraint_residual,
-                           params_to_expansion, quad_coeffs_from_geometry)
-from .stokes import MeasurementPair, StokesVector, pair_geometry
+from .relativistic import (ExpansionCoeffs, QuadCoeffs, _quad_terms,
+                           companion_roots, constraint_residual,
+                           params_to_expansion)
+from .stokes import (ASUM, AVEC2, BDIFF, BVEC2, CROSS2, MeasurementPair,
+                     StokesVector, basis_collinear, geometry_table,
+                     pair_geometry)
 
 CHI_MAX = 2.0
 S0_RANGE = (0.5, 2.0)
@@ -23,7 +33,7 @@ P_RANGE = (0.05, 0.999)
 
 def random_unit(rng):
     v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+    return v / math.sqrt(v @ v)  # the bits of np.linalg.norm(v)
 
 
 def random_lorentz(seed=None, rng=None, chi_max=CHI_MAX) -> ComplexParameter:
@@ -101,38 +111,54 @@ def _scale_pair(pair: MeasurementPair, lam: float) -> MeasurementPair:
         StokesVector(lam * pair.output.s0, lam * pair.output.s))
 
 
-def _scale_to_surface(pair: MeasurementPair, e: ExpansionCoeffs):
-    """Rescale a pair so its constraint surface passes through e.
+def _quad(row):
+    """QuadCoeffs of a geometry_table row given as a list of floats."""
+    return QuadCoeffs(*_quad_terms(row[ASUM], row[BDIFF], row[AVEC2],
+                                   row[BVEC2]))
+
+
+def _on_surface(cands, e: ExpansionCoeffs):
+    """The candidate pairs, in order, each rescaled so that its
+    constraint surface passes through e, less those with a collinear
+    basis, with no positive scaling, or scaled more than 1e-9 off e.
 
     Scaling a pair by lam scales (A, B, Avec, Bvec) by lam, hence the
     quadratic coefficients by lam^2 (a, alpha), lam^3 (b, beta) and
     lam^4 (c, sigma); the constraint value becomes a quartic in lam whose
-    smallest positive real root is used.
+    smallest positive real root is used. Rows are read as Python floats,
+    which costs less than arrays on a few rows.
     """
-    q = quad_coeffs_from_geometry(pair_geometry(pair))
-    x, y, z, w = e.x, e.y, e.z, e.w
-    P2 = q.a * x * x - q.alpha * z * z
-    P3 = 2.0 * (q.b * x * y - q.beta * z * w)
-    P4 = q.c * y * y - q.sigma * w * w
-    roots = np.roots([P4, P3, P2, 0.0, -1.0])
-    real = [r.real for r in roots
-            if abs(r.imag) < 1e-9 * max(1.0, abs(r)) and r.real > 1e-9]
-    if not real:
-        raise DegenerateGeometry("no positive scaling puts the pair "
-                                 "surface through the target point")
-    lam = min(real)
-    return _scale_pair(pair, lam)
+    x, y, z, w = e
+    rows = geometry_table(cands).tolist()
+    kept = [(p, _quad(r)) for p, r in zip(cands, rows)
+            if not basis_collinear(r[CROSS2], r[AVEC2], r[BVEC2])]
+    scaled = []
+    for (pair, _), roots in zip(kept, companion_roots(
+            [[q.c * y * y - q.sigma * w * w,
+              2.0 * (q.b * x * y - q.beta * z * w),
+              q.a * x * x - q.alpha * z * z, 0.0, -1.0] for _, q in kept])):
+        real = [r.real for r in roots
+                if abs(r.imag) < 1e-9 * max(1.0, abs(r)) and r.real > 1e-9]
+        if real:
+            scaled.append(_scale_pair(pair, min(real)))
+    return [p for p, r in zip(scaled, geometry_table(scaled).tolist())
+            if abs(constraint_residual(_quad(r), e)) <= 1e-9]
 
 
 def consistent_dataset(count, seed=None, rng=None):
-    """`count` measurement pairs of one random relativistic device.
+    """`count` (>= 1) measurement pairs of one random relativistic device.
 
     The first pair fixes the expansion point e*; every further pair is an
     independent random pair of an auxiliary random device, rescaled so its
     own constraint surface passes through e* exactly. Each pair is a
     genuine physical measurement of some device, and all share the lifted
     solution lift(e*). Returns (k, e_star, pairs).
+
+    The candidates still needed are drawn, then checked together; checking
+    draws nothing, so stream and result are those of one at a time.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     if rng is None:
         rng = np.random.default_rng(seed)
     while True:
@@ -149,18 +175,9 @@ def consistent_dataset(count, seed=None, rng=None):
 
     pairs = [base]
     while len(pairs) < count:
-        aux = random_lorentz(rng=rng)
-        cand = make_pair(aux, random_stokes(rng))
-        if pair_geometry(cand).collinear:
-            continue
-        try:
-            scaled = _scale_to_surface(cand, e_star)
-        except DegenerateGeometry:
-            continue
-        q = quad_coeffs_from_geometry(pair_geometry(scaled))
-        if abs(constraint_residual(q, e_star)) > 1e-9:
-            continue
-        pairs.append(scaled)
+        pairs += _on_surface(
+            [make_pair(random_lorentz(rng=rng), random_stokes(rng))
+             for _ in range(count - len(pairs))], e_star)
     return k, e_star, pairs
 
 

@@ -594,23 +594,34 @@ def _slice_points(u0, v1, v2):
     return u0 + s * v1 + t * v2
 
 
+def companion_roots(polys):
+    """The roots of each polynomial of ``polys`` (lists of float
+    coefficients, highest power first), bit for bit those of ``np.roots``
+    (companion-matrix eigenvalues, leading zero coefficients dropped, a
+    zero per trailing one), with one ``eigvals`` call per matrix size."""
+    roots, by_size = [], {}
+    for c in polys:
+        nonzero = [i for i, v in enumerate(c) if v != 0.0] or [len(c) - 1]
+        roots.append([0.0] * (len(c) - 1 - nonzero[-1]))
+        p = c[nonzero[0]:nonzero[-1] + 1]
+        if len(p) > 1:
+            by_size.setdefault(len(p) - 1, []).append((roots[-1], p))
+    for n, group in by_size.items():
+        eye = [[float(j == i) for j in range(n)] for i in range(n - 1)]
+        C = np.array([[[-v / p[0] for v in p[1:]], *eye] for _, p in group])
+        # a stack of one matrix made a solve_four 2% slower than the matrix
+        ev = np.linalg.eigvals(C if len(C) > 1 else C[0]).reshape(-1, n)
+        for (r, _), e in zip(group, ev.tolist()):
+            r[:0] = e
+    return roots
+
+
 def _real_roots(coeffs):
     """The real parts of the roots of the polynomial with float
     coefficients ``coeffs`` (highest power first) whose imaginary part is
-    within 1e-6 (1 + |root|), as floats: ``np.roots`` arithmetic, the
-    eigenvalues of the companion matrix with leading zero coefficients
-    dropped and one zero root per trailing zero coefficient."""
-    nonzero = [i for i, c in enumerate(coeffs) if c != 0.0]
-    if not nonzero:
-        return []
-    p = coeffs[nonzero[0]:nonzero[-1] + 1]
-    roots = [0.0] * (len(coeffs) - 1 - nonzero[-1])
-    if len(p) > 1:
-        n = len(p) - 1
-        C = [[-c / p[0] for c in p[1:]]] + [
-            [float(j == i) for j in range(n)] for i in range(n - 1)]
-        roots = np.linalg.eigvals(np.array(C)).tolist() + roots
-    return [r.real for r in roots if abs(r.imag) <= 1e-6 * (1.0 + abs(r))]
+    within 1e-6 (1 + |root|), as floats (see ``companion_roots``)."""
+    return [r.real for r in companion_roots([coeffs])[0]
+            if abs(r.imag) <= 1e-6 * (1.0 + abs(r))]
 
 
 def solve_four(pairs, tol=1e-10) -> FourReport:

@@ -34,19 +34,19 @@ class StokesVector(namedtuple("StokesVector", "s0 s")):
     _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__
 
     def __new__(cls, s0, s, validate=True):
-        arr = np.asarray(s, dtype=float).reshape(3).copy()
+        s0, arr = float(s0), np.asarray(s, dtype=float).reshape(3).copy()
         arr.setflags(write=False)
-        self = super().__new__(cls, float(s0), arr)
         if validate:
-            if not (np.isfinite(self.s0) and np.isfinite(arr).all()):
+            if not all(map(math.isfinite, [s0, *arr.tolist()])):
                 raise MuellerKitError(
-                    f"non-finite Stokes vector: s0 = {self.s0}, s = {arr}")
-            if not self.s0 > 0.0:
-                raise MuellerKitError(f"s0 must be positive, got {self.s0}")
-            if self.smag > self.s0 * (1.0 + 1e-12):
+                    f"non-finite Stokes vector: s0 = {s0}, s = {arr}")
+            if not s0 > 0.0:
+                raise MuellerKitError(f"s0 must be positive, got {s0}")
+            smag = math.sqrt(arr @ arr)  # as the property reads it
+            if smag > s0 * (1.0 + 1e-12):
                 raise MuellerKitError(
-                    f"|s| = {self.smag} exceeds s0 = {self.s0} (p > 1)")
-        return self
+                    f"|s| = {smag} exceeds s0 = {s0} (p > 1)")
+        return super().__new__(cls, s0, arr)
 
     def __getnewargs__(self):  # a copy is not checked again
         return (*self, False)
@@ -136,7 +136,7 @@ def geometry_table(pairs) -> np.ndarray:
         a = [s1 + t1, s2 + t2, s3 + t3]
         b = [s1 - t1, s2 - t2, s3 - t3]
         rows.append([s0 + t0, s0 - t0, *a, *b, *cross3(a, b)])
-    R = np.array(rows)
+    R = np.array(rows).reshape(-1, CROSS.stop)  # no pairs: no rows
     V = R[:, 2:].reshape(-1, 3, 3)  # Avec, Bvec, Avec x Bvec
     return np.concatenate((R, np.vecdot(V, V),
                            np.vecdot(V[:, 0], V[:, 1])[:, None]), axis=1)

@@ -149,6 +149,20 @@ def test_little_count(tmp_path, capsys):
     assert code == 1 and out == "" and "count" in err
 
 
+@pytest.mark.parametrize("kind", ["random", "consistent4"])
+def test_gen_negative_count(tmp_path, capsys, kind):
+    # --count -1 wrote an empty random dataset and exited 0; as for
+    # little, a negative count is an input error
+    data = tmp_path / "d.json"
+    code, out, err = run(["gen", "--kind", kind, "--count", "-1",
+                          "--output", str(data)], capsys)
+    assert code == 1 and out == "" and "--count" in err
+    assert not data.exists()
+    code, _, _ = run(["gen", "--kind", "random", "--count", "0",
+                      "--output", str(data)], capsys)
+    assert code == 0 and json.loads(data.read_text())["pairs"] == []
+
+
 def test_diag_subcommand(tmp_path, capsys):
     data = str(tmp_path / "d.json")
     assert run(["gen", "--kind", "random", "--count", "2", "--seed", "3",

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from muellerkit import (RankDeficient, is_lorentz, k_from_expansion,
-                        mueller_from_k, nm_from_k)
-from muellerkit.oracle import (consistent_dataset, direct_linear_solve,
-                               make_pair, random_lorentz, random_pairs,
-                               random_stokes, rotation_dataset)
-from muellerkit.relativistic import (constraint_residual, lift,
+from muellerkit import (ComplexParameter, DegenerateGeometry, RankDeficient,
+                        is_lorentz, k_from_expansion, mueller_from_k,
+                        nm_from_k)
+from muellerkit.oracle import (_on_surface, _scale_pair, consistent_dataset,
+                               direct_linear_solve, make_pair,
+                               random_lorentz, random_pairs, random_stokes,
+                               random_unit, rotation_dataset)
+from muellerkit.relativistic import (ExpansionCoeffs, constraint_residual,
+                                     lift, params_to_expansion,
                                      quad_coeffs_from_geometry)
 from muellerkit.stokes import MeasurementPair, StokesVector, pair_geometry
 
@@ -66,6 +69,115 @@ def test_consistent_dataset_e_star_maps_to_its_device(seeds):
         k2 = k_from_expansion(pair_geometry(pairs[0]), e_star).k
         err = min(np.linalg.norm(k2 - k.k), np.linalg.norm(k2 + k.k))
         assert err <= 1e-13 * np.linalg.norm(k.k)
+
+
+def _reference_scale(pair, e):
+    q = quad_coeffs_from_geometry(pair_geometry(pair))
+    x, y, z, w = e.x, e.y, e.z, e.w
+    P2 = q.a * x * x - q.alpha * z * z
+    P3 = 2.0 * (q.b * x * y - q.beta * z * w)
+    P4 = q.c * y * y - q.sigma * w * w
+    roots = np.roots([P4, P3, P2, 0.0, -1.0])
+    real = [r.real for r in roots
+            if abs(r.imag) < 1e-9 * max(1.0, abs(r)) and r.real > 1e-9]
+    if not real:
+        raise DegenerateGeometry("no positive scaling")
+    return _scale_pair(pair, min(real))
+
+
+def _reference_check(cand, e):
+    """The candidate scaled onto the surface through e, or None where the
+    one-at-a-time loop rejected it."""
+    if pair_geometry(cand).collinear:
+        return None
+    try:
+        scaled = _reference_scale(cand, e)
+    except DegenerateGeometry:
+        return None
+    q = quad_coeffs_from_geometry(pair_geometry(scaled))
+    return None if abs(constraint_residual(q, e)) > 1e-9 else scaled
+
+
+def _reference_dataset(count, rng):
+    """consistent_dataset as one candidate drawn and checked at a time,
+    each through its own pair_geometry, quad_coeffs_from_geometry and
+    np.roots."""
+    while True:
+        k = random_lorentz(rng=rng)
+        base = make_pair(k, random_stokes(rng))
+        g = pair_geometry(base)
+        if g.collinear:
+            continue
+        try:
+            e_star = params_to_expansion(g, nm_from_k(k))
+        except DegenerateGeometry:
+            continue
+        break
+    pairs = [base]
+    while len(pairs) < count:
+        cand = make_pair(random_lorentz(rng=rng), random_stokes(rng))
+        scaled = _reference_check(cand, e_star)
+        if scaled is not None:
+            pairs.append(scaled)
+    return k, e_star, pairs
+
+
+def _floats(pairs):
+    return [[p.input.s0, *p.input.s.tolist(), p.output.s0,
+             *p.output.s.tolist()] for p in pairs]
+
+
+@pytest.mark.parametrize("count", [4, 6])
+def test_consistent_dataset_bit_for_bit_one_candidate_at_a_time(count):
+    # the batched generator draws the same stream and returns the same
+    # bits as the reference loop
+    for i in range(200):
+        rng, ref_rng = (np.random.default_rng([0x7fdd, count, i])
+                        for _ in range(2))
+        k, e_star, pairs = consistent_dataset(count, rng=rng)
+        rk, re_star, rpairs = _reference_dataset(count, ref_rng)
+        assert k.k.tobytes() == rk.k.tobytes()
+        assert tuple(e_star) == tuple(re_star)
+        assert _floats(pairs) == _floats(rpairs)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_on_surface_rejects_what_the_reference_rejects():
+    # seeded datasets almost never reject a candidate, so each rejection
+    # is forced here: an identity device gives a collinear pair, e = 0
+    # leaves no positive scaling, and e = (0, 0, 1, 0) a quadratic whose
+    # leading coefficients are zero
+    rng = np.random.default_rng(21)
+    _, e_star, _ = consistent_dataset(1, rng=rng)
+    cands = [make_pair(random_lorentz(rng=rng), random_stokes(rng))
+             for _ in range(5)]
+    cands.insert(2, make_pair(ComplexParameter([1, 0, 0, 0]),
+                              random_stokes(rng)))
+    kept = []
+    for e in (e_star, ExpansionCoeffs(0.0, 0.0, 0.0, 0.0),
+              ExpansionCoeffs(0.0, 0.0, 1.0, 0.0),
+              ExpansionCoeffs(0.0, 0.0, 0.0, 1.0)):
+        ref = [p for p in (_reference_check(c, e) for c in cands)
+               if p is not None]
+        assert _floats(_on_surface(cands, e)) == _floats(ref)
+        kept.append(len(ref))
+    assert kept[:2] == [5, 0]
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_consistent_dataset_needs_a_pair(count):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="count"):
+        consistent_dataset(count, rng=rng)
+    assert rng.bit_generator.state == state
+
+
+def test_random_unit_divides_by_the_norm():
+    for i in range(200):
+        v = np.random.default_rng(i).normal(size=3)
+        u = random_unit(np.random.default_rng(i))
+        assert u.tobytes() == (v / np.linalg.norm(v)).tobytes()
 
 
 def test_direct_linear_solve_recovery(rng):

@@ -288,6 +288,27 @@ def test_real_roots_are_those_of_np_roots():
     assert relativistic._real_roots([0.0] * 5) == []
 
 
+def test_companion_roots_are_np_roots_bit_for_bit():
+    # one call over quartics of every trimmed size, leading zero
+    # coefficients included (1,000 of 2,000 have c[0] = 0): each stacked
+    # companion matrix gives the bits of its own np.roots call, and so
+    # does a polynomial passed alone
+    rng = np.random.default_rng(16)
+    polys = rng.normal(size=(2000, 5)) * 10.0 ** rng.integers(-3, 4, (2000, 5))
+    polys[::2, 0] = 0.0
+    polys[::6, 1] = 0.0
+    polys[1::10, 4] = 0.0
+    polys[3] = 0.0
+    got = relativistic.companion_roots(polys.tolist())
+    assert got[3] == [] and len(got) == len(polys)
+    for i, (c, r) in enumerate(zip(polys, got)):
+        ref = np.roots(c).astype(complex).tobytes()
+        assert np.array(r, complex).tobytes() == ref
+        if i < 200:  # alone, a matrix is not stacked
+            one = relativistic.companion_roots([c.tolist()])[0]
+            assert np.array(one, complex).tobytes() == ref
+
+
 def test_family_4d_no_real_root():
     _, p, _ = _chain(42)
     with pytest.raises(NoRealRoot):

@@ -40,6 +40,38 @@ def test_validation_rejects_non_finite(s0, s):
         StokesVector(s0, s)
 
 
+@pytest.mark.parametrize("s0, s, message", [
+    (np.nan, [0.1, 0, 0], "non-finite Stokes vector: s0 = nan, "
+                          "s = [0.1 0.  0. ]"),
+    (np.inf, [0.1, 0, 0], "non-finite Stokes vector: s0 = inf, "
+                          "s = [0.1 0.  0. ]"),
+    (1.0, [np.nan, 0, 0], "non-finite Stokes vector: s0 = 1.0, "
+                          "s = [nan  0.  0.]"),
+    (1.0, [0, -np.inf, 0], "non-finite Stokes vector: s0 = 1.0, "
+                           "s = [  0. -inf   0.]"),
+    (1.0, [0, 0, np.nan], "non-finite Stokes vector: s0 = 1.0, "
+                          "s = [ 0.  0. nan]"),
+    (1.0, [0, 0, np.inf], "non-finite Stokes vector: s0 = 1.0, "
+                          "s = [ 0.  0. inf]"),
+    (0.0, [0, 0, 0], "s0 must be positive, got 0.0"),
+    (-0.0, [0, 0, 0], "s0 must be positive, got -0.0"),
+    (-1.0, [0, 0, 0], "s0 must be positive, got -1.0"),
+    (2.0, [0, 0, -2.5], "|s| = 2.5 exceeds s0 = 2.0 (p > 1)"),
+])
+def test_validation_messages(s0, s, message):
+    with pytest.raises(MuellerKitError) as info:
+        StokesVector(s0, s)
+    assert str(info.value) == message
+
+
+def test_validation_admits_p_up_to_its_allowance():
+    StokesVector(1.0, [1.0, 0.0, 0.0])
+    StokesVector(1.0, [1.0 + 1e-13, 0.0, 0.0])
+    StokesVector(1.0, [0.6, 0.8, 1e-6])
+    with pytest.raises(MuellerKitError, match="p > 1"):
+        StokesVector(1.0, [1.0 + 2e-12, 0.0, 0.0])
+
+
 def test_array_round_trip():
     v = StokesVector(1.25, [0.1, -0.2, 0.3])
     v2 = StokesVector.from_array(v.as_array())
