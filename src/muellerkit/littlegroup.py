@@ -8,12 +8,11 @@ satisfy m = n x p and
 
 Since n.m = n.(n x p) = 0, m0 = 0 and the two parameter constraints
 reduce to the single square root above, which also covers the null
-(fully polarized, p_deg = 1) case. Each valid n in the admissible region
-gives one stabilizer element; the subgroup of pure rotations about p is
-the n = t p line.
-
-One stacked core maps a block of n to elements: ``little_element`` is its
-one-row case, ``sample_little`` draws n in blocks (see its docstring).
+(fully polarized, p_deg = 1) case. Each n in the admissible region, the
+ellipsoid with semi-axis 1 along p and 1 / sqrt(1 - p_deg^2) across it,
+gives one stabilizer element; the pure rotations about p are the n = t p
+line. ``little_element`` and ``sample_little`` share one stacked builder;
+``sample_little`` draws its n directly in the ellipsoid.
 """
 
 from collections import namedtuple
@@ -24,8 +23,6 @@ from .errors import ConstraintViolation, OutOfDomain
 from .lorentz import (TOL_K, ComplexParameter, MuellerMatrix, frozen,
                       mueller_from_k, unit_ok)
 from .stokes import StokesVector
-
-R_EPS = 1e-12  # keeps the sampling box finite for fully polarized states
 
 
 class LittleGroupElement(namedtuple("LittleGroupElement", "k n")):
@@ -57,38 +54,46 @@ def _little_stack(state: StokesVector, N):
     return n0_sq, K, (n0_sq >= 0.0) & unit_ok(K, TOL_K)
 
 
-def _require_admissible(n0_sq, ok):
-    """Raise for a row of ``_little_stack`` that is not admissible."""
-    if n0_sq < 0.0:
-        raise OutOfDomain(f"n0^2 = {n0_sq:.3e} < 0: n outside the admissible "
-                          "region for this degree of polarization")
-    if not ok:
+def _elements(state: StokesVector, N):
+    """Stabilizer elements of the rows of the (rows, 3) block N, which is
+    made read-only so that each element views its row. Raises for the
+    first row that is not admissible: OutOfDomain where n0^2 < 0,
+    ConstraintViolation where k is off the unit surface."""
+    n0_sq, K, ok = _little_stack(state, N)
+    if not ok.all():
+        bad = n0_sq[np.argmin(ok)]  # of the first row not admissible
+        if bad < 0.0:
+            raise OutOfDomain(f"n0^2 = {bad:.3e} < 0: n outside the "
+                              "admissible region of this state")
         raise ConstraintViolation("k0^2 - k^2 = 1 violated")
+    K.setflags(write=False)
+    N.setflags(write=False)
+    return [LittleGroupElement(k=ComplexParameter(k), n=n)
+            for k, n in zip(K, N)]
 
 
 def little_element(state: StokesVector, n) -> LittleGroupElement:
     """Stabilizer element of `state` generated by the 3-vector n."""
-    n0_sq, K, ok = _little_stack(state, np.asarray(n, float).reshape(1, 3))
-    _require_admissible(n0_sq[0], ok[0])
-    return LittleGroupElement(k=ComplexParameter(K[0]), n=n)
+    return _elements(state, np.asarray(n, float).reshape(1, 3))[0]
 
 
 def sample_little(state: StokesVector, count, seed=None, rng=None):
     """`count` (>= 0) stabilizer elements, deterministically for a fixed seed.
 
-    n is rejection-sampled in the box [-R, R]^3 with
-    R = min(1 / sqrt(1 - p_deg^2 + R_EPS), 10). Unclipped, the box holds
-    the admissible region for every degree of polarization; the clip keeps
-    rejection efficient as p_deg -> 1, where the region becomes an
-    unbounded slab, so every element is a member but the tails are not
-    covered. The first element is n = t * p_hat, t drawn first, so that
-    the rotational subgroup is always represented.
+    The first element is n = t * p_hat, t uniform in [-1, 1), so that the
+    rotational subgroup is always represented. The others are uniform in
+    the ellipsoid with semi-axis 1 along p_hat and c across it: the
+    admissible region, c = 1 / sqrt(1 - p_deg^2), with c capped at 10 once
+    1 - p_deg^2 <= 1e-2 (which covers p_deg = 1 and the round-off above 1
+    that ``StokesVector`` admits). Each is a uniform point x of the unit
+    ball, a Gaussian direction g / |g| times a radius with the law of
+    U^(1/3) (the largest of three uniforms, which needs no cube root),
+    stretched across p_hat: n = c x + (1 - c) (x . p_hat) p_hat.
 
-    n is drawn in blocks of at least 64, the first one headed by the row
-    t * p_hat, and the first admissible rows are kept in draw order, as one
-    draw at a time would keep them; OutOfDomain is raised after
-    1000 * count draws. A caller-supplied `rng` is left at the end of the
-    last block, not after the last draw used.
+    Draw order: t = rng.uniform(-1, 1), the (count - 1, 3) normals g, then
+    the (count - 1, 3) radius uniforms, each row by row; a caller-supplied
+    `rng` is left after exactly these draws. A row that is not admissible
+    raises as ``little_element`` does for it.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -96,26 +101,15 @@ def sample_little(state: StokesVector, count, seed=None, rng=None):
         return []
     if rng is None:
         rng = np.random.default_rng(seed)
-    p_deg = state.degree
-    R = min(1.0 / np.sqrt(max(1.0 - p_deg * p_deg, 0.0) + R_EPS), 10.0)
+    q = 1.0 - state.degree * state.degree
+    c = 10.0 if q <= 1e-2 else 1.0 / np.sqrt(q)
+    d1, d2, d3 = d = state.direction
 
-    N = (rng.uniform(-1.0, 1.0) * state.direction)[None]  # t * p_hat
-    out, budget = [], 1000 * count
-    while len(out) < count:
-        need = count - len(out) - len(N)
-        if need > 0:
-            if budget <= 0:
-                raise OutOfDomain("rejection sampling budget exhausted")
-            block = rng.uniform(-R, R, (min(budget, max(64, 4 * need)), 3))
-            budget -= len(block)
-            N = np.concatenate((N, block))
-        n0_sq, K, ok = _little_stack(state, N)
-        if not out:
-            _require_admissible(n0_sq[0], ok[0])
-        K, N = K[ok], N[ok]
-        K.setflags(write=False)  # read-only, so the elements view their rows
-        N.setflags(write=False)
-        out += [LittleGroupElement(k=ComplexParameter(k), n=n)
-                for k, n in zip(K[:count - len(out)], N)]
-        N = N[:0]
-    return out
+    t = rng.uniform(-1.0, 1.0)
+    g1, g2, g3 = rng.standard_normal((count - 1, 3)).T
+    r = rng.random((count - 1, 3)).max(axis=1)
+    s = r / np.sqrt(g1 * g1 + g2 * g2 + g3 * g3)
+    x1, x2, x3 = g1 * s, g2 * s, g3 * s
+    a = (1.0 - c) * (x1 * d1 + x2 * d2 + x3 * d3)
+    N = np.column_stack((c * x1 + a * d1, c * x2 + a * d2, c * x3 + a * d3))
+    return _elements(state, np.vstack((t * d, N)))

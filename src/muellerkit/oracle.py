@@ -69,6 +69,8 @@ def make_pair(k: ComplexParameter, vin: StokesVector) -> MeasurementPair:
 
 
 def random_pairs(k: ComplexParameter, count, rng):
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     return [make_pair(k, random_stokes(rng)) for _ in range(count)]
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -80,22 +82,29 @@ def test_little_rotation_family_embeds():
         assert _fix_residual(el, s) < 1e-10
 
 
-def _reference_sample(state, count, seed):
-    """The sampler written as a scalar loop: one uniform(-R, R, 3) per
-    draw, accepted when n0^2 >= 0; returns each element's n and k."""
-    rng = np.random.default_rng(seed)
+def _reference_sample(state, count, rng):
+    """The sampler written one element at a time on plain floats, in its
+    draw order: t, then three normals per element, then three uniforms
+    per element; returns each element's n and k."""
     p_deg = state.degree
+    d = state.direction.tolist()
     pvec = p_deg * state.direction
-    R = min(1.0 / np.sqrt(max(1.0 - p_deg * p_deg, 0.0) + 1e-12), 10.0)
+    q = 1.0 - p_deg * p_deg
+    c = 10.0 if q <= 1e-2 else 1.0 / math.sqrt(q)
+
+    t = rng.uniform(-1.0, 1.0)
+    gs = [rng.standard_normal(3).tolist() for _ in range(count - 1)]
+    rs = [max(rng.random(3).tolist()) for _ in range(count - 1)]
+    ns = [t * state.direction]
+    for (g1, g2, g3), r in zip(gs, rs):
+        s = r / math.sqrt(g1 * g1 + g2 * g2 + g3 * g3)
+        x = [g1 * s, g2 * s, g3 * s]
+        a = (1.0 - c) * (x[0] * d[0] + x[1] * d[1] + x[2] * d[2])
+        ns.append(np.array([c * xi + a * di for xi, di in zip(x, d)]))
 
     def n0_sq(n):
-        return 1.0 - (n @ n) * (1.0 - p_deg * p_deg) - (n @ pvec) ** 2
+        return 1.0 - (n @ n) * q - (n @ pvec) ** 2
 
-    ns = [rng.uniform(-1.0, 1.0) * state.direction]
-    while len(ns) < count:
-        n = rng.uniform(-R, R, 3)
-        if n0_sq(n) >= 0.0:
-            ns.append(n)
     ks = [np.concatenate(([np.sqrt(n0_sq(n))], np.cross(n, pvec) - 1j * n))
           for n in ns]
     return ns, ks
@@ -105,36 +114,23 @@ def test_sample_little_matches_scalar_reference():
     from muellerkit.oracle import random_stokes
     states = [random_stokes(np.random.default_rng([8, i])) for i in range(30)]
     states += [StokesVector(1.0, [0.6, 0.0, 0.8]),   # fully polarized
-               StokesVector(1.0, [0.0, 0.0, 0.0])]   # unpolarized
+               StokesVector(1.0, [0.0, 0.0, 0.0]),   # unpolarized
+               StokesVector(1.0, (1.0 + 1e-13) * np.array([0.6, 0.0, 0.8]))]
+    assert states[-1].degree > 1.0
     for s, state in enumerate(states):
         els = sample_little(state, 25, seed=s)
-        ns, ks = _reference_sample(state, 25, s)
+        ref_rng = np.random.default_rng(s)
+        ns, ks = _reference_sample(state, 25, ref_rng)
         assert len(els) == 25
         for el, n, k in zip(els, ns, ks):
             assert np.array_equal(el.n, n)
             assert np.abs(el.k.k - k).max() <= 4e-15 * np.abs(k).max()
-        for el, ref in zip(sample_little(state, 25,
-                                         rng=np.random.default_rng(s)), els):
+        rng = np.random.default_rng(s)
+        for el, ref in zip(sample_little(state, 25, rng=rng), els):
             assert np.array_equal(el.n, ref.n)
             assert np.array_equal(el.k.k, ref.k.k)
-
-
-def test_sample_little_budget_counts_draws():
-    class CornerRng:
-        """Every n is the box corner (R, R, R), outside the unit ball."""
-        rows = 0
-
-        def uniform(self, low, high, size=None):
-            if size is None:
-                return 0.5
-            n = np.full(size, high)
-            self.rows += n.size // 3
-            return n
-
-    rng = CornerRng()
-    with pytest.raises(OutOfDomain):
-        sample_little(StokesVector(1.0, [0.0, 0.0, 0.0]), 3, rng=rng)
-    assert rng.rows == 3000
+        # a caller's rng is left after exactly the draws used
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_sample_little_returns_exactly_count():
@@ -143,13 +139,43 @@ def test_sample_little_returns_exactly_count():
         rng = np.random.default_rng(3)
         assert len(sample_little(s, count, rng=rng)) == count
         ref = np.random.default_rng(3)
-        if count:
-            ref.uniform(-1.0, 1.0)  # t; no block is drawn for count 1
-        if count > 1:
-            ref.uniform(-1.0, 1.0, (max(64, 4 * (count - 1)), 3))
-        assert rng.uniform() == ref.uniform()
+        if count:  # t, the normals, then the radius uniforms
+            ref.uniform(-1.0, 1.0)
+            ref.standard_normal((count - 1, 3))
+            ref.random((count - 1, 3))
+        assert rng.bit_generator.state == ref.bit_generator.state
     with pytest.raises(ValueError):
         sample_little(s, -3, seed=0)
+
+
+def _state_of_degree(p):
+    u = np.array([0.48, -0.6, 0.64])  # unit to round-off
+    return StokesVector(1.0, p * u, validate=p <= 1.0), u / np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.9, 0.99, 0.995, 0.999, 1.0,
+                               1.0 + 1e-13])
+def test_every_drawn_row_is_admissible(p):
+    state, _ = _state_of_degree(p)
+    els = sample_little(state, 20_000, seed=17)
+    N = np.array([el.n for el in els])
+    _, _, ok = littlegroup._little_stack(state, N)
+    assert len(els) == 20_000 and ok.all()
+
+
+@pytest.mark.parametrize("p", [0.0, 0.9, 0.999])
+def test_draws_are_uniform_in_the_ellipsoid(p):
+    # uniform in the unit ball stretched across u by c: (n . u)^2 has mean
+    # 1/5, and a share 1/8 lies in the half-size ellipsoid; for p <= 0.99
+    # the ellipsoid is the admissible region (c^2 = 1 / (1 - p^2))
+    state, u = _state_of_degree(p)
+    c2 = min(100.0, 1.0 / (1.0 - p * p))
+    N = np.array([el.n for el in sample_little(state, 20_001, seed=23)[1:]])
+    a2 = (N @ u) ** 2
+    x2 = a2 + (np.sum(N * N, axis=1) - a2) / c2
+    assert abs(a2.mean() - 0.2) <= 0.01
+    assert abs(np.mean(x2 <= 0.25) - 0.125) <= 0.015
+    assert abs(np.mean(np.sum(N * N, axis=1)) / (0.2 + 0.4 * c2) - 1) <= 0.03
 
 
 def test_sample_little_runs_the_core_once(monkeypatch):
@@ -163,10 +189,10 @@ def test_sample_little_runs_the_core_once(monkeypatch):
     monkeypatch.setattr(littlegroup, "_little_stack", counted)
     s = StokesVector(1.1, [0.4, 0.1, -0.3])
     els = sample_little(s, 10, seed=4)
-    assert calls == [1 + 64]
+    assert calls == [10]
     assert np.array_equal(els[0].n, little_element(s, els[0].n).n)
     sample_little(s, 1, seed=4)
-    assert calls[1:] == [1, 1]  # sample_little, then little_element above
+    assert calls[1:] == [1, 1]  # little_element above, then sample_little
 
 
 @pytest.mark.parametrize("n0_sq, exc", [(0.5, ConstraintViolation),
@@ -187,6 +213,39 @@ def test_sample_little_rejected_head_raises_as_little_element(
             sample_little(s, count, seed=0)
     with pytest.raises(exc):
         little_element(s, [0.1, 0.0, 0.0])
+
+
+def _rejecting(core, rejected):
+    """``_little_stack`` that rejects the rows equal to each n of
+    `rejected`, a list of (n, n0^2) pairs, reporting that n0^2."""
+    def stack(state, N):
+        sq, K, ok = core(state, N)
+        for n, value in rejected:
+            hit = np.all(N == n, axis=1)
+            sq[hit], ok[hit] = value, False
+        return sq, K, ok
+    return stack
+
+
+@pytest.mark.parametrize("row", range(5))
+@pytest.mark.parametrize("n0_sq, exc", [(0.5, ConstraintViolation),
+                                         (-0.5, OutOfDomain)])
+def test_sample_little_rejected_row_raises_as_little_element(
+        monkeypatch, row, n0_sq, exc):
+    s = StokesVector(1.0, [0.2, 0.1, 0.0])
+    ns = [el.n for el in sample_little(s, 5, seed=0)]
+    core = littlegroup._little_stack
+    monkeypatch.setattr(littlegroup, "_little_stack",
+                        _rejecting(core, [(ns[row], n0_sq)]))
+    with pytest.raises(exc):
+        little_element(s, ns[row])
+    with pytest.raises(exc):
+        sample_little(s, 5, seed=0)
+    if row < 4:  # a later row rejected with the other error: first decides
+        monkeypatch.setattr(littlegroup, "_little_stack", _rejecting(
+            core, [(ns[row], n0_sq), (ns[row + 1], -n0_sq)]))
+        with pytest.raises(exc):
+            sample_little(s, 5, seed=0)
 
 
 def _root(arr):

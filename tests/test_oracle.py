@@ -173,6 +173,17 @@ def test_consistent_dataset_needs_a_pair(count):
     assert rng.bit_generator.state == state
 
 
+def test_random_pairs_rejects_a_negative_count():
+    k = random_lorentz(seed=6)
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="count"):
+        random_pairs(k, -1, rng)
+    assert rng.bit_generator.state == state
+    assert random_pairs(k, 0, rng) == []
+    assert rng.bit_generator.state == state
+
+
 def test_random_unit_divides_by_the_norm():
     for i in range(200):
         v = np.random.default_rng(i).normal(size=3)
