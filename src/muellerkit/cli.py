@@ -5,10 +5,13 @@ little, gen, verify. All machine output is canonical JSON with floats at
 17 significant digits (see ``serialize``), so a fixed input and seed
 produce byte-identical output across runs.
 
-Exit codes: 0 success, 1 input/usage error, 2 solver-reported
-inconsistency (no solution, failed validation, degenerate data).
-Set MUELLERKIT_LOG=DEBUG (or any logging level name) for progress
-logging; MT_LOG is read as an alias when MUELLERKIT_LOG is unset.
+Each subcommand returns its output tree and exit code, and ``main``
+writes the tree once, to stdout or ``--output``, after the subcommand
+finishes. Exit codes: 0 success, 1 input/usage error (an unwritable
+``--output`` included), 2 solver-reported inconsistency (no solution,
+failed validation, degenerate data); on exit 2 only ``solve6`` and
+``verify`` write output. Set MUELLERKIT_LOG=DEBUG (or any logging level
+name) for progress logging.
 """
 
 import argparse
@@ -22,7 +25,7 @@ from . import littlegroup, oracle, quadform, relativistic, rotation, serialize
 from .errors import MuellerKitError, NoValidCandidate
 from .lorentz import apply as lorentz_apply
 from .lorentz import is_lorentz, k_from_nm, mueller_from_k
-from .stokes import MeasurementPair
+from .stokes import MeasurementPair, StokesVector
 
 
 class InputError(Exception):
@@ -79,15 +82,6 @@ def _finite(text):
     return v
 
 
-def _emit(obj, args):
-    text = serialize.dumps(obj)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _residual(L, p):
     """Transitivity residual |L s - s'| of a matrix on one pair."""
     return float(np.linalg.norm(
@@ -115,30 +109,26 @@ def _rotation_record(sol, pairs):
 def cmd_apply(args):
     L = _load_matrix(args.matrix)
     v = _load_stokes(args.stokes)
-    _emit(serialize.stokes_to_json(lorentz_apply(L, v)), args)
-    return 0
+    return serialize.stokes_to_json(lorentz_apply(L, v)), 0
 
 
 def cmd_family3(args):
     pairs = _load_pairs(args.data, 1, "family3")
-    _emit(_rotation_record(rotation.family_3d(pairs[0], args.gamma), pairs),
-          args)
-    return 0
+    return _rotation_record(rotation.family_3d(pairs[0], args.gamma),
+                            pairs), 0
 
 
 def cmd_solve2(args):
     pairs = _load_pairs(args.data, 2, "solve2")
     sol = rotation.solve_two_3d(pairs[0], pairs[1], tol_cons=args.tol)
-    _emit(_rotation_record(sol, pairs), args)
-    return 0
+    return _rotation_record(sol, pairs), 0
 
 
 def cmd_family4(args):
     pairs = _load_pairs(args.data, 1, "family4")
     sols = relativistic.family_4d(pairs[0], args.y, args.z, args.w)
-    _emit({"solutions": [_solution_record(k, [res], e=list(e.as_array()))
-                         for e, k, res in sols]}, args)
-    return 0
+    return {"solutions": [_solution_record(k, [res], e=list(e.as_array()))
+                          for e, k, res in sols]}, 0
 
 
 def cmd_solve4(args):
@@ -150,8 +140,7 @@ def cmd_solve4(args):
              for (e, fnorm), res, rdef, k in zip(
                  rep.roots, rep.per_pair_residuals, rep.rank_deficient,
                  rep.k)]
-    _emit({"roots": roots, "n_starts": rep.n_starts}, args)
-    return 0
+    return {"roots": roots, "n_starts": rep.n_starts}, 0
 
 
 def _six_report_json(rep):
@@ -173,11 +162,9 @@ def cmd_solve6(args):
     try:
         rep = relativistic.solve_six(pairs, tol_l=args.tol)
     except NoValidCandidate as e:
-        _emit({**_six_report_json(e.report), "error": str(e)}, args)
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    _emit(_six_report_json(rep), args)
-    return 0
+        return {**_six_report_json(e.report), "error": str(e)}, 2
+    return _six_report_json(rep), 0
 
 
 def cmd_diag(args):
@@ -186,8 +173,7 @@ def cmd_diag(args):
         q = relativistic.quad_coeffs(p)
         out["pairs"].append({"coefficients": q,
                              **quadform.classify_signature(*q)._asdict()})
-    _emit(out, args)
-    return 0
+    return out, 0
 
 
 def cmd_little(args):
@@ -206,8 +192,7 @@ def cmd_little(args):
             "mueller": serialize.mueller_to_json(L),
             "fix_residual": float(np.max(np.abs(L.m @ state_arr - state_arr))),
         })
-    _emit(out, args)
-    return 0
+    return out, 0
 
 
 _GEN_KINDS = ("rotation2", "consistent4", "consistent6", "random")
@@ -226,10 +211,9 @@ def _gen_dataset(kind, seed, count):
     if kind == "consistent6":
         k, _, pairs = oracle.consistent_dataset(6, rng=rng)
         return pairs, k
-    if kind == "random":
-        k = oracle.random_lorentz(rng=rng)
-        return oracle.random_pairs(k, count, rng), k
-    raise InputError(f"unknown kind {kind!r}; choose from {_GEN_KINDS}")
+    # kind == "random": argparse's choices reject any other kind
+    k = oracle.random_lorentz(rng=rng)
+    return oracle.random_pairs(k, count, rng), k
 
 
 def _csv_to_dataset(path):
@@ -248,8 +232,8 @@ def _csv_to_dataset(path):
                 try:
                     vals = [float(x) for x in row]
                     pairs.append(MeasurementPair(
-                        serialize.StokesVector(vals[0], np.array(vals[1:4])),
-                        serialize.StokesVector(vals[4], np.array(vals[5:8]))))
+                        StokesVector(vals[0], np.array(vals[1:4])),
+                        StokesVector(vals[4], np.array(vals[5:8]))))
                 except (ValueError, MuellerKitError) as e:
                     raise InputError(f"{path}:{ln}: {e}") from None
     except OSError as e:
@@ -267,8 +251,7 @@ def cmd_gen(args):
                 "truth_k": json.dumps(
                     {"re": [serialize._fmt(v) for v in k.k.real],
                      "im": [serialize._fmt(v) for v in k.k.imag]})}
-    _emit(serialize.dataset_to_json(pairs, meta), args)
-    return 0
+    return serialize.dataset_to_json(pairs, meta), 0
 
 
 def cmd_verify(args):
@@ -281,9 +264,8 @@ def cmd_verify(args):
         ok = res <= args.tol
         all_ok = all_ok and ok
         rows.append({"pair": i, "residual": res, "ok": ok})
-    _emit({"residuals": rows, "lorentz": is_lorentz(L),
-           "all_ok": all_ok}, args)
-    return 0 if all_ok else 2
+    return ({"residuals": rows, "lorentz": is_lorentz(L), "all_ok": all_ok},
+            0 if all_ok else 2)
 
 
 # ------------------------------------------------------------------ main
@@ -332,7 +314,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    level = os.environ.get("MUELLERKIT_LOG") or os.environ.get("MT_LOG")
+    level = os.environ.get("MUELLERKIT_LOG")
     if level:  # logging is imported only when it is switched on
         import logging
         logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO))
@@ -342,7 +324,7 @@ def main(argv=None):
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        tree, code = args.fn(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -352,6 +334,17 @@ def main(argv=None):
                                                   exc_info=True)
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    text = serialize.dumps(tree)
+    if not args.output:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.output, "w") as f:
+            f.write(text)
+    except OSError as e:
+        print(f"error: {args.output}: {e.strerror}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

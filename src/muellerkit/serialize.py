@@ -1,8 +1,12 @@
 """Canonical JSON (de)serialization.
 
-Floats are written with 17 significant digits ('%.17g'), which is lossless
-for IEEE doubles, and emitted through a fixed key order, so serializing the
-same objects always yields byte-identical text. Schemas are documented in
+``dumps`` writes a tree in one recursive pass. Floats (Python and numpy)
+are written as '%.17g', which is lossless for IEEE doubles; a record (a
+named tuple) is an object of its fields in field order, a dict an object
+in its key order, a list, tuple or ndarray a list; strings, keys, ints,
+bools and None are written by ``json.dumps``. The layout is that of
+``json.dumps(indent=2)`` with a trailing newline, so serializing the same
+objects always yields byte-identical text. Schemas are documented in
 ``docs/schemas.md``.
 """
 
@@ -13,56 +17,50 @@ import numpy as np
 from .lorentz import ComplexParameter, MuellerMatrix
 from .stokes import MeasurementPair, StokesVector
 
-_TOKEN = "\x01f:"
-
 
 def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _walk(obj):
-    """Replace floats by tagged strings so the encoder cannot re-round them.
-    A record (a named tuple) becomes an object of its fields in order."""
+def _write(obj, out, nl):
+    """Append the text of obj to out; nl is a newline and obj's indent."""
     if isinstance(obj, (float, np.floating)):
-        return _TOKEN + _fmt(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        out.append(_fmt(obj))
+        return
+    if isinstance(obj, np.integer):
+        obj = int(obj)
+    elif isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, tuple) and hasattr(obj, "_fields"):
         obj = obj._asdict()
-    if isinstance(obj, dict):
-        return {k: _walk(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_walk(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_walk(v) for v in obj.tolist()]
-    return obj
+    if not isinstance(obj, (dict, list, tuple)):
+        out.append(json.dumps(obj))
+        return
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        out.append("{}" if is_dict else "[]")
+        return
+    inner = nl + "  "
+    sep = ("{" if is_dict else "[") + inner
+    if is_dict:
+        for k, v in obj.items():
+            out += (sep, json.dumps(str(k)), ": ")
+            _write(v, out, inner)
+            sep = "," + inner
+    else:
+        for v in obj:
+            out.append(sep)
+            _write(v, out, inner)
+            sep = "," + inner
+    out += (nl, "}" if is_dict else "]")
 
 
 def dumps(obj) -> str:
-    """Canonical JSON text of a JSON-able tree (floats at 17 digits).
-
-    Floats travel through the encoder as control-prefixed strings
-    (escaped by json as \\u0001) and are spliced back in as bare numeric
-    literals afterwards.
-    """
-    text = json.dumps(_walk(obj), indent=2, sort_keys=False)
+    """Canonical JSON text of a JSON-able tree (floats at 17 digits)."""
     out = []
-    i = 0
-    quoted = '"\\u0001f:'
-    while True:
-        j = text.find(quoted, i)
-        if j < 0:
-            out.append(text[i:])
-            break
-        out.append(text[i:j])
-        end = text.index('"', j + len(quoted))
-        out.append(text[j + len(quoted):end])
-        i = end + 1
-    return "".join(out) + "\n"
-
-
-def loads(text: str):
-    return json.loads(text)
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------- objects

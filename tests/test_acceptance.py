@@ -327,7 +327,7 @@ def test_criterion_10_cli(tmp_path):
 
     # lossless round trip on canonical form
     text = two_a.read_text()
-    pairs, meta = serialize.dataset_from_json(serialize.loads(text))
+    pairs, meta = serialize.dataset_from_json(json.loads(text))
     assert serialize.dumps(serialize.dataset_to_json(pairs, meta)) == text
     _report(10, "gen -> solve2/solve6 -> verify byte-identical; JSON "
                 "round trip lossless")

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -212,6 +213,14 @@ def test_input_errors_exit_1(tmp_path, capsys):
     code, _, _ = run(["solve2", "--data", str(tmp_path / "missing.json")],
                      capsys)
     assert code == 1
+    csvf = tmp_path / "seven.csv"
+    csvf.write_text("1.0,0.5,0.0,0.0,1.0,0.0,0.5\n")
+    code, out, err = run(["gen", "--to-json", str(csvf)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {csvf}:1: expected 8 fields")
+    missing = tmp_path / "missing.csv"
+    code, out, err = run(["gen", "--to-json", str(missing)], capsys)
+    assert code == 1 and out == "" and err.startswith(f"error: {missing}: ")
 
 
 def test_non_finite_input_exits_1(tmp_path, capsys):
@@ -255,8 +264,26 @@ def test_non_finite_input_exits_1(tmp_path, capsys):
             assert code == 1 and out == "" and "non-finite" in err, argv
 
 
+def test_solver_failures_exit_2_and_write_nothing(tmp_path, capsys):
+    data = str(tmp_path / "r4.json")
+    assert run(["gen", "--kind", "random", "--count", "4", "--seed", "1",
+                "--output", data], capsys)[0] == 0
+    out_path = tmp_path / "roots.json"
+    code, out, err = run(["solve4", "--data", data,
+                          "--output", str(out_path)], capsys)
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.startswith("error: NoConvergedRoot: ")
+    half_turn = _one_pair(tmp_path, "h.json", [1.0, 0.0, 0.0],
+                          [-1.0, 0.0, 0.0])
+    code, out, err = run(["family4", "--data", half_turn, "--y", "0.1",
+                          "--z", "0.2", "--w", "0.3"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: NoRealRoot: degenerate linear slice")
+
+
 def test_csv_conversion(tmp_path, capsys):
-    csvf = tmp_path / "pairs.csv"
+    # the file name is written as a JSON string, control character escaped
+    csvf = tmp_path / "\x01f:x.csv"
     csvf.write_text("# s0,s1,s2,s3,s0',s1',s2',s3'\n"
                     "1.0,0.5,0.0,0.0,1.0,0.0,0.5,0.0\n")
     code, out, _ = run(["gen", "--to-json", str(csvf)], capsys)
@@ -264,19 +291,16 @@ def test_csv_conversion(tmp_path, capsys):
     d = json.loads(out)
     assert len(d["pairs"]) == 1
     assert d["pairs"][0]["in"]["s"] == [0.5, 0.0, 0.0]
-    assert d["metadata"]["kind"] == "csv"
+    assert d["metadata"] == {"kind": "csv", "source": "\x01f:x.csv"}
 
 
 @pytest.mark.parametrize("env, level", [
     ({"MUELLERKIT_LOG": "debug"}, "DEBUG"),
-    ({"MT_LOG": "warning"}, "WARNING"),
-    ({"MUELLERKIT_LOG": "info", "MT_LOG": "error"}, "INFO"),
 ])
 def test_log_level_from_environment(env, level, monkeypatch):
     import logging
 
-    for name in ("MUELLERKIT_LOG", "MT_LOG"):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("MUELLERKIT_LOG", raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     seen = []
@@ -359,8 +383,7 @@ def test_diag_and_verify_records_byte_for_byte(tmp_path, capsys):
 
 def _python(code, tmp_path, **env):
     """Run `code` in a new interpreter that imports this muellerkit."""
-    env = {**{k: v for k, v in os.environ.items()
-              if k not in ("MUELLERKIT_LOG", "MT_LOG")},
+    env = {**{k: v for k, v in os.environ.items() if k != "MUELLERKIT_LOG"},
            "PYTHONPATH": SRC, **env}
     return subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                           env=env, capture_output=True, text=True)
@@ -404,3 +427,18 @@ def test_lazy_logging_and_csv_paths_in_a_new_process(tmp_path):
     p = _python(cli % ["gen", "--to-json", "t.csv"], tmp_path)
     assert p.returncode == 0, p.stderr
     assert json.loads(p.stdout)["pairs"][0]["out"]["s"] == [0.0, 0.5, 0.0]
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_exits_1(where, tmp_path):
+    if where == "directory":
+        target, reason = tmp_path, os.strerror(errno.EISDIR)
+    else:
+        target = tmp_path / "missing" / "x.json"
+        reason = os.strerror(errno.ENOENT)
+    cli = "import sys; from muellerkit.cli import main; sys.exit(main(%r))"
+    p = _python(cli % ["gen", "--kind", "rotation2", "--output",
+                       str(target)], tmp_path)
+    assert p.returncode == 1 and p.stdout == ""
+    assert p.stderr == f"error: {target}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []

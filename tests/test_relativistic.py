@@ -5,7 +5,7 @@ import pytest
 
 from muellerkit import (ConstraintViolation, DegenerateGeometry,
                         ExpansionCoeffs, InconsistentPairs, MeasurementPair,
-                        NoRealRoot, NoValidCandidate, Rank1Violation,
+                        NoConvergedRoot, NoRealRoot, NoValidCandidate, Rank1Violation,
                         SingularSystem, StokesVector, apply,
                         constraint_residual, expansion_to_params, family_4d,
                         k_from_expansion, mueller_from_k, nm_from_k,
@@ -13,7 +13,7 @@ from muellerkit import (ConstraintViolation, DegenerateGeometry,
                         solve_six)
 from muellerkit import boost_k, relativistic
 from muellerkit.oracle import (consistent_dataset, make_pair, random_lorentz,
-                               random_stokes)
+                               random_pairs, random_stokes)
 from muellerkit.relativistic import (_lift_jacobian, _polish,
                                      expansion_basis, lift,
                                      quad_coeffs_from_geometry,
@@ -315,6 +315,14 @@ def test_family_4d_no_real_root():
         family_4d(p, 1e6, 1e6, 1e6)
 
 
+def test_family_4d_null_half_turn_is_a_degenerate_slice():
+    # (1, e1) -> (1, -e1): the slice is linear in x with a zero slope
+    p = MeasurementPair(StokesVector(1.0, [1.0, 0.0, 0.0]),
+                        StokesVector(1.0, [-1.0, 0.0, 0.0]))
+    with pytest.raises(NoRealRoot, match="degenerate linear slice"):
+        family_4d(p, 0.1, 0.2, 0.3)
+
+
 def test_solve_six_consistent_instances(rng):
     for _ in range(10):
         k, e_star, pairs = consistent_dataset(6, rng=rng)
@@ -436,6 +444,21 @@ def test_solve_four_consistent_instances():
         for (e, _), k in zip(rep.roots, rep.k):
             ref = k_from_expansion(g, e, normalize=True).k
             assert np.abs(k.k - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_solve_four_on_genuine_pairs_fails_typed():
+    # four genuine pairs of one device rarely share a lifted point; the
+    # solve then raises NoConvergedRoot, and any other error propagates
+    raised = 0
+    for s in range(60):
+        rng = np.random.default_rng([5, s])
+        pairs = random_pairs(random_lorentz(rng=rng), 4, rng)
+        try:
+            solve_four(pairs)
+        except NoConvergedRoot as e:
+            assert "candidate points solves all four" in str(e)
+            raised += 1
+    assert raised >= 40  # read: 50 of 60
 
 
 def test_solve_four_recovers_root_missed_by_multistart():

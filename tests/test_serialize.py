@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 
 from muellerkit import mueller_from_k, serialize as S
@@ -16,7 +18,7 @@ def test_dataset_round_trip_bytes():
     k = random_lorentz(rng=rng)
     pairs = random_pairs(k, 5, rng)
     t1 = S.dumps(S.dataset_to_json(pairs, {"kind": "test"}))
-    pairs2, meta = S.dataset_from_json(S.loads(t1))
+    pairs2, meta = S.dataset_from_json(json.loads(t1))
     t2 = S.dumps(S.dataset_to_json(pairs2, meta))
     assert t1 == t2
     for a, b in zip(pairs, pairs2):
@@ -28,15 +30,14 @@ def test_dataset_round_trip_bytes():
 
 def test_k_and_matrix_round_trip():
     k = random_lorentz(seed=4)
-    k2 = S.k_from_json(S.loads(S.dumps(S.k_to_json(k))))
+    k2 = S.k_from_json(json.loads(S.dumps(S.k_to_json(k))))
     assert np.all(k2.k == k.k)
     L = mueller_from_k(k)
-    L2 = S.mueller_from_json(S.loads(S.dumps(S.mueller_to_json(L))))
+    L2 = S.mueller_from_json(json.loads(S.dumps(S.mueller_to_json(L))))
     assert np.all(L2.m == L.m)
 
 
 def test_dumps_is_valid_json():
-    import json
     text = S.dumps({"a": 0.1, "b": [1.5, 2], "c": {"d": -0.0}})
     assert json.loads(text) == {"a": 0.1, "b": [1.5, 2], "c": {"d": -0.0}}
 
@@ -51,3 +52,22 @@ def test_records_are_written_as_objects_of_their_fields():
         "xy": as_dict, "zw": as_dict, "signs": [1, -1, 0, 1],
         "boundary": True, "definite_xy": False, "definite_zw": True}])
     assert S.dumps((1.0, 2)) == S.dumps([1.0, 2])  # a plain tuple: a list
+
+
+def test_a_string_that_looks_like_a_float_tag_stays_a_string():
+    # a string value stays a JSON string whatever its prefix
+    tree = {"s": "\x01f:1", "n": 1.5}
+    text = S.dumps(tree)
+    assert json.loads(text) == tree
+    assert text == '{\n  "s": "\\u0001f:1",\n  "n": 1.5\n}\n'
+
+
+def test_layout_is_that_of_json_dumps_indent_2():
+    tree = {"a": [], "b": {}, "c": [[], {"d": [1, None, True, "x"]}],
+            "e": np.arange(0.5, 4.0).reshape(2, 2), "f": np.int64(-3),
+            "g": (np.float64(0.25), np.float32(0.5)), "\u00e9\n": "\u00e9"}
+    plain = {**tree, "e": [[0.5, 1.5], [2.5, 3.5]], "f": -3,
+             "g": [0.25, 0.5]}
+    assert S.dumps(tree) == json.dumps(plain, indent=2) + "\n"
+    assert S.dumps([]) == "[]\n" and S.dumps({}) == "{}\n"
+    assert S.dumps(0.1) == "0.10000000000000001\n"
