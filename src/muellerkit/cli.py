@@ -82,6 +82,13 @@ def _finite(text):
     return v
 
 
+def _natural(text):
+    """argparse type: an integer >= 0."""
+    if (v := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {v}")
+    return v
+
+
 def _residual(L, p):
     """Transitivity residual |L s - s'| of a matrix on one pair."""
     return float(np.linalg.norm(
@@ -178,10 +185,7 @@ def cmd_diag(args):
 
 def cmd_little(args):
     state = _load_stokes(args.stokes)
-    try:
-        els = littlegroup.sample_little(state, args.count, seed=args.seed)
-    except ValueError as e:
-        raise InputError(f"--count: {e}") from e
+    els = littlegroup.sample_little(state, args.count, seed=args.seed)
     out = {"elements": []}
     state_arr = state.as_array()
     for el in els:
@@ -199,8 +203,6 @@ _GEN_KINDS = ("rotation2", "consistent4", "consistent6", "random")
 
 
 def _gen_dataset(kind, seed, count):
-    if count < 0:
-        raise InputError(f"--count: must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
     if kind == "rotation2":
         k, p1, p2 = oracle.rotation_dataset(rng=rng)
@@ -299,12 +301,13 @@ def _build_parser():
     add("solve6", cmd_solve6,
         data=dict(required=True), tol=dict(type=_finite, default=1e-6))
     add("diag", cmd_diag, data=dict(required=True))
+    seed = dict(type=_natural, default=0)
     add("little", cmd_little,
-        stokes=dict(required=True), count=dict(type=int, default=10),
-        seed=dict(type=int, default=0))
+        stokes=dict(required=True), count=dict(type=_natural, default=10),
+        seed=seed)
     add("gen", cmd_gen,
         kind=dict(default="random", choices=_GEN_KINDS),
-        seed=dict(type=int, default=0), count=dict(type=int, default=4),
+        seed=seed, count=dict(type=_natural, default=4),
         to_json=dict(default=None, metavar="CSV",
                      help="convert a CSV pair table to a JSON dataset"))
     add("verify", cmd_verify,

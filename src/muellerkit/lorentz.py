@@ -170,10 +170,10 @@ def apply(L: MuellerMatrix, v: StokesVector) -> StokesVector:
     return StokesVector.from_array(out, validate=False)
 
 
-def is_lorentz(L: MuellerMatrix, tol=TOL_L) -> LorentzReport:
+def is_lorentz(L: MuellerMatrix) -> LorentzReport:
     """Check M^T G M = G, det = +1, and orthochronicity; report residuals.
 
-    Both tests allow tol plus the round-off 64 eps max|M|^2 of their
+    Both tests allow TOL_L plus the round-off 64 eps max|M|^2 of their
     residuals; the det test is capped at 1, so det = -1 (residual 2) is
     still rejected. Where m00 > 0 the det is read as det(M[1:, 1:]) / m00,
     which L^-1 = G L^T G makes exact for a Lorentz matrix and which stays
@@ -184,7 +184,7 @@ def is_lorentz(L: MuellerMatrix, tol=TOL_L) -> LorentzReport:
     m00 = float(M[0, 0])
     det = np.linalg.det(M[1:, 1:]) / m00 if m00 > 0.0 else np.linalg.det(M)
     det = float(abs(det - 1.0))
-    allow = tol + 64 * np.finfo(float).eps * float(np.max(np.abs(M))) ** 2
+    allow = TOL_L + 64 * np.finfo(float).eps * float(np.max(np.abs(M))) ** 2
     ok = bool(ortho <= allow and det <= min(allow, 1.0) and m00 > 0.0)
     return LorentzReport(ok=ok, ortho_residual=ortho, det_residual=det, m00=m00)
 

@@ -36,10 +36,10 @@ def random_unit(rng):
     return v / math.sqrt(v @ v)  # the bits of np.linalg.norm(v)
 
 
-def random_lorentz(seed=None, rng=None, chi_max=CHI_MAX) -> ComplexParameter:
+def random_lorentz(seed=None, rng=None) -> ComplexParameter:
     """Uniform-ish sample of a valid device parameter.
 
-    n is drawn in the unit ball, m with |m| <= sinh(chi_max / 2); the
+    n is drawn in the unit ball, m with |m| <= sinh(CHI_MAX / 2); the
     remaining components solve the two constraints exactly:
     n0^2 is the positive root of the quadratic obtained after eliminating
     m0 = -(n.m) / n0, so the construction never fails.
@@ -50,7 +50,7 @@ def random_lorentz(seed=None, rng=None, chi_max=CHI_MAX) -> ComplexParameter:
         n = rng.uniform(-1.0, 1.0, 3)
         if float(n @ n) <= 1.0:
             break
-    m = random_unit(rng) * rng.uniform(0.0, np.sinh(chi_max / 2.0))
+    m = random_unit(rng) * rng.uniform(0.0, np.sinh(CHI_MAX / 2.0))
     d = float(n @ m)
     C = 1.0 - float(n @ n) + float(m @ m)
     n0 = np.sqrt((C + np.hypot(C, 2.0 * d)) / 2.0)

@@ -51,9 +51,10 @@ import numpy as np
 
 from .errors import (ConstraintViolation, DegenerateGeometry,
                      InconsistentPairs, NoConvergedRoot, NoRealRoot,
-                     NoValidCandidate, Rank1Violation, SingularSystem)
+                     NoValidCandidate, OutOfDomain, Rank1Violation,
+                     SingularSystem)
 from . import kernels
-from .lorentz import ComplexParameter, RealParameter, k_from_nm, unit_ok
+from .lorentz import ComplexParameter, RealParameter, unit_ok
 from .stokes import (ASUM, AVEC, AVEC2, BDIFF, BVEC, BVEC2, CROSS, CROSS2,
                      GEOMETRY_WIDTH, MeasurementPair, PairGeometry,
                      basis_collinear, geometry_table, pair_geometry)
@@ -139,14 +140,13 @@ def expansion_basis(g: PairGeometry) -> np.ndarray:
     return np.array(entries).reshape(8, 4)
 
 
-def expansion_to_params(g: PairGeometry, e: ExpansionCoeffs,
-                        require_normalized=False) -> RealParameter:
+def expansion_to_params(g: PairGeometry, e: ExpansionCoeffs) -> RealParameter:
     """Real-split parameters of the family member at e.
 
     Orthogonality n0 m0 + n.m = 0 is an identity of the expansion and is
     asserted; the normalization constraint holds iff e lies on the
-    quadratic 3-surface (checked only when ``require_normalized``, by
-    ``k_from_nm``'s unit rule).
+    quadratic 3-surface, which is not checked here:
+    ``k_from_nm(expansion_to_params(g, e))`` applies the unit rule.
     """
     v = expansion_basis(g) @ e.as_array()
     r = RealParameter(n0=v[0], n=-v[5:], m0=v[4], m=v[1:4])
@@ -154,8 +154,6 @@ def expansion_to_params(g: PairGeometry, e: ExpansionCoeffs,
     if r.ortho_defect() > 1e-11 * scale:
         raise ConstraintViolation(
             f"orthogonality identity violated by {r.ortho_defect():.3e}")
-    if require_normalized:
-        k_from_nm(r)
     return r
 
 
@@ -224,7 +222,8 @@ def family_4d(p: MeasurementPair, y: float, z: float, w: float):
     transitivity residual) triples, ordered by x. Each root is read back
     as the solvers read theirs: k = E e on the pair's table row,
     normalized, and checked by ``_validate``; a root it rejects (k off the
-    unit surface, or not normalizable) raises ConstraintViolation.
+    unit surface, or not normalizable) raises ConstraintViolation. A
+    slice whose coefficients or discriminant overflow raises OutOfDomain.
     """
     T = _pair_table([p])
     # the lifted row (a, 2b, c, -alpha, -2beta, -sigma); the quadratic in x
@@ -233,6 +232,10 @@ def family_4d(p: MeasurementPair, y: float, z: float, w: float):
     cb = b2 * y
     cc = (c * y * y + m_alpha * z * z + m_beta2 * z * w + m_sigma * w * w
           - 1.0)
+    disc = cb * cb - 4.0 * ca * cc
+    if not all(map(math.isfinite, (ca, cb, cc, disc))):
+        raise OutOfDomain(f"quadratic in x overflows at (y, z, w) = "
+                          f"({y:.3e}, {z:.3e}, {w:.3e})")
     coeff_scale = max(abs(ca), abs(cb), abs(cc), 1.0)
     if abs(ca) <= 1e-14 * coeff_scale:
         if abs(cb) <= 1e-14 * coeff_scale:
@@ -240,7 +243,6 @@ def family_4d(p: MeasurementPair, y: float, z: float, w: float):
                              "constraint at this (y, z, w)")
         xs = [-cc / cb]
     else:
-        disc = cb * cb - 4.0 * ca * cc
         if disc < 0.0:
             raise NoRealRoot(f"discriminant {disc:.3e} < 0: "
                              "(y, z, w) off the surface projection")
@@ -457,23 +459,23 @@ def _validate(T, es):
     return K, np.sqrt(np.vecdot(d, d)), bad
 
 
-def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1) -> SixReport:
+def solve_six(pairs, tol_l=1e-6) -> SixReport:
     """Reconstruct from six measurements through the lifted linear system.
 
     The six per-pair quadratics are linear in the monomials
     u = (x^2, xy, y^2, z^2, zw, w^2); the 6x6 system (rows
     (a, 2b, c, -alpha, -2beta, -sigma), right side 1) is solved by dense
-    LU, with the Cramer determinants reported for reference; its rows
-    come from the pair table (see the module docstring). u must be
-    rank-1 consistent in each block. It is split into (x, y, z, w) by the
-    root of each block's larger square and polished on the six
-    constraints down to round-off (see _polish); both (z, w)-block signs,
-    under the canonical global sign (first component of largest
-    magnitude >= 0), are validated on every pair through the transitivity
-    residual, and a candidate any pair rejects is dropped. The candidates
-    within tol_l on every pair come first, each group ordered by e.
-    Whether all six per-pair parameters agree (a genuinely shared device
-    parameter) is reported, not assumed.
+    LU, with the Cramer determinants reported for reference; its rows come
+    from the pair table (see the module docstring). u must be rank-1
+    consistent in each block to TOL_R1, else Rank1Violation. It is split
+    into (x, y, z, w) by the root of each block's larger square and
+    polished on the six constraints down to round-off (see _polish); both
+    (z, w)-block signs, under the canonical global sign (first component
+    of largest magnitude >= 0), are validated on every pair through the
+    transitivity residual, and a candidate any pair rejects is dropped.
+    The candidates within tol_l on every pair come first, each group
+    ordered by e. Whether all six per-pair parameters agree (a genuinely
+    shared device parameter) is reported, not assumed.
     """
     if len(pairs) != 6:
         raise ValueError("exactly six pairs required")
@@ -497,7 +499,7 @@ def solve_six(pairs, tol_l=1e-6, tol_r1=TOL_R1) -> SixReport:
     scale = max(1.0, float(np.linalg.norm(u)))
     d1 = abs(u[1] ** 2 - u[0] * u[2])
     d2 = abs(u[4] ** 2 - u[3] * u[5])
-    if d1 > tol_r1 * scale ** 2 or d2 > tol_r1 * scale ** 2:
+    if d1 > TOL_R1 * scale ** 2 or d2 > TOL_R1 * scale ** 2:
         raise Rank1Violation(
             f"lifted vector is not rank-1 consistent: "
             f"|u_xy^2 - u_xx u_yy| = {d1:.3e}, "

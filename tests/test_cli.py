@@ -164,6 +164,48 @@ def test_gen_negative_count(tmp_path, capsys, kind):
     assert code == 0 and json.loads(data.read_text())["pairs"] == []
 
 
+NEGATIVE_SEED = [["gen", "--kind", kind, "--seed", "-1"] for kind in
+                 ("rotation2", "consistent4", "consistent6", "random")]
+NEGATIVE_SEED += [["little", "--seed", "-1", "--count", count]
+                  for count in ("3", "0")]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SEED, ids=" ".join)
+def test_negative_seed_is_an_input_error(argv, tmp_path, capsys):
+    # gen raised numpy's ValueError out of main; little blamed --count,
+    # or with --count 0 exited 0
+    s = _write(tmp_path, "s.json", {"s0": 1.0, "s": [0.2, 0.3, 0.1]})
+    if argv[0] == "little":
+        argv = argv + ["--stokes", s]
+    target = tmp_path / "out.json"
+    code, out, err = run(argv + ["--output", str(target)], capsys)
+    assert code == 1 and out == "" and not target.exists()
+    assert "argument --seed: " in err and "Traceback" not in err
+
+
+def test_negative_seed_in_a_new_process(tmp_path):
+    cli = "import sys; from muellerkit.cli import main; sys.exit(main(%r))"
+    p = _python(cli % ["gen", "--kind", "random", "--seed", "-1",
+                       "--output", "r.json"], tmp_path)
+    assert p.returncode == 1 and p.stdout == ""
+    assert "argument --seed: " in p.stderr and "Traceback" not in p.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd, need, have", [
+    ("solve2", 2, 4), ("solve4", 4, 6), ("solve6", 6, 4), ("family4", 1, 2)])
+def test_wrong_pair_count_exits_1(cmd, need, have, tmp_path, capsys):
+    data = str(tmp_path / "d.json")
+    assert run(["gen", "--kind", "random", "--count", str(have),
+                "--output", data], capsys)[0] == 0
+    target = tmp_path / "out.json"
+    flags = ["--y=0", "--z=0", "--w=0"] if cmd == "family4" else []
+    code, out, err = run([cmd, "--data", data, *flags,
+                          "--output", str(target)], capsys)
+    assert (code, out) == (1, "") and not target.exists()
+    assert err == f"error: {cmd} needs exactly {need} pairs, got {have}\n"
+
+
 def test_diag_subcommand(tmp_path, capsys):
     data = str(tmp_path / "d.json")
     assert run(["gen", "--kind", "random", "--count", "2", "--seed", "3",
@@ -279,6 +321,22 @@ def test_solver_failures_exit_2_and_write_nothing(tmp_path, capsys):
                           "--z", "0.2", "--w", "0.3"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: NoRealRoot: degenerate linear slice")
+
+
+def test_family4_overflowing_slice_exits_2(tmp_path, capsys):
+    # the slice's x^2 constant overflows to inf; it read as a degenerate
+    # linear slice
+    four = str(tmp_path / "four.json")
+    assert run(["gen", "--kind", "consistent4", "--seed", "2",
+                "--output", four], capsys)[0] == 0
+    d4 = json.load(open(four))
+    d4["pairs"] = d4["pairs"][:1]
+    one = _write(tmp_path, "one.json", d4)
+    target = tmp_path / "out.json"
+    code, out, err = run(["family4", "--data", one, "--y", "1e200", "--z",
+                          "0", "--w", "0", "--output", str(target)], capsys)
+    assert (code, out) == (2, "") and not target.exists()
+    assert err.startswith("error: OutOfDomain: ")
 
 
 def test_csv_conversion(tmp_path, capsys):

@@ -248,8 +248,9 @@ def test_solve_six_drops_rejected_candidates(monkeypatch):
 
     # every pair of its own device accepts e_a, the foreign sixth rejects it
     es = [e_a]
+    monkeypatch.setattr(relativistic, "TOL_R1", np.inf)
     with pytest.raises(NoValidCandidate) as info:
-        solve_six(pairs_a[:5] + pairs_b[:1], tol_r1=np.inf)
+        solve_six(pairs_a[:5] + pairs_b[:1])
     assert info.value.report.candidates == []
 
 

@@ -1,8 +1,10 @@
-"""Every optional parameter of the library is set by some caller.
+"""Every optional parameter of the library is set by a caller outside the
+tests.
 
-A default that no call in ``src/``, ``tests/`` or ``perfbench/`` overrides
-is a configuration nothing exercises; it belongs in a module constant.
-The scan parses the sources with ``ast``; it imports and runs nothing.
+A default that no call in ``src/`` or ``perfbench/`` overrides is a
+configuration only the tests exercise; it belongs in a module constant,
+which a test that needs another value monkeypatches. The scan parses the
+sources with ``ast``; it imports and runs nothing.
 
 Rules of the scan:
 
@@ -26,14 +28,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "muellerkit").glob("*.py"))
-SOURCES = sorted(p for d in ("src", "tests", "perfbench")
+SOURCES = sorted(p for d in ("src", "perfbench")
                  for p in (ROOT / d).rglob("*.py"))
 
 # (function, parameter) kept although no call sets it.
 ALLOWED = {
-    # Every oracle generator takes the same (seed, rng) pair; callers of
-    # rotation_dataset happen to pass rng only.
+    # Every generator takes the same (seed, rng) pair; the callers of
+    # these happen to pass only one of the two.
     ("rotation_dataset", "seed"),
+    ("random_lorentz", "seed"),
+    ("sample_little", "rng"),
+    # The one-pair reference that the tests compare the stacked _validate
+    # against.
+    ("k_from_expansion", "normalize"),
+    # Set by lorentz.apply through from_array's cls(...) call, which the
+    # name match cannot see.
+    ("StokesVector", "validate"),
 }
 
 

@@ -38,7 +38,7 @@ def test_invariant_preserved(seed, s1, s2, s3, s0_extra):
 def test_group_closure(seed_a, seed_b):
     La = mueller_from_k(random_lorentz(seed=seed_a))
     Lb = mueller_from_k(random_lorentz(seed=seed_b))
-    assert is_lorentz(La @ Lb, tol=1e-8).ok
+    assert is_lorentz(La @ Lb).ok
 
 
 @given(finite, finite, finite)

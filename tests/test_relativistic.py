@@ -5,12 +5,13 @@ import pytest
 
 from muellerkit import (ConstraintViolation, DegenerateGeometry,
                         ExpansionCoeffs, InconsistentPairs, MeasurementPair,
-                        NoConvergedRoot, NoRealRoot, NoValidCandidate, Rank1Violation,
-                        SingularSystem, StokesVector, apply,
+                        NoConvergedRoot, NoRealRoot, NoValidCandidate,
+                        OutOfDomain, Rank1Violation, SingularSystem,
+                        StokesVector, apply,
                         constraint_residual, expansion_to_params, family_4d,
-                        k_from_expansion, mueller_from_k, nm_from_k,
-                        params_to_expansion, quad_coeffs, solve_four,
-                        solve_six)
+                        k_from_expansion, k_from_nm, mueller_from_k,
+                        nm_from_k, params_to_expansion, quad_coeffs,
+                        solve_four, solve_six)
 from muellerkit import boost_k, relativistic
 from muellerkit.oracle import (consistent_dataset, make_pair, random_lorentz,
                                random_pairs, random_stokes)
@@ -97,7 +98,8 @@ def test_params_expansion_round_trip(rng):
             continue
         r = nm_from_k(k)
         e = params_to_expansion(g, r)
-        r2 = expansion_to_params(g, e, require_normalized=True)
+        r2 = expansion_to_params(g, e)
+        k_from_nm(r2)
         assert abs(r2.n0 - r.n0) < 1e-9
         assert abs(r2.m0 - r.m0) < 1e-9
         assert np.allclose(r2.n, r.n, atol=1e-9)
@@ -118,7 +120,8 @@ def test_expansion_to_params_normalized_strong_boost(chi):
     k = boost_k([0.3, 0.5, 0.8], chi)
     g = pair_geometry(make_pair(k, StokesVector(1.0, BOOST_PROBES[0])))
     e = params_to_expansion(g, nm_from_k(k))
-    r = expansion_to_params(g, e, require_normalized=True)
+    r = expansion_to_params(g, e)
+    k_from_nm(r)
     assert np.abs(r.m - nm_from_k(k).m).max() <= (
         ROUND_TRIP_EPS * np.finfo(float).eps * np.cosh(chi / 2))
 
@@ -132,7 +135,8 @@ def test_strong_boost_round_trip_is_exact_or_typed(probe):
         r_true = nm_from_k(k)
         g = pair_geometry(make_pair(k, StokesVector(1.0, list(probe))))
         e = params_to_expansion(g, r_true)
-        r = expansion_to_params(g, e, require_normalized=True)
+        r = expansion_to_params(g, e)
+        k_from_nm(r)
         err = max(abs(r.n0 - r_true.n0), abs(r.m0 - r_true.m0),
                   np.abs(r.n - r_true.n).max(), np.abs(r.m - r_true.m).max())
         assert err <= ROUND_TRIP_EPS * np.finfo(float).eps * np.cosh(chi / 2)
@@ -315,6 +319,15 @@ def test_family_4d_no_real_root():
         family_4d(p, 1e6, 1e6, 1e6)
 
 
+@pytest.mark.parametrize("y, z, w", [(1e200, 0.0, 0.0), (0.0, 1e200, 0.0)])
+def test_family_4d_overflowing_slice_is_out_of_domain(y, z, w):
+    # the constant term overflows to inf, so every coefficient counted as
+    # zero against it and the slice read as degenerate
+    _, _, pairs = consistent_dataset(4, seed=2)
+    with pytest.raises(OutOfDomain, match="overflows"):
+        family_4d(pairs[0], y, z, w)
+
+
 def test_family_4d_null_half_turn_is_a_degenerate_slice():
     # (1, e1) -> (1, -e1): the slice is linear in x with a zero slope
     p = MeasurementPair(StokesVector(1.0, [1.0, 0.0, 0.0]),
@@ -411,8 +424,9 @@ def test_solve_six_with_no_split_point_raises_typed(monkeypatch):
     real_split = relativistic._split_polish
     monkeypatch.setattr(relativistic, "_split_polish",
                         lambda *a: split.append(real_split(*a)) or split[-1])
+    monkeypatch.setattr(relativistic, "TOL_R1", np.inf)
     with pytest.raises(NoValidCandidate) as info:
-        solve_six(pairs, tol_r1=np.inf)
+        solve_six(pairs)
     assert split == [[]]
     assert info.value.report.candidates == []
 
