@@ -11,7 +11,8 @@ reduce to the single square root above, which also covers the null
 (fully polarized, p_deg = 1) case. Each n in the admissible region, the
 ellipsoid with semi-axis 1 along p and 1 / sqrt(1 - p_deg^2) across it,
 gives one stabilizer element; the pure rotations about p are the n = t p
-line. ``little_element`` and ``sample_little`` share one stacked builder;
+line. ``little_element`` and ``sample_little`` share one builder on whole
+rows of a block of n, whose elements view it and one block of k;
 ``sample_little`` draws its n directly in the ellipsoid.
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConstraintViolation, OutOfDomain
 from .lorentz import (TOL_K, ComplexParameter, MuellerMatrix, frozen,
-                      mueller_from_k, unit_ok)
+                      mueller_from_k, records, unit_ok)
 from .stokes import StokesVector
 
 
@@ -36,28 +37,32 @@ class LittleGroupElement(namedtuple("LittleGroupElement", "k n")):
         return mueller_from_k(self.k)
 
 
+# m = n x p row by row: m_i = n_(i+1) p_(i+2) - n_(i+2) p_(i+1)
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 @np.errstate(invalid="ignore", over="ignore")
 def _little_stack(state: StokesVector, N):
     """n0^2, k (rows, 4) and the admissible mask of a (rows, 3) block of n:
     n0^2 >= 0 and ``unit_ok(k, TOL_K)`` (the rule of ``k_from_nm``).
-    Elementwise column arithmetic rounds every row the same way at any
-    block size. A non-finite n raises no floating-point warning."""
+    Every step works on whole rows, so each row is rounded the same way
+    at any block size. A non-finite n raises no floating-point warning."""
     p_deg = state.degree
-    p1, p2, p3 = p_deg * state.direction
-    n1, n2, n3 = N.T
-    m1, m2, m3 = n2 * p3 - n3 * p2, n3 * p1 - n1 * p3, n1 * p2 - n2 * p1
-    nn = n1 * n1 + n2 * n2 + n3 * n3
-    n_p = n1 * p1 + n2 * p2 + n3 * p3
-    n0_sq = 1.0 - nn * (1.0 - p_deg * p_deg) - n_p * n_p
-    n0 = np.sqrt(np.maximum(n0_sq, 0.0))
-    K = np.column_stack((n0, m1 - 1j * n1, m2 - 1j * n2, m3 - 1j * n3))
+    p = p_deg * state.direction
+    n_p = np.vecdot(N, p)
+    n0_sq = 1.0 - np.vecdot(N, N) * (1.0 - p_deg * p_deg) - n_p * n_p
+    K = np.empty((len(N), 4), complex)
+    K[:, 0] = np.sqrt(np.maximum(n0_sq, 0.0))
+    K.real[:, 1:] = (N.take(_NEXT, axis=1) * p.take(_AFTER)
+                     - N.take(_AFTER, axis=1) * p.take(_NEXT))
+    np.subtract(0.0, N, out=K.imag[:, 1:])  # -n; a zero n gives +0
     return n0_sq, K, (n0_sq >= 0.0) & unit_ok(K, TOL_K)
 
 
 def _elements(state: StokesVector, N):
-    """Stabilizer elements of the rows of the (rows, 3) block N, which is
-    made read-only so that each element views its row. Raises for the
-    first row that is not admissible: OutOfDomain where n0^2 < 0,
+    """Stabilizer elements of the rows of the (rows, 3) block N; each
+    element views its rows of two read-only blocks (``records``). Raises
+    for the first row that is not admissible: OutOfDomain where n0^2 < 0,
     ConstraintViolation where k is off the unit surface."""
     n0_sq, K, ok = _little_stack(state, N)
     if not ok.all():
@@ -66,10 +71,7 @@ def _elements(state: StokesVector, N):
             raise OutOfDomain(f"n0^2 = {bad:.3e} < 0: n outside the "
                               "admissible region of this state")
         raise ConstraintViolation("k0^2 - k^2 = 1 violated")
-    K.setflags(write=False)
-    N.setflags(write=False)
-    return [LittleGroupElement(k=ComplexParameter(k), n=n)
-            for k, n in zip(K, N)]
+    return records(LittleGroupElement, records(ComplexParameter, K), N)
 
 
 def little_element(state: StokesVector, n) -> LittleGroupElement:
@@ -103,13 +105,13 @@ def sample_little(state: StokesVector, count, seed=None, rng=None):
         rng = np.random.default_rng(seed)
     q = 1.0 - state.degree * state.degree
     c = 10.0 if q <= 1e-2 else 1.0 / np.sqrt(q)
-    d1, d2, d3 = d = state.direction
+    d = state.direction
 
-    t = rng.uniform(-1.0, 1.0)
-    g1, g2, g3 = rng.standard_normal((count - 1, 3)).T
+    N = np.empty((count, 3))
+    N[0] = rng.uniform(-1.0, 1.0) * d
+    G = rng.standard_normal((count - 1, 3))
     r = rng.random((count - 1, 3)).max(axis=1)
-    s = r / np.sqrt(g1 * g1 + g2 * g2 + g3 * g3)
-    x1, x2, x3 = g1 * s, g2 * s, g3 * s
-    a = (1.0 - c) * (x1 * d1 + x2 * d2 + x3 * d3)
-    N = np.column_stack((c * x1 + a * d1, c * x2 + a * d2, c * x3 + a * d3))
-    return _elements(state, np.vstack((t * d, N)))
+    # a row sum of three adds left to right: the bits of g1 g1 + g2 g2 + g3 g3
+    X = G * (r / np.sqrt((G * G).sum(axis=1)))[:, None]
+    N[1:] = c * X + ((1.0 - c) * (X * d).sum(axis=1))[:, None] * d
+    return _elements(state, N)

@@ -12,7 +12,7 @@ factorized product L = A(k) conj(A(k)), where A(k) is the fixed complex
 turns the unit condition into the two real constraints
 n0^2 + n^2 - m0^2 - m^2 = 1 and n0 m0 + n.m = 0; rotations have
 (m0, m) = 0, boosts have n = 0. They are the real and imaginary parts
-of k0^2 - k.k = 1, so ``unit_ok`` is the one validity rule for k.
+of q = k0^2 - k.k = 1: q is ``minkowski_square``, the rule ``unit_ok_q``.
 """
 
 from collections import namedtuple
@@ -30,20 +30,31 @@ TOL_DIV = 1e-12
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-@np.errstate(invalid="ignore", over="ignore")
-def unit_ok(K, tol):
-    """True where |k0^2 - k.k - 1| <= tol * max(1, sum_i |k_i|^2), the scale
-    its round-off grows with, over the last axis of a stack K (..., 4);
-    False where k is not finite. A defect within the bare tol needs no
-    scale. Elementwise column arithmetic rounds every row the same way at
-    any stack shape. A non-finite k raises no floating-point warning."""
-    k0, k1, k2, k3 = K.T  # leading axes come out reversed; .T restores them
-    d = abs(k0 * k0 - k1 * k1 - k2 * k2 - k3 * k3 - 1.0)
+def minkowski_square(K):
+    """q = k0^2 - k.k over the last axis of a stack K (..., 4) in column
+    arithmetic, which rounds each row alike at any stack shape, one k
+    included; a non-finite k raises no floating-point warning."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        s0, s1, s2, s3 = (K * K).T  # leading axes come out reversed
+        return (s0 - s1 - s2 - s3).T
+
+
+def unit_ok_q(q, K, tol):
+    """True where |q - 1| <= tol * max(1, sum_i |k_i|^2), the scale its
+    round-off grows with, for q = minkowski_square(K); False where k is not
+    finite. A defect within the bare tol needs no scale."""
+    d = abs(q - 1.0)
     ok = d <= tol
     if not ok.all():  # inf / inf is NaN, so a non-finite k is rejected
-        scale = np.maximum(1.0, np.sum(np.abs(K.T) ** 2, axis=0))
-        ok = ok | (d / scale <= tol)
-    return ok.T
+        with np.errstate(invalid="ignore", over="ignore"):
+            scale = np.maximum(1.0, np.sum(np.abs(K) ** 2, axis=-1))
+            ok = ok | (d / scale <= tol)
+    return ok
+
+
+def unit_ok(K, tol):
+    """``unit_ok_q`` of a stack K (..., 4) and its own Minkowski square."""
+    return unit_ok_q(minkowski_square(K), K, tol)
 
 
 def frozen(a, dtype, shape):
@@ -64,6 +75,15 @@ def frozen(a, dtype, shape):
     return arr if arr.shape == shape else arr.reshape(shape)
 
 
+def records(cls, *blocks):
+    """One ``cls`` record per row of the blocks, unchecked: each array
+    block is frozen once (``frozen``'s rule) and its records view it; a
+    list block (of finished records) is taken as it is."""
+    blocks = [frozen(b, b.dtype, b.shape) if isinstance(b, np.ndarray) else b
+              for b in blocks]
+    return [tuple.__new__(cls, row) for row in zip(*blocks)]
+
+
 class ComplexParameter(namedtuple("ComplexParameter", "k")):
     """k = (k0, k1, k2, k3), complex128[4]."""
 
@@ -73,11 +93,10 @@ class ComplexParameter(namedtuple("ComplexParameter", "k")):
     def __new__(cls, k):
         return super().__new__(cls, frozen(k, complex, (4,)))
 
-    @np.errstate(invalid="ignore", over="ignore")
     def unit_defect(self):
         """|k0^2 - kvec^2 - 1| (complex modulus); NaN or inf, without a
         floating-point warning, for a non-finite k."""
-        return abs(self.k[0] ** 2 - np.sum(self.k[1:] ** 2) - 1.0)
+        return abs(minkowski_square(self.k) - 1.0)
 
     def require_unit(self, tol=TOL_K):
         """Raise unless ``unit_ok(k, tol)``."""

@@ -34,12 +34,14 @@ evaluation round-off and the caller's tolerance (or stops falling), both
 (z, w)-block signs are emitted (no constraint sees that sign), every
 point gets one canonical global sign, duplicates are dropped and the rest
 ordered by e, and all candidates are checked against all pairs in one
-stacked pass (``_validate``: one unit check of each k = E e, normalized
-in place, and L(k) s applied through ``kernels.mueller_apply`` without
-forming L). ``family_4d`` reads its roots back through the same pass on
-its one-pair table. The order depends on e alone, not on residuals at
-round-off level or on the order of the pairs; solve_four's rank flags
-come from one batched SVD of the Jacobians at its returned roots.
+stacked pass (``_validate``: one q = k0^2 - k.k of each k = E e, read by
+its unit check and its normalization in place, and L(k) s applied
+through ``kernels.mueller_apply`` without forming L); the reported k are
+records over that one read-only block. ``family_4d`` reads its roots
+back through the same pass on its one-pair table. The order depends on
+e alone, not on residuals at round-off level or on the order of the
+pairs; solve_four's rank flags come from one batched SVD of the
+Jacobians at its returned roots.
 """
 
 import math
@@ -54,7 +56,8 @@ from .errors import (ConstraintViolation, DegenerateGeometry,
                      NoValidCandidate, OutOfDomain, Rank1Violation,
                      SingularSystem)
 from . import kernels
-from .lorentz import ComplexParameter, RealParameter, unit_ok
+from .lorentz import (ComplexParameter, RealParameter, minkowski_square,
+                      records, unit_ok_q)
 from .stokes import (ASUM, AVEC, AVEC2, BDIFF, BVEC, BVEC2, CROSS, CROSS2,
                      GEOMETRY_WIDTH, MeasurementPair, PairGeometry,
                      basis_collinear, geometry_table, pair_geometry)
@@ -208,7 +211,7 @@ def k_from_expansion(g: PairGeometry, e: ExpansionCoeffs,
     kp = ComplexParameter(k)
     kp.require_unit(TOL_K_RAW)
     if normalize:
-        q = k[0] ** 2 - np.sum(k[1:] ** 2)
+        q = minkowski_square(k)
         if abs(q) < 1e-12:
             raise ConstraintViolation("k0^2 - k.k ~ 0: not normalizable")
         kp = ComplexParameter(k / np.sqrt(q))
@@ -224,11 +227,13 @@ def family_4d(p: MeasurementPair, y: float, z: float, w: float):
     normalized, and checked by ``_validate``; a root it rejects (k off the
     unit surface, or not normalizable) raises ConstraintViolation. A
     slice whose coefficients or discriminant overflow raises OutOfDomain.
+    a and 2b y count as zero against the pair's lifted row, which does not
+    grow with (y, z, w): a degenerate slice raises NoRealRoot.
     """
     T = _pair_table([p])
     # the lifted row (a, 2b, c, -alpha, -2beta, -sigma); the quadratic in x
     # is a x^2 + (2b y) x + (constraint residual at x = 0) = 0
-    ca, b2, c, m_alpha, m_beta2, m_sigma = T[0, _LIFT].tolist()
+    ca, b2, c, m_alpha, m_beta2, m_sigma = row = T[0, _LIFT].tolist()
     cb = b2 * y
     cc = (c * y * y + m_alpha * z * z + m_beta2 * z * w + m_sigma * w * w
           - 1.0)
@@ -236,9 +241,9 @@ def family_4d(p: MeasurementPair, y: float, z: float, w: float):
     if not all(map(math.isfinite, (ca, cb, cc, disc))):
         raise OutOfDomain(f"quadratic in x overflows at (y, z, w) = "
                           f"({y:.3e}, {z:.3e}, {w:.3e})")
-    coeff_scale = max(abs(ca), abs(cb), abs(cc), 1.0)
-    if abs(ca) <= 1e-14 * coeff_scale:
-        if abs(cb) <= 1e-14 * coeff_scale:
+    scale = max(map(abs, row))
+    if abs(ca) <= 1e-14 * scale:
+        if abs(cb) <= 1e-14 * scale * abs(y):
             raise NoRealRoot("degenerate linear slice: no x solves the "
                              "constraint at this (y, z, w)")
         xs = [-cc / cb]
@@ -255,8 +260,8 @@ def family_4d(p: MeasurementPair, y: float, z: float, w: float):
         raise ConstraintViolation(
             f"root x = {xs[int(np.argmax(bad[0]))]:.17g} rejected: k = E e "
             "is off the unit surface or not normalizable")
-    return [(ExpansionCoeffs(*e), ComplexParameter(k), r)
-            for e, k, r in zip(es, K[0], res[0].tolist())]
+    return [(ExpansionCoeffs(*e), k, r) for e, k, r in
+            zip(es, records(ComplexParameter, K[0]), res[0].tolist())]
 
 
 @dataclass
@@ -317,9 +322,9 @@ def _pair_table(pairs):
 def _k_spread(K):
     """Max over pairs i, j of min(||ki - kj||, ||ki + kj||) for each
     candidate of K (pairs, candidates, 4), as a list."""
-    d = np.minimum(np.linalg.norm(K[:, None] - K[None], axis=-1),
-                   np.linalg.norm(K[:, None] + K[None], axis=-1))
-    return d.max(axis=(0, 1)).tolist()
+    d = np.linalg.norm(np.stack((K[:, None] - K[None], K[:, None] + K[None])),
+                       axis=-1)
+    return d.min(axis=0).max(axis=(0, 1)).tolist()
 
 
 def _split_block(sq_a, prod, sq_b, scale):
@@ -437,21 +442,21 @@ def _validate(T, es):
     The parameters K (pairs, candidates, 4) are E e for each pair's
     expansion basis E, as in k_from_expansion, and checked by the rules of
     k_from_expansion(normalize=True) followed by mueller_from_k: ``unit_ok``
-    at TOL_K_RAW and |q| ~ 0, q = k0^2 - k.k. The third rule, ``unit_ok``
-    of the normalized k at TOL_K, is implied: k / sqrt(q) misses the unit
-    surface by a few eps sum |k_i|^2 / |q|, its own scale, and a non-finite
-    k fails the first rule (this holds while sum |k_i|^2 / |q| does not
-    overflow). Returns K, read-only and normalized where accepted, the
-    transitivity residuals |L(k) s - s'| (pairs, candidates) and the
-    rejection mask (pairs, candidates), True where that per-pair path
-    would raise a MuellerKitError.
+    at TOL_K_RAW and |q| ~ 0, on one q = ``minkowski_square(K)``. The third
+    rule, ``unit_ok`` of the normalized k at TOL_K, is implied: k / sqrt(q)
+    misses the unit surface by a few eps sum |k_i|^2 / |q|, its own scale,
+    and a non-finite k fails the first rule (this holds while
+    sum |k_i|^2 / |q| does not overflow). Returns K, read-only and
+    normalized where accepted, the transitivity residuals |L(k) s - s'|
+    (pairs, candidates) and the rejection mask (pairs, candidates), True
+    where that per-pair path would raise a MuellerKitError.
     """
     es = es.reshape(-1, 4)  # no point: (0, 4), so K is empty
     V = np.swapaxes(T[:, _BASIS].reshape(-1, 8, 4) @ es.T, 1, 2)
     K = V[..., :4] + 1j * V[..., 4:]
 
-    q = K[..., 0] ** 2 - np.sum(K[..., 1:] ** 2, axis=-1)
-    bad = ~unit_ok(K, TOL_K_RAW) | (np.abs(q) < 1e-12)
+    q = minkowski_square(K)
+    bad = ~unit_ok_q(q, K, TOL_K_RAW) | (np.abs(q) < 1e-12)
     K /= np.sqrt(np.where(bad, 1.0, q))[..., None]  # rejected: left as is
     K.flags.writeable = False
 
@@ -512,7 +517,7 @@ def solve_six(pairs, tol_l=1e-6) -> SixReport:
     candidates = sorted(
         (Candidate(e=ExpansionCoeffs(*es[c]), per_pair_residuals=r,
                    k_spread=spread,
-                   k_list=[ComplexParameter(k) for k in K[:, c]])
+                   k_list=records(ComplexParameter, K[:, c]))
          for c, r, spread in zip(keep.tolist(), res[:, keep].T.tolist(),
                                  _k_spread(K[:, keep]))),
         key=lambda cnd: cnd.worst > tol_l)
@@ -684,4 +689,4 @@ def solve_four(pairs, tol=1e-10) -> FourReport:
                       per_pair_residuals=res.T.tolist(),
                       rank_deficient=_rank_deficient(M, es),
                       n_starts=n_cands,
-                      k=[ComplexParameter(k) for k in K[0]])
+                      k=records(ComplexParameter, K[0]))

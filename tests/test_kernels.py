@@ -9,7 +9,7 @@ from muellerkit import (ComplexParameter, ConstraintViolation, ExpansionCoeffs,
                         little_element, mueller_from_k, sample_little,
                         solve_six)
 from muellerkit import kernels, relativistic
-from muellerkit.lorentz import TOL_K, unit_ok
+from muellerkit.lorentz import TOL_K, minkowski_square, unit_ok, unit_ok_q
 from muellerkit.oracle import consistent_dataset, random_lorentz, random_stokes
 from muellerkit.relativistic import (_BASIS, _LIFT, TOL_K_RAW,
                                      _canonical_unique, _pair_table,
@@ -147,6 +147,49 @@ def test_validate_rejects_by_the_two_check_rule():
     unit = unit_ok(raw, TOL_K_RAW)
     assert (unit & (q < 1e-12)).sum() >= 6
     assert (unit & (q >= 1e-12) & (q < 1e-11)).sum() >= 6
+    assert 0 < bad.sum() < bad.size
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def test_k0_squared_minus_k_dot_k_has_one_definition():
+    # unit_defect, unit_ok and _validate (its rejection mask and its
+    # normalization) all read q = k0^2 - k.k from minkowski_square, bit for
+    # bit, on rows where the sum form k0^2 - sum(k[1:]^2) rounds otherwise;
+    # one k alone gets the q of its row in a stack
+    rng = np.random.default_rng(21)
+    mix = np.zeros((4, 4))
+    mix[0, 3] = 1.0
+    T = _synthetic_rows([np.vstack((np.eye(4), np.zeros((4, 4)))),
+                         np.vstack((np.eye(4), mix)),
+                         np.vstack((np.eye(4), np.eye(4)))])
+    es = [boost_k(rng.normal(size=3), chi).k.real * (1.0 + f)
+          for chi in range(16) for f in (0.0, 1e-9, -3e-9, 1e-7)]
+    es += list(rng.normal(size=(300, 4))
+               * 10.0 ** rng.integers(-3, 5, (300, 1)))
+    es = np.array(es + [[np.nan, 1.0, 2.0, 3.0], [np.inf, 0.0, 0.0, 0.0]])
+    K, _, bad = _validate(T, es)
+    raw = np.swapaxes(T[:, _BASIS].reshape(-1, 8, 4) @ es.T, 1, 2)
+    raw = raw[..., :4] + 1j * raw[..., 4:]
+
+    q = minkowski_square(raw)
+    k0, k1, k2, k3 = np.moveaxis(raw, -1, 0)
+    assert np.array_equal(q, k0 * k0 - k1 * k1 - k2 * k2 - k3 * k3,
+                          equal_nan=True)
+    summed = raw[..., 0] ** 2 - np.sum(raw[..., 1:] ** 2, axis=-1)
+    assert (q != summed)[np.isfinite(q)].any()
+
+    rows = raw.reshape(-1, 4)
+    row_q = [minkowski_square(k) for k in rows]
+    assert np.array_equal(row_q, q.ravel(), equal_nan=True)
+    assert np.array_equal([ComplexParameter(k).unit_defect() for k in rows],
+                          [abs(v - 1.0) for v in row_q], equal_nan=True)
+    d = np.abs(q - 1.0)
+    rule = (d <= TOL_K_RAW) | (
+        d / np.maximum(1.0, np.sum(np.abs(raw) ** 2, axis=-1)) <= TOL_K_RAW)
+    assert np.array_equal(unit_ok(raw, TOL_K_RAW), rule)
+    assert np.array_equal(unit_ok_q(q, raw, TOL_K_RAW), rule)
+    assert np.array_equal(bad, ~rule | (np.abs(q) < 1e-12))
+    assert np.array_equal(K[~bad], (raw / np.sqrt(q)[..., None])[~bad])
     assert 0 < bad.sum() < bad.size
 
 

@@ -264,18 +264,38 @@ def test_family_4d_orders_roots_by_x_and_matches_the_scalar_path():
     assert n_two == 200
 
 
-def test_family_4d_raises_where_the_scalar_path_rejects_a_root():
-    # at (y, z, w) = 1e7 the root's k = E e cancels to far off the unit
-    # surface; the scalar path rejects the same root
-    _, _, pairs = consistent_dataset(1, rng=np.random.default_rng(3))
-    p = pairs[0]
+def test_family_4d_large_slices_have_no_real_root():
+    # a, the x^2 coefficient, is the pair's own (3.97 and 1.33 here). It
+    # counts as zero against the pair's lifted row, not against the
+    # coefficients that grow with (y, z, w), so these slices are
+    # quadratics with a negative discriminant, not linear ones
+    _, _, one = consistent_dataset(1, rng=np.random.default_rng(3))
+    _, _, four = consistent_dataset(4, seed=2)
+    for p, (y, z, w) in ((one[0], (1e7, 1e7, 1e7)),
+                         (four[0], (1e150, 0.0, 0.0))):
+        with pytest.raises(NoRealRoot, match=r"discriminant -\S+ < 0"):
+            family_4d(p, y, z, w)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_family_4d_raises_where_validate_rejects_a_root(monkeypatch, which):
+    # a real root whose k = E e the stacked check rejects is a
+    # ConstraintViolation that names the first rejected root
+    _, e_star, pairs = consistent_dataset(1, rng=np.random.default_rng(3))
+    slice_ = (pairs[0], e_star.y, e_star.z, e_star.w)
+    xs = [e.x for e, _, _ in family_4d(*slice_)]
+    assert len(xs) == 2
+    validate = relativistic._validate
+
+    def rejecting(T, es):
+        K, res, bad = validate(T, es)
+        bad[:, which:] = True
+        return K, res, bad
+
+    monkeypatch.setattr(relativistic, "_validate", rejecting)
     with pytest.raises(ConstraintViolation, match="rejected") as info:
-        family_4d(p, 1e7, 1e7, 1e7)
-    x = float(str(info.value).split("x = ")[1].split()[0])
-    with pytest.raises(ConstraintViolation):
-        mueller_from_k(k_from_expansion(
-            pair_geometry(p), ExpansionCoeffs(x, 1e7, 1e7, 1e7),
-            normalize=True))
+        family_4d(*slice_)
+    assert f"root x = {xs[which]:.17g} rejected" in str(info.value)
 
 
 def test_real_roots_are_those_of_np_roots():
@@ -781,3 +801,42 @@ def test_solve_six_recovers_small_x_or_z(seed):
         np.linalg.norm(c.e.as_array() - g * s * es)
         for s in signs for g in (1, -1)) <= 1e-6
         for c in solve_six(pairs).candidates)
+
+
+def _root(arr):
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+def _solver_ks(solver, pairs, e_star):
+    """Each k record a solver builds, as lists that each view one block:
+    one per solve_six candidate, FourReport.k, and family_4d's k."""
+    if solver == "six":
+        return [c.k_list for c in solve_six(pairs).candidates]
+    if solver == "four":
+        return [solve_four(pairs[:4]).k]
+    return [[k for _, k, _ in family_4d(pairs[0], *e_star[1:])]]
+
+
+@pytest.mark.parametrize("solver", ["six", "four", "family"])
+def test_solver_k_records_view_one_read_only_block(solver):
+    # the records are the rows of the solver's own read-only block, and
+    # they keep their values when the caller writes to the arrays its
+    # input pairs were built from
+    _, e_star, pairs = consistent_dataset(6, rng=np.random.default_rng([6, 2]))
+    held = [(p.input.s.copy(), p.output.s.copy()) for p in pairs]
+    pairs = [MeasurementPair(StokesVector(p.input.s0, s), StokesVector(
+        p.output.s0, s_out)) for p, (s, s_out) in zip(pairs, held)]
+    groups = _solver_ks(solver, pairs, e_star)
+    ref = [[kp.k.copy() for kp in ks] for ks in groups]
+    assert all(ref)
+    for s, s_out in held:
+        s[:] = 0.0
+        s_out[:] = 0.0
+    for ks, values in zip(groups, ref):
+        assert {id(_root(kp.k)) for kp in ks} == {id(_root(ks[0].k))}
+        assert not _root(ks[0].k).flags.writeable
+        for kp, k in zip(ks, values):
+            assert not kp.k.flags.writeable
+            assert np.array_equal(kp.k, k)
