@@ -9,8 +9,10 @@ Each subcommand returns its output tree and exit code, and ``main``
 writes the tree once, to stdout or ``--output``, after the subcommand
 finishes. Exit codes: 0 success, 1 input/usage error (an unwritable
 ``--output`` included), 2 solver-reported inconsistency (no solution,
-failed validation, degenerate data); on exit 2 only ``solve6`` and
-``verify`` write output. Set MUELLERKIT_LOG=DEBUG (or any logging level
+failed validation, degenerate data) or a NaN or infinite result, which
+JSON cannot hold (``error: <command>: ...``, nothing written); on exit 2
+only ``solve6`` and ``verify`` write output. Residuals |L s - s'| are
+``lorentz.residuals``. Set MUELLERKIT_LOG=DEBUG (or any logging level
 name) for progress logging.
 """
 
@@ -24,7 +26,7 @@ import numpy as np
 from . import littlegroup, oracle, quadform, relativistic, rotation, serialize
 from .errors import MuellerKitError, NoValidCandidate
 from .lorentz import apply as lorentz_apply
-from .lorentz import is_lorentz, k_from_nm, mueller_from_k
+from .lorentz import is_lorentz, k_from_nm, mueller_from_k, residuals
 from .stokes import MeasurementPair, StokesVector
 
 
@@ -89,25 +91,18 @@ def _natural(text):
     return v
 
 
-def _residual(L, p):
-    """Transitivity residual |L s - s'| of a matrix on one pair."""
-    return float(np.linalg.norm(
-        lorentz_apply(L, p.input).as_array() - p.output.as_array()))
-
-
-def _solution_record(k, residuals, **extra):
+def _solution_record(k, per_pair, **extra):
     return {
         "k": serialize.k_to_json(k),
         "mueller": serialize.mueller_to_json(mueller_from_k(k)),
-        "residuals": list(residuals),
+        "residuals": list(per_pair),
         **extra,
     }
 
 
 def _rotation_record(sol, pairs):
     k = k_from_nm(sol.real_parameter())
-    L = mueller_from_k(k)
-    return _solution_record(k, [_residual(L, p) for p in pairs],
+    return _solution_record(k, residuals(mueller_from_k(k), pairs),
                             gamma=sol.gamma)
 
 
@@ -259,13 +254,9 @@ def cmd_gen(args):
 def cmd_verify(args):
     L = _load_matrix(args.matrix)
     pairs = _load_dataset(args.data)
-    rows = []
-    all_ok = True
-    for i, p in enumerate(pairs):
-        res = _residual(L, p)
-        ok = res <= args.tol
-        all_ok = all_ok and ok
-        rows.append({"pair": i, "residual": res, "ok": ok})
+    rows = [{"pair": i, "residual": res, "ok": res <= args.tol}
+            for i, res in enumerate(residuals(L, pairs))]
+    all_ok = all(row["ok"] for row in rows)
     return ({"residuals": rows, "lorentz": is_lorentz(L), "all_ok": all_ok},
             0 if all_ok else 2)
 
@@ -327,7 +318,8 @@ def main(argv=None):
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        tree, code = args.fn(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf is exit 2
+            tree, code = args.fn(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -337,7 +329,11 @@ def main(argv=None):
                                                   exc_info=True)
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    text = serialize.dumps(tree)
+    try:
+        text = serialize.dumps(tree)
+    except ValueError as e:  # a NaN or inf result: nothing is written
+        print(f"error: {args.command}: {e}", file=sys.stderr)
+        return 2
     if not args.output:
         sys.stdout.write(text)
         return code

@@ -189,6 +189,15 @@ def apply(L: MuellerMatrix, v: StokesVector) -> StokesVector:
     return StokesVector.from_array(out, validate=False)
 
 
+def residuals(L: MuellerMatrix, pairs) -> list:
+    """The transitivity residual |L s - s'| of a matrix on each pair, as
+    floats: the package's one definition (the bits of the norm of
+    ``apply(L, s)`` minus s')."""
+    return [float(np.linalg.norm(L.m @ p.input.as_array()
+                                 - p.output.as_array())) for p in pairs]
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def is_lorentz(L: MuellerMatrix) -> LorentzReport:
     """Check M^T G M = G, det = +1, and orthochronicity; report residuals.
 
@@ -197,14 +206,18 @@ def is_lorentz(L: MuellerMatrix) -> LorentzReport:
     still rejected. Where m00 > 0 the det is read as det(M[1:, 1:]) / m00,
     which L^-1 = G L^T G makes exact for a Lorentz matrix and which stays
     resolved where the LU det of a strong boost does not (cond about
-    e^(2 chi)); elsewhere M already fails and the LU det is reported."""
+    e^(2 chi)); elsewhere M already fails and the LU det is reported.
+    A finite M with max|M| above about 1.3e154 overflows: it raises and
+    warns nothing, and it is not Lorentz (its ortho residual is inf or
+    NaN, and an infinite allowance admits nothing)."""
     M = L.m
     ortho = float(np.max(np.abs(M.T @ METRIC @ M - METRIC)))
     m00 = float(M[0, 0])
     det = np.linalg.det(M[1:, 1:]) / m00 if m00 > 0.0 else np.linalg.det(M)
     det = float(abs(det - 1.0))
-    allow = TOL_L + 64 * np.finfo(float).eps * float(np.max(np.abs(M))) ** 2
-    ok = bool(ortho <= allow and det <= min(allow, 1.0) and m00 > 0.0)
+    allow = TOL_L + 64 * np.finfo(float).eps * float(np.max(M * M))
+    ok = bool(ortho <= allow < np.inf and det <= min(allow, 1.0)
+              and m00 > 0.0)
     return LorentzReport(ok=ok, ortho_residual=ortho, det_residual=det, m00=m00)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateGeometry, RankDeficient
 from .lorentz import (ComplexParameter, MuellerMatrix, RealParameter,
                       apply, is_lorentz, k_from_nm, mueller_from_k, nm_from_k,
-                      rotation_k)
+                      residuals, rotation_k)
 from .relativistic import (ExpansionCoeffs, QuadCoeffs, _quad_terms,
                            companion_roots, constraint_residual,
                            params_to_expansion)
@@ -186,23 +186,19 @@ def consistent_dataset(count, seed=None, rng=None):
 def direct_linear_solve(pairs):
     """Least-squares matrix from input/output pairs, no structure assumed.
 
-    Stacks the 4n x 16 system vec-style and solves by numpy lstsq. Raises
-    RankDeficient below full column rank (fewer than four pairs in general
-    position). Returns (MuellerMatrix, LorentzReport, residual_norm).
+    With the inputs as the rows of X and the outputs as the rows of Y,
+    solves X M^T = Y by one numpy lstsq. Raises RankDeficient below rank 4
+    (fewer than four pairs in general position), with ``rank`` 4 rank(X):
+    that of the 16-unknown system in vec(M), whose singular values are
+    those of X, each four times. Returns (MuellerMatrix, LorentzReport,
+    residual_norm), the last the 2-norm of the pairs' ``residuals``.
     """
-    n = len(pairs)
-    Mat = np.zeros((4 * n, 16))
-    rhs = np.zeros(4 * n)
-    for i, p in enumerate(pairs):
-        vin = p.input.as_array()
-        for r in range(4):
-            Mat[4 * i + r, 4 * r:4 * r + 4] = vin
-        rhs[4 * i:4 * i + 4] = p.output.as_array()
-    sol, res, rank, sv = np.linalg.lstsq(Mat, rhs, rcond=None)
-    if rank < 16:
+    X = np.array([p.input.as_array() for p in pairs]).reshape(-1, 4)
+    Y = np.array([p.output.as_array() for p in pairs]).reshape(-1, 4)
+    Mt, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
+    if rank < 4:
         raise RankDeficient(
-            f"measurement stack has rank {rank} < 16: "
-            "matrix not determined", rank=int(rank))
-    L = MuellerMatrix(sol.reshape(4, 4))
-    resid = float(np.linalg.norm(Mat @ sol - rhs))
-    return L, is_lorentz(L), resid
+            f"measurement stack has rank {4 * rank} < 16: "
+            "matrix not determined", rank=4 * int(rank))
+    L = MuellerMatrix(Mt.T)
+    return L, is_lorentz(L), math.hypot(*residuals(L, pairs))

@@ -64,9 +64,12 @@ def _rotation_floats(p: MeasurementPair):
 
 
 def _family_denom(s, sp, smag):
-    """S^2 + S.S', which must not vanish for the family to be defined."""
+    """S^2 + S.S', which must not vanish for the family to be defined:
+    scale-free, 1 + N.N' > TOL_DEG, so |S| << 1 is not antipodal."""
+    if smag == 0.0:
+        raise DegenerateGeometry("zero polarization vector: no direction")
     denom = smag * smag + _dot(s, sp)
-    if denom <= TOL_DEG:
+    if denom <= TOL_DEG * (smag * smag):
         raise AntipodalInput(
             "S' antipodal to S: family parametrization singular "
             "(solutions are half-turns about axes perpendicular to S)")

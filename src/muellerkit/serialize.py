@@ -11,6 +11,7 @@ objects always yields byte-identical text. Schemas are documented in
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -25,6 +26,8 @@ def _fmt(x: float) -> str:
 def _write(obj, out, nl):
     """Append the text of obj to out; nl is a newline and obj's indent."""
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite number {obj} has no JSON form")
         out.append(_fmt(obj))
         return
     if isinstance(obj, np.integer):
@@ -56,7 +59,8 @@ def _write(obj, out, nl):
 
 
 def dumps(obj) -> str:
-    """Canonical JSON text of a JSON-able tree (floats at 17 digits)."""
+    """Canonical JSON text of a JSON-able tree (floats at 17 digits).
+    Raises ValueError on a NaN or infinite float, which JSON cannot hold."""
     out = []
     _write(obj, out, "\n")
     out.append("\n")

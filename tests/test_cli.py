@@ -500,3 +500,38 @@ def test_unwritable_output_exits_1(where, tmp_path):
     assert p.returncode == 1 and p.stdout == ""
     assert p.stderr == f"error: {target}: {reason}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd, matrix", [
+    # max|M|^2 overflows in the Lorentz check: it raised OverflowError
+    ("verify", np.diag([1e200] * 4)),
+    # L s overflows: s0 was written as "inf", which no JSON reader takes
+    ("apply", np.vstack(([1e308] * 4, np.eye(4)[1:])))])
+def test_non_finite_result_exits_2_and_writes_nothing(cmd, matrix, tmp_path):
+    _write(tmp_path, "m.json", {"m": list(matrix.reshape(16))})
+    _one_pair(tmp_path, "d.json", [0.5, 0.0, 0.0], [0.5, 0.0, 0.0])
+    _write(tmp_path, "s.json", {"s0": 1.0, "s": [0.5, 0.2, 0.1]})
+    cli = "import sys; from muellerkit.cli import main; sys.exit(main(%r))"
+    inputs = {"verify": ["--data", "d.json"], "apply": ["--stokes", "s.json"]}
+    p = _python(cli % [cmd, "--matrix", "m.json", *inputs[cmd],
+                       "--output", "out.json"], tmp_path)
+    assert (p.returncode, p.stdout) == (2, "")
+    assert p.stderr == (f"error: {cmd}: non-finite number inf has no "
+                        "JSON form\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_family3_weak_and_unpolarized_pairs(tmp_path, capsys):
+    # |S| = 1e-7 read as antipodal; S = S' = 0 got the antipodal reason too
+    weak = _one_pair(tmp_path, "w.json", [1e-7, 0.0, 0.0],
+                     [7.648421872844885e-08, 6.442176872376911e-08, 0.0])
+    code, out, err = run(["family3", "--data", weak, "--gamma", "0.3"],
+                         capsys)
+    assert (code, err) == (0, "")
+    assert max(json.loads(out)["residuals"]) < 1e-12
+    zero = _one_pair(tmp_path, "z.json", [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    code, out, err = run(["family3", "--data", zero, "--gamma", "0.3"],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: DegenerateGeometry: zero polarization vector: "
+                   "no direction\n")

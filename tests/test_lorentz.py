@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from muellerkit import (ComplexParameter, ConstraintViolation, DivisionByZero,
                         MuellerMatrix, RealParameter, StokesVector, apply,
                         boost_k, gibbs_of, is_lorentz, k_from_nm,
                         little_element, mueller_from_k, nm_from_k, rotation_k)
-from muellerkit.lorentz import TOL_K, unit_ok
-from muellerkit.oracle import random_lorentz
+from muellerkit.lorentz import TOL_K, residuals, unit_ok
+from muellerkit.oracle import random_lorentz, random_pairs
 
 # random_lorentz(seed=42), frozen so representation changes are caught
 K42_RE = [0.9873007585895833, 0.332905664254921,
@@ -202,3 +204,28 @@ def test_is_lorentz_still_rejects_reflection_and_perturbation():
     M[1, 2] += 1e-6
     rep = is_lorentz(MuellerMatrix(M))
     assert not rep.ok and rep.ortho_residual == pytest.approx(1e-6)
+
+
+def test_is_lorentz_on_an_overflowing_finite_matrix():
+    # max|M|^2 overflowed a Python float (OverflowError); now the check
+    # neither raises nor warns, and the matrix is not Lorentz
+    off = np.eye(4)
+    off[0, 1] = 1e200  # det 1, only M^T G M - G overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for M in (np.diag([1e200] * 4), np.full((4, 4), 1e308), off):
+            rep = is_lorentz(MuellerMatrix(M))
+            assert not rep.ok and not np.isfinite(rep.ortho_residual)
+
+
+def test_residuals_are_the_norm_of_apply_minus_the_output():
+    rng = np.random.default_rng(8)
+    k = random_lorentz(rng=rng)
+    pairs = random_pairs(k, 5, rng)
+    L = MuellerMatrix(mueller_from_k(k).m + rng.normal(0.0, 1e-3, (4, 4)))
+    got = residuals(L, pairs)
+    assert [type(r) for r in got] == [float] * 5
+    assert got == [float(np.linalg.norm(apply(L, p.input).as_array()
+                                        - p.output.as_array()))
+                   for p in pairs]
+    assert residuals(L, []) == []

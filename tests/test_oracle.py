@@ -222,3 +222,50 @@ def test_direct_linear_solve_perturbation_sensitivity(rng):
     # residual reflects the perturbation magnitude within a factor of 100
     assert eps / 100 <= noisy <= eps * 100
     assert clean < noisy
+
+
+def _kronecker_solve(pairs):
+    """Reference: the 4n x 16 system in vec(M), row r of pair i holding
+    the input in columns 4r to 4r + 3, by one lstsq: (M, rank, residual
+    norm)."""
+    n = len(pairs)
+    Mat = np.zeros((4 * n, 16))
+    rhs = np.zeros(4 * n)
+    for i, p in enumerate(pairs):
+        for r in range(4):
+            Mat[4 * i + r, 4 * r:4 * r + 4] = p.input.as_array()
+        rhs[4 * i:4 * i + 4] = p.output.as_array()
+    sol, _, rank, _ = np.linalg.lstsq(Mat, rhs, rcond=None)
+    return sol.reshape(4, 4), int(rank), float(np.linalg.norm(Mat @ sol
+                                                              - rhs))
+
+
+def _noisy(pair, rng, sigma):
+    out = pair.output.as_array() + rng.normal(0.0, sigma, 4)
+    return MeasurementPair(pair.input, StokesVector(out[0], out[1:],
+                                                    validate=False))
+
+
+@pytest.mark.parametrize("kind", ["clean", "noisy", "repeated"])
+def test_direct_linear_solve_matches_the_kronecker_system(kind):
+    for seed in range(4):
+        rng = np.random.default_rng([seed, len(kind)])
+        k = random_lorentz(rng=rng)
+        for n in range(10):
+            pairs = random_pairs(k, n, rng)
+            if kind == "noisy":
+                pairs = [_noisy(p, rng, 1e-3) for p in pairs]
+            elif kind == "repeated" and n:
+                pairs = [pairs[i] for i in rng.integers(0, 1 + n // 2, n)]
+            M, rank, resid = _kronecker_solve(pairs)
+            if rank < 16:
+                with pytest.raises(RankDeficient) as ei:
+                    direct_linear_solve(pairs)
+                assert ei.value.rank == rank, (kind, seed, n)
+                continue
+            L, rep, got = direct_linear_solve(pairs)
+            scale = np.max(np.abs(M))
+            assert np.max(np.abs(L.m - M)) <= 1e-12 * scale, (kind, seed, n)
+            assert got == pytest.approx(resid, rel=1e-6, abs=1e-13 * scale)
+            assert rep == is_lorentz(L)
+            assert L.m.flags.c_contiguous and not L.m.flags.writeable

@@ -840,3 +840,15 @@ def test_solver_k_records_view_one_read_only_block(solver):
         for kp, k in zip(ks, values):
             assert not kp.k.flags.writeable
             assert np.array_equal(kp.k, k)
+
+
+@pytest.mark.parametrize("solve, need, word", [(solve_four, 4, "four"),
+                                               (solve_six, 6, "six")])
+def test_solvers_take_exactly_their_pair_count(solve, need, word):
+    _, _, pairs = consistent_dataset(need, seed=3)
+    with pytest.raises(ValueError, match=f"exactly {word} pairs required"):
+        solve(pairs[:need - 1])
+
+
+def test_split_block_of_a_zero_block_is_zero():
+    assert relativistic._split_block(0.0, 0.0, 0.0, 1.0) == (0.0, 0.0)

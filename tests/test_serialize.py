@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from muellerkit import mueller_from_k, serialize as S
 from muellerkit.oracle import random_lorentz, random_pairs
@@ -71,3 +72,12 @@ def test_layout_is_that_of_json_dumps_indent_2():
     assert S.dumps(tree) == json.dumps(plain, indent=2) + "\n"
     assert S.dumps([]) == "[]\n" and S.dumps({}) == "{}\n"
     assert S.dumps(0.1) == "0.10000000000000001\n"
+
+
+def test_a_non_finite_float_raises_rather_than_writing_invalid_json():
+    for bad in (float("inf"), -np.inf, np.float64("nan"), np.float32("inf")):
+        for tree in (bad, [1.0, bad], {"s": {"x": [bad]}}, np.array([bad])):
+            with pytest.raises(ValueError, match="non-finite number"):
+                S.dumps(tree)
+    big = [1.7976931348623157e308, -1e-300]  # the finite extremes pass
+    assert json.loads(S.dumps(big)) == big
