@@ -12,8 +12,8 @@ finishes. Exit codes: 0 success, 1 input/usage error (an unwritable
 failed validation, degenerate data) or a NaN or infinite result, which
 JSON cannot hold (``error: <command>: ...``, nothing written); on exit 2
 only ``solve6`` and ``verify`` write output. Residuals |L s - s'| are
-``lorentz.residuals``. Set MUELLERKIT_LOG=DEBUG (or any logging level
-name) for progress logging.
+``lorentz.residuals``. Set MUELLERKIT_LOG=DEBUG to log the traceback
+of a solver failure (exit 2) at debug level.
 """
 
 import argparse
@@ -39,7 +39,7 @@ def _load(path, parse, what):
     try:
         with open(path) as f:
             d = json.load(f)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"{path}: {e}") from e
     except json.JSONDecodeError as e:
         raise InputError(
@@ -233,7 +233,7 @@ def _csv_to_dataset(path):
                         StokesVector(vals[4], np.array(vals[5:8]))))
                 except (ValueError, MuellerKitError) as e:
                     raise InputError(f"{path}:{ln}: {e}") from None
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"{path}: {e}") from e
     return pairs
 

@@ -22,7 +22,8 @@ class AntipodalInput(MuellerKitError):
 
 
 class LengthMismatch(MuellerKitError):
-    """|S| and |S'| differ; no rotation can connect the pair."""
+    """s0 and s0', or |S| and |S'|, differ; no rotation can connect the
+    pair."""
 
 
 class HalfTurn(MuellerKitError):

@@ -12,8 +12,8 @@ reduce to the single square root above, which also covers the null
 ellipsoid with semi-axis 1 along p and 1 / sqrt(1 - p_deg^2) across it,
 gives one stabilizer element; the pure rotations about p are the n = t p
 line. ``little_element`` and ``sample_little`` share one builder on whole
-rows of a block of n, whose elements view it and one block of k;
-``sample_little`` draws its n directly in the ellipsoid.
+rows of a block of n; its elements view frozen copies of that block and
+of the block of k. ``sample_little`` draws its n directly in the ellipsoid.
 """
 
 from collections import namedtuple
@@ -21,9 +21,9 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import ConstraintViolation, OutOfDomain
-from .lorentz import (TOL_K, ComplexParameter, MuellerMatrix, frozen,
-                      mueller_from_k, records, unit_ok)
-from .stokes import StokesVector
+from .lorentz import (TOL_K, ComplexParameter, MuellerMatrix, mueller_from_k,
+                      records, unit_ok)
+from .stokes import StokesVector, frozen
 
 
 class LittleGroupElement(namedtuple("LittleGroupElement", "k n")):

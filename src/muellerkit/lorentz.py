@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConstraintViolation, DivisionByZero
-from .stokes import StokesVector
+from .stokes import StokesVector, frozen
 
 TOL_K = 1e-10
 TOL_L = 1e-9
@@ -57,27 +57,9 @@ def unit_ok(K, tol):
     return unit_ok_q(minkowski_square(K), K, tol)
 
 
-def frozen(a, dtype, shape):
-    """``a`` as a read-only array of ``dtype`` and ``shape`` (a tuple). It
-    is copied only where its memory can still be written from outside: an
-    input array that is writeable or views writeable memory. A list, or an
-    array of another dtype, is converted into new memory, which is not
-    copied again."""
-    arr = np.asarray(a, dtype=dtype)
-    if arr is a or arr.base is not None:  # memory the caller may hold
-        base = arr
-        while isinstance(base, np.ndarray) and not base.flags.writeable:
-            base = base.base
-        if base is not None:  # writeable, or a foreign buffer
-            arr = arr.copy()
-    if arr.flags.writeable:
-        arr.setflags(write=False)  # before reshape: views inherit it
-    return arr if arr.shape == shape else arr.reshape(shape)
-
-
 def records(cls, *blocks):
     """One ``cls`` record per row of the blocks, unchecked: each array
-    block is frozen once (``frozen``'s rule) and its records view it; a
+    block is copied once by ``frozen`` and its records view that copy; a
     list block (of finished records) is taken as it is."""
     blocks = [frozen(b, b.dtype, b.shape) if isinstance(b, np.ndarray) else b
               for b in blocks]

@@ -225,8 +225,9 @@ def family_4d(p: MeasurementPair, y: float, z: float, w: float):
     transitivity residual) triples, ordered by x. Each root is read back
     as the solvers read theirs: k = E e on the pair's table row,
     normalized, and checked by ``_validate``; a root it rejects (k off the
-    unit surface, or not normalizable) raises ConstraintViolation. A
-    slice whose coefficients or discriminant overflow raises OutOfDomain.
+    unit surface, or not normalizable) raises ConstraintViolation. A pair
+    whose table row overflows, or a slice whose coefficients or
+    discriminant overflow, raises OutOfDomain.
     a and 2b y count as zero against the pair's lifted row, which does not
     grow with (y, z, w): a degenerate slice raises NoRealRoot.
     """
@@ -302,11 +303,14 @@ _VOUT = slice(GEOMETRY_WIDTH + 10, GEOMETRY_WIDTH + 14)
 _BASIS = slice(GEOMETRY_WIDTH + 14, GEOMETRY_WIDTH + 46)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pair_table(pairs):
     """One row of floats per pair (columns above), each pair's scalars
     computed once; row[_LIFT] . lift(e) = 1 is the pair's quadratic
     constraint. The appended columns are taken in Python floats: on a few
-    rows that costs less than the same arithmetic on arrays."""
+    rows that costs less than the same arithmetic on arrays. Raises
+    OutOfDomain, naming the first pair, where a row overflows (its terms
+    grow as the fourth power of the Stokes vectors)."""
     rows = geometry_table(pairs).tolist()
     for r, p in zip(rows, pairs):
         a, b, c, alpha, beta, sigma = _quad_terms(r[ASUM], r[BDIFF],
@@ -316,7 +320,12 @@ def _pair_table(pairs):
               p.output.s0, *p.output.s.tolist()]
         r += _basis_entries(r[ASUM], r[BDIFF], r[AVEC], r[BVEC], r[CROSS],
                             r[AVEC2], r[BVEC2])
-    return np.array(rows)
+    T = np.array(rows)
+    if not np.isfinite(T).all():
+        i = int(np.argmin(np.isfinite(T).all(axis=1)))
+        raise OutOfDomain(f"pair {i}: its geometry or lifted coefficients "
+                          "overflow (Stokes vectors too large)")
+    return T
 
 
 def _k_spread(K):

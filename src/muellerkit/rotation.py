@@ -23,13 +23,13 @@ import numpy as np
 from . import kernels
 from .errors import (AntipodalInput, DegenerateGeometry, HalfTurn,
                      InconsistentPairs, LengthMismatch)
-from .lorentz import (MuellerMatrix, RealParameter, frozen, k_from_nm,
+from .lorentz import (MuellerMatrix, RealParameter, k_from_nm,
                       mueller_from_k, TOL_K)
-from .stokes import MeasurementPair, cross3
+from .stokes import MeasurementPair, cross3, frozen
 
 TOL_CONS = 1e-8
 TOL_DEG = 1e-12
-TOL_LEN = 1e-9   # relative |S| - |S'| of a rotation pair
+TOL_LEN = 1e-9   # relative s0' - s0 and |S'| - |S| of a rotation pair
 TOL_MAP = 1e-7   # residual of the solved device on both unit pairs
 ROUND_OFF = 16 * np.finfo(float).eps  # per unit length of a ratio form
 
@@ -55,19 +55,24 @@ def _dot(a, b):
 
 
 def _rotation_floats(p: MeasurementPair):
-    """(S, S', |S|, |S'|) of a rotation pair, the vectors as float lists;
-    LengthMismatch unless |S| = |S'|."""
+    """(S, S', |S|, |S'|) of a rotation pair, the vectors as float lists:
+    the one reader of a rotation pair. LengthMismatch unless s0' = s0 and
+    |S'| = |S|, each within TOL_LEN of the larger of the two; then
+    DegenerateGeometry where S = 0, which has no direction."""
+    s0, t0 = p.input.s0, p.output.s0
+    if abs(t0 - s0) > TOL_LEN * max(s0, t0):
+        raise LengthMismatch(f"s0 = {s0} vs s0' = {t0}")
     smag, spmag = p.input.smag, p.output.smag
-    if abs(smag - spmag) > TOL_LEN * max(1.0, smag):
+    if abs(smag - spmag) > TOL_LEN * max(smag, spmag):
         raise LengthMismatch(f"|S| = {smag} vs |S'| = {spmag}")
+    if smag == 0.0:
+        raise DegenerateGeometry("zero polarization vector: no direction")
     return p.input.s.tolist(), p.output.s.tolist(), smag, spmag
 
 
 def _family_denom(s, sp, smag):
     """S^2 + S.S', which must not vanish for the family to be defined:
     scale-free, 1 + N.N' > TOL_DEG, so |S| << 1 is not antipodal."""
-    if smag == 0.0:
-        raise DegenerateGeometry("zero polarization vector: no direction")
     denom = smag * smag + _dot(s, sp)
     if denom <= TOL_DEG * (smag * smag):
         raise AntipodalInput(
@@ -110,8 +115,6 @@ def gibbs_3d(p: MeasurementPair, gamma: float) -> np.ndarray:
 
 def _unit_pair(p: MeasurementPair):
     s, sp, smag, spmag = _rotation_floats(p)
-    if smag == 0.0 or spmag == 0.0:
-        raise DegenerateGeometry("zero polarization vector: no direction")
     return [x / smag for x in s], [x / spmag for x in sp]
 
 

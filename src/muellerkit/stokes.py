@@ -21,6 +21,14 @@ def cross3(a, b):
             a[0] * b[1] - a[1] * b[0]]
 
 
+def frozen(a, dtype, shape):
+    """``a`` as a record's own array of ``dtype`` and ``shape`` (a tuple):
+    a fresh C-contiguous copy, read-only, as are views of it."""
+    arr = np.asarray(a, dtype=dtype).reshape(shape).copy()
+    arr.setflags(write=False)
+    return arr
+
+
 class StokesVector(namedtuple("StokesVector", "s0 s")):
     """A physical beam state (s0, s) with finite entries, s0 > 0 and
     s0 >= |s|; s is a read-only copy of the caller's 3 floats.
@@ -34,8 +42,7 @@ class StokesVector(namedtuple("StokesVector", "s0 s")):
     _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__
 
     def __new__(cls, s0, s, validate=True):
-        s0, arr = float(s0), np.asarray(s, dtype=float).reshape(3).copy()
-        arr.setflags(write=False)
+        s0, arr = float(s0), frozen(s, float, (3,))
         if validate:
             if not all(map(math.isfinite, [s0, *arr.tolist()])):
                 raise MuellerKitError(

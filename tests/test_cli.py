@@ -535,3 +535,77 @@ def test_family3_weak_and_unpolarized_pairs(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == ("error: DegenerateGeometry: zero polarization vector: "
                    "no direction\n")
+
+
+def _rotation_pairs(tmp_path, name, pairs):
+    return _write(tmp_path, name, {"pairs": [
+        {"in": {"s0": s0, "s": s}, "out": {"s0": t0, "s": t}}
+        for s0, s, t0, t in pairs]})
+
+
+def test_rotation_commands_reject_pairs_no_rotation_produces(tmp_path,
+                                                             capsys):
+    # each exited 0: s0' = s0 went unchecked, and |S'| = |S| held only to
+    # an absolute floor
+    data = str(tmp_path / "r2.json")
+    assert run(["gen", "--kind", "rotation2", "--seed", "3",
+                "--output", data], capsys)[0] == 0
+    d = json.load(open(data))
+    for p in d["pairs"]:
+        p["out"]["s0"] = 2.0 * p["out"]["s0"]
+    doubled = _write(tmp_path, "doubled.json", d)
+    tripled = _rotation_pairs(tmp_path, "tripled.json", [
+        (1.0, [0.5, 0.1, 0.2], 3.0, [0.1, 0.5, 0.2])])
+    grown = _rotation_pairs(tmp_path, "grown.json", [
+        (1.0, [1e-7, 0.0, 0.0], 1.0, [0.0, 1.009e-7, 0.0])])
+    target = tmp_path / "out.json"
+    for argv in (["solve2", "--data", doubled],
+                 ["family3", "--data", tripled, "--gamma", "0.3"],
+                 ["family3", "--data", grown, "--gamma", "0.3"]):
+        code, out, err = run([*argv, "--output", str(target)], capsys)
+        assert (code, out) == (2, "") and not target.exists(), argv
+        assert err.startswith("error: LengthMismatch: "), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve2", "--data", "bad.bin"],
+    ["apply", "--matrix", "m.json", "--stokes", "bad.bin"],
+    ["little", "--stokes", "bad.bin"],
+    ["verify", "--matrix", "bad.bin", "--data", "d.json"],
+    ["gen", "--to-json", "bad.bin"]], ids=lambda a: a[0])
+def test_a_file_that_is_not_utf8_is_an_input_error(argv, tmp_path):
+    # a UnicodeDecodeError escaped from both readers as a traceback
+    (tmp_path / "bad.bin").write_bytes(b"\xff\xfe{}")
+    _write(tmp_path, "m.json", {"m": list(np.eye(4).reshape(16))})
+    _one_pair(tmp_path, "d.json", [0.5, 0.0, 0.0], [0.5, 0.0, 0.0])
+    cli = "import sys; from muellerkit.cli import main; sys.exit(main(%r))"
+    p = _python(cli % argv, tmp_path)
+    assert (p.returncode, p.stdout) == (1, "")
+    assert p.stderr.startswith("error: bad.bin: ") and "utf-8" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
+def test_overflowing_intensities_are_out_of_domain(tmp_path, capsys):
+    # scaled by 1e100: solve6 ended in a LinAlgError traceback, and solve4
+    # reported a collinear pair basis
+    data = str(tmp_path / "g6.json")
+    assert run(["gen", "--kind", "consistent6", "--seed", "3",
+                "--output", data], capsys)[0] == 0
+    d = json.load(open(data))
+    for p in d["pairs"]:
+        for v in (p["in"], p["out"]):
+            v["s0"] *= 1e100
+            v["s"] = [1e100 * x for x in v["s"]]
+    _write(tmp_path, "big6.json", d)
+    d["pairs"] = d["pairs"][:4]
+    big4 = _write(tmp_path, "big4.json", d)
+    code, out, err = run(["solve4", "--data", big4], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: OutOfDomain: pair 0: ")
+    cli = "import sys; from muellerkit.cli import main; sys.exit(main(%r))"
+    p = _python(cli % ["solve6", "--data", "big6.json", "--output",
+                       "out.json"], tmp_path)
+    assert (p.returncode, p.stdout) == (2, "")
+    assert p.stderr.startswith("error: OutOfDomain: pair 0: ")
+    assert "Traceback" not in p.stderr
+    assert not (tmp_path / "out.json").exists()

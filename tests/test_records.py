@@ -1,6 +1,6 @@
 """The record contract: every record type of the package is an immutable
-named tuple, built by keyword, whose array fields are read-only and do not
-alias memory the caller can still write."""
+named tuple, built by keyword, whose array fields are its own read-only
+copies, sharing no memory with the caller."""
 
 import copy
 import pickle
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import muellerkit.cli  # noqa: F401  (loads every package module)
+from muellerkit import lorentz
 from muellerkit import (ComplexParameter, DiagResult, ExpansionCoeffs,
                         Family3DSolution, GibbsVector, LittleGroupElement,
                         LorentzReport, MeasurementPair, MuellerKitError,
@@ -84,6 +85,31 @@ def test_array_fields_are_read_only_and_own_their_memory(i):
             replaced = getattr(rec._replace(**{name: caller}), name)
             assert not replaced.flags.writeable
             assert not np.shares_memory(replaced, caller)
+
+
+def test_a_record_copies_a_read_only_caller_array():
+    # read-only memory is copied as well: a field is the record's own array
+    s, L = np.array([0.3, 0.2, 0.1]), np.eye(4)
+    k = L[0].astype(complex)
+    for a in (s, k, L):
+        a.setflags(write=False)
+    fields = [(StokesVector(1.0, s).s, s), (ComplexParameter(k).k, k),
+              (MuellerMatrix(L).m, L), (RealParameter(1.0, s, 0.0, s).n, s),
+              (Family3DSolution(0.0, 0.0, 1.0, 1.0, s).n, s),
+              (LittleGroupElement(ComplexParameter(k), s).n, s)]
+    for field, caller in fields:
+        assert not field.flags.writeable and field.flags.c_contiguous
+        assert field.base is None and not np.shares_memory(field, caller)
+
+
+def test_records_over_a_read_only_block_copy_it_once():
+    block = np.arange(12.0).reshape(3, 4).astype(complex)
+    block.setflags(write=False)
+    ks = lorentz.records(ComplexParameter, block)
+    assert [kp.k.tolist() for kp in ks] == block.tolist()
+    assert not any(np.shares_memory(kp.k, block) for kp in ks)
+    own = ks[0].k.base  # one copy, which every record views
+    assert all(kp.k.base is own for kp in ks) and not own.flags.writeable
 
 
 def test_the_cases_cover_every_record_type_of_the_package():

@@ -842,6 +842,31 @@ def test_solver_k_records_view_one_read_only_block(solver):
             assert np.array_equal(kp.k, k)
 
 
+def _scaled(pair, lam):
+    return MeasurementPair(*(StokesVector(lam * v.s0, lam * v.s)
+                             for v in pair))
+
+
+def test_an_overflowing_pair_table_is_out_of_domain():
+    # scaled by 1e100, the lifted coefficients overflow: solve_six ended
+    # in LinAlgError (SVD did not converge) and solve_four reported a
+    # collinear basis; the first pair whose row overflows is named
+    _, _, pairs = consistent_dataset(6, rng=np.random.default_rng(3))
+    big = [_scaled(p, 1e100) for p in pairs]
+    with pytest.raises(OutOfDomain, match="^pair 0: .* overflow"):
+        solve_six(big)
+    with pytest.raises(OutOfDomain, match="^pair 0: .* overflow"):
+        solve_four(big[:4])
+    with pytest.raises(OutOfDomain, match="^pair 0: .* overflow"):
+        family_4d(big[0], 0.1, 0.2, 0.3)
+    # a Lorentz map is linear: scaling some pairs keeps the data consistent
+    some = [_scaled(p, 1e100) if i in (2, 3) else p
+            for i, p in enumerate(pairs)]
+    for solve, n in ((solve_six, 6), (solve_four, 4)):
+        with pytest.raises(OutOfDomain, match="^pair 2: .* overflow"):
+            solve(some[:n])
+
+
 @pytest.mark.parametrize("solve, need, word", [(solve_four, 4, "four"),
                                                (solve_six, 6, "six")])
 def test_solvers_take_exactly_their_pair_count(solve, need, word):

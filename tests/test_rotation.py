@@ -200,6 +200,31 @@ def test_solve_two_length_mismatch():
         solve_two_3d(p1, p2)
 
 
+def _doubled_s0(pair):
+    return MeasurementPair(pair.input, StokesVector(2.0 * pair.output.s0,
+                                                    pair.output.s))
+
+
+def test_rotation_pairs_keep_s0_and_the_length_of_s():
+    # each was accepted: s0' = s0 went unchecked, and |S'| = |S| was checked
+    # against an absolute floor, so |S| = 1e-7 could grow by 0.9%
+    _, p1, p2 = rotation_dataset(seed=3)
+    with pytest.raises(LengthMismatch, match="s0 = .* vs s0' = "):
+        solve_two_3d(_doubled_s0(p1), _doubled_s0(p2))
+    tripled = _pair(1.0, [0.5, 0.1, 0.2], 3.0, [0.1, 0.5, 0.2])
+    grown = _pair(1.0, [1e-7, 0.0, 0.0], 1.0, [0.0, 1.009e-7, 0.0])
+    for p, what in ((tripled, "s0 = "), (grown, r"\|S\| = ")):
+        for fn in (family_3d, gibbs_3d):
+            with pytest.raises(LengthMismatch, match=what):
+                fn(p, 0.3)
+        with pytest.raises(LengthMismatch, match=what):
+            solve_two_3d(p1, p)
+    # within TOL_LEN of the larger side, a pair is accepted
+    s = np.array([1e-7, 0.0, 0.0])
+    near = _pair(1.0, s, 1.0 + 5e-10, s * (1.0 + 5e-10))
+    assert family_3d(near, 0.3).n0 == pytest.approx(math.cos(0.3), abs=1e-9)
+
+
 def test_solve_two_zero_polarization():
     p1 = _pair(1.0, [0.0, 0.0, 0.0], 1.0, [0.0, 0.0, 0.0])
     p2 = _pair(1.0, [0.6, 0.0, 0.0], 1.0, [0.0, 0.6, 0.0])
