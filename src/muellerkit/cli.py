@@ -171,8 +171,7 @@ def cmd_solve6(args):
 
 def cmd_diag(args):
     out = {"pairs": []}
-    for p in _load_dataset(args.data):
-        q = relativistic.quad_coeffs(p)
+    for q in relativistic.quad_coeffs_list(_load_dataset(args.data)):
         out["pairs"].append({"coefficients": q,
                              **quadform.classify_signature(*q)._asdict()})
     return out, 0

@@ -28,7 +28,7 @@ per pair holding its ``geometry_table`` row (the same arithmetic as
 table supplies the lifted system, the collinearity test and the stacked
 validation. Both read each lifted point back the same way: each block is
 split by the root of its larger square, the point is polished by
-Gauss-Newton on the lifted system, one SVD of the Jacobian per step and
+Gauss-Newton on the lifted system, one least-squares solve per step and
 none at a point already within tolerance, until its residual reaches
 evaluation round-off and the caller's tolerance (or stops falling), both
 (z, w)-block signs are emitted (no constraint sees that sign), every
@@ -37,8 +37,8 @@ ordered by e, and all candidates are checked against all pairs in one
 stacked pass (``_validate``: one q = k0^2 - k.k of each k = E e, read by
 its unit check and its normalization in place, and L(k) s applied
 through ``kernels.mueller_apply`` without forming L); the reported k are
-records over that one read-only block. ``family_4d`` reads its roots
-back through the same pass on its one-pair table. The order depends on
+records over one read-only copy of that block. ``family_4d`` reads its
+roots back through the same pass on its one-pair table. The order depends on
 e alone, not on residuals at round-off level or on the order of the
 pairs; solve_four's rank flags come from one batched SVD of the
 Jacobians at its returned roots.
@@ -60,7 +60,7 @@ from .lorentz import (ComplexParameter, RealParameter, minkowski_square,
                       records, unit_ok_q)
 from .stokes import (ASUM, AVEC, AVEC2, BDIFF, BVEC, BVEC2, CROSS, CROSS2,
                      GEOMETRY_WIDTH, MeasurementPair, PairGeometry,
-                     basis_collinear, geometry_table, pair_geometry)
+                     basis_collinear, geometry_table)
 
 TOL_CONS = 1e-8
 TOL_R1 = 1e-6
@@ -90,8 +90,18 @@ class QuadCoeffs(namedtuple("QuadCoeffs", "a b c alpha beta sigma")):
 
 
 def quad_coeffs(p: MeasurementPair) -> QuadCoeffs:
-    g = pair_geometry(p)
-    return quad_coeffs_from_geometry(g)
+    """The pair's coefficients (see ``quad_coeffs_list``)."""
+    return quad_coeffs_list([p])[0]
+
+
+def quad_coeffs_list(pairs) -> list:
+    """QuadCoeffs of each pair, read back from the lifted rows
+    (a, 2b, c, -alpha, -2beta, -sigma) of one pair table: halving and
+    negating are exact, so these are the bits of quad_coeffs_from_geometry.
+    A pair whose row overflows raises OutOfDomain, as in the solvers."""
+    return [QuadCoeffs(a, 0.5 * b2, c, -m_alpha, -0.5 * m_beta2, -m_sigma)
+            for a, b2, c, m_alpha, m_beta2, m_sigma
+            in _pair_table(pairs)[:, _LIFT].tolist()]
 
 
 def _quad_terms(A, B, A2, B2):
@@ -378,12 +388,12 @@ def _polish(M, e, tol):
     The polish stops once max |residual| is within its evaluation
     round-off 4 eps max_i (|M| |lift(e)|)_i and within the caller's tol,
     when a step fails to lower it, or after POLISH_STEPS steps. Each step
-    is a least-squares solve through one SVD of the Jacobian J, dropping
-    singular values <= eps max(J.shape) S[0]; a point that needs no step
-    is not factored. Where that round-off exceeds tol
-    (max_i (|M| |lift(e)|)_i above about 1e5), the residual cannot be
-    resolved below it, and which multiple of the float spacing the walk
-    lands on is chance.
+    is one ``np.linalg.lstsq`` solve of the Jacobian J with rcond
+    eps max(J.shape), which drops the singular values <= rcond S[0]; a
+    point that needs no step is not factored. Where that round-off
+    exceeds tol (max_i (|M| |lift(e)|)_i above about 1e5), the residual
+    cannot be resolved below it, and which multiple of the float spacing
+    the walk lands on is chance.
     Returns e, max |residual| and its round-off bound.
     """
     absM = np.abs(M)
@@ -395,10 +405,7 @@ def _polish(M, e, tol):
         if fn <= min(tol, bound):
             break
         J = _lift_jacobian(M, e)
-        U, S, Vt = np.linalg.svd(J, full_matrices=False)
-        # S falls, so the kept singular values are a leading slice
-        n = int(np.count_nonzero(S > EPS * max(J.shape) * S[0]))
-        e_new = e - Vt[:n].T @ ((U[:, :n].T @ f) / S[:n])
+        e_new = e - np.linalg.lstsq(J, f, rcond=EPS * max(J.shape))[0]
         u_new = lift(e_new)
         f_new = M @ u_new - 1.0
         fn_new = np.abs(f_new).max()
@@ -455,10 +462,10 @@ def _validate(T, es):
     rule, ``unit_ok`` of the normalized k at TOL_K, is implied: k / sqrt(q)
     misses the unit surface by a few eps sum |k_i|^2 / |q|, its own scale,
     and a non-finite k fails the first rule (this holds while
-    sum |k_i|^2 / |q| does not overflow). Returns K, read-only and
-    normalized where accepted, the transitivity residuals |L(k) s - s'|
-    (pairs, candidates) and the rejection mask (pairs, candidates), True
-    where that per-pair path would raise a MuellerKitError.
+    sum |k_i|^2 / |q| does not overflow). Returns K, normalized where
+    accepted, the transitivity residuals |L(k) s - s'| (pairs, candidates)
+    and the rejection mask (pairs, candidates), True where that per-pair
+    path would raise a MuellerKitError.
     """
     es = es.reshape(-1, 4)  # no point: (0, 4), so K is empty
     V = np.swapaxes(T[:, _BASIS].reshape(-1, 8, 4) @ es.T, 1, 2)
@@ -467,7 +474,6 @@ def _validate(T, es):
     q = minkowski_square(K)
     bad = ~unit_ok_q(q, K, TOL_K_RAW) | (np.abs(q) < 1e-12)
     K /= np.sqrt(np.where(bad, 1.0, q))[..., None]  # rejected: left as is
-    K.flags.writeable = False
 
     d = kernels.mueller_apply(K, T[:, None, _VIN]) - T[:, None, _VOUT]
     return K, np.sqrt(np.vecdot(d, d)), bad
@@ -497,9 +503,7 @@ def solve_six(pairs, tol_l=1e-6) -> SixReport:
     M = T[:, _LIFT]
     rhs = np.ones(6)
 
-    # the arithmetic of np.linalg.cond(M), inf where M is singular
-    S = np.linalg.svd(M, compute_uv=False).tolist()
-    cond = S[0] / S[-1] if S[-1] > 0.0 else math.inf
+    cond = float(np.linalg.cond(M))
     if not cond <= COND_MAX:
         raise SingularSystem(f"lifted 6x6 system condition {cond:.3e} "
                              f"exceeds {COND_MAX:.0e}")
@@ -614,7 +618,8 @@ def companion_roots(polys):
     """The roots of each polynomial of ``polys`` (lists of float
     coefficients, highest power first), bit for bit those of ``np.roots``
     (companion-matrix eigenvalues, leading zero coefficients dropped, a
-    zero per trailing one), with one ``eigvals`` call per matrix size."""
+    zero per trailing one), with one ``eigvals`` call on the stack of
+    companion matrices of each size."""
     roots, by_size = [], {}
     for c in polys:
         nonzero = [i for i, v in enumerate(c) if v != 0.0] or [len(c) - 1]
@@ -625,9 +630,7 @@ def companion_roots(polys):
     for n, group in by_size.items():
         eye = [[float(j == i) for j in range(n)] for i in range(n - 1)]
         C = np.array([[[-v / p[0] for v in p[1:]], *eye] for _, p in group])
-        # a stack of one matrix made a solve_four 2% slower than the matrix
-        ev = np.linalg.eigvals(C if len(C) > 1 else C[0]).reshape(-1, n)
-        for (r, _), e in zip(group, ev.tolist()):
+        for (r, _), e in zip(group, np.linalg.eigvals(C).tolist()):
             r[:0] = e
     return roots
 

@@ -609,3 +609,24 @@ def test_overflowing_intensities_are_out_of_domain(tmp_path, capsys):
     assert p.stderr.startswith("error: OutOfDomain: pair 0: ")
     assert "Traceback" not in p.stderr
     assert not (tmp_path / "out.json").exists()
+
+
+def test_diag_names_the_overflowing_pair(tmp_path, capsys):
+    # diag read each pair's coefficients apart and, with one pair scaled
+    # by 1e100, exited with "error: diag: non-finite number nan has no
+    # JSON form"; it now reads one pair table, which names the pair
+    data = str(tmp_path / "g6.json")
+    assert run(["gen", "--kind", "consistent6", "--seed", "1",
+                "--output", data], capsys)[0] == 0
+    d = json.load(open(data))
+    for v in (d["pairs"][3]["in"], d["pairs"][3]["out"]):
+        v["s0"] *= 1e100
+        v["s"] = [1e100 * x for x in v["s"]]
+    _write(tmp_path, "big.json", d)
+    cli = "import sys; from muellerkit.cli import main; sys.exit(main(%r))"
+    p = _python(cli % ["diag", "--data", "big.json", "--output", "d.json"],
+                tmp_path)
+    assert (p.returncode, p.stdout) == (2, "")
+    assert p.stderr.startswith("error: OutOfDomain: pair 3: ")
+    assert "Traceback" not in p.stderr
+    assert not (tmp_path / "d.json").exists()

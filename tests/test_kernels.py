@@ -142,7 +142,6 @@ def test_validate_rejects_by_the_two_check_rule():
     raw = np.swapaxes(T[:, _BASIS].reshape(-1, 8, 4) @ es.T, 1, 2)
     raw = raw[..., :4] + 1j * raw[..., 4:]
     assert np.array_equal(bad, _two_check_rejects(raw))
-    assert not K.flags.writeable
     q = np.abs(raw[..., 0] ** 2 - np.sum(raw[..., 1:] ** 2, axis=-1))
     unit = unit_ok(raw, TOL_K_RAW)
     assert (unit & (q < 1e-12)).sum() >= 6

@@ -328,7 +328,7 @@ def test_companion_roots_are_np_roots_bit_for_bit():
     for i, (c, r) in enumerate(zip(polys, got)):
         ref = np.roots(c).astype(complex).tobytes()
         assert np.array(r, complex).tobytes() == ref
-        if i < 200:  # alone, a matrix is not stacked
+        if i < 200:  # alone, a matrix is a stack of one
             one = relativistic.companion_roots([c.tolist()])[0]
             assert np.array(one, complex).tobytes() == ref
 
@@ -354,6 +354,24 @@ def test_family_4d_null_half_turn_is_a_degenerate_slice():
                         StokesVector(1.0, [-1.0, 0.0, 0.0]))
     with pytest.raises(NoRealRoot, match="degenerate linear slice"):
         family_4d(p, 0.1, 0.2, 0.3)
+
+
+def test_family_4d_near_half_turn_has_one_far_linear_root():
+    # a fully polarized probe turned by pi - d: at d = 1e-9 the x^2
+    # coefficient a rounds to 0.0, so the slice is linear with one root,
+    # far out, whose residual is about d; at d = 0 the slope vanishes too
+    def turned(d):
+        return MeasurementPair(StokesVector(1.0, [1.0, 0.0, 0.0]),
+                               StokesVector(1.0, [-np.cos(d), np.sin(d), 0.0]))
+
+    near = turned(1e-9)
+    assert quad_coeffs(near).a == 0.0
+    [(e, _, res)] = family_4d(near, 0.3, 0.1, 0.2)
+    assert e.x == pytest.approx(-8.33e17, rel=1e-3)
+    assert (e.y, e.z, e.w) == (0.3, 0.1, 0.2)
+    assert res == pytest.approx(1e-9, rel=1e-3)
+    with pytest.raises(NoRealRoot, match="degenerate linear slice"):
+        family_4d(turned(0.0), 0.3, 0.1, 0.2)
 
 
 def test_solve_six_consistent_instances(rng):
@@ -538,15 +556,16 @@ def test_solve_four_rank_flags_match_explicit_rule():
     assert n_roots >= 200
 
 
-def _count_svd(monkeypatch, log):
-    # logs the shape of every matrix (stack) factored
-    svd = np.linalg.svd
+def _count_factorizations(monkeypatch, log):
+    # logs (name, shape) of every matrix (stack) factored by np.linalg.svd
+    # or solved by np.linalg.lstsq
+    for name in ("svd", "lstsq"):
+        def counted(a, *args, _name=name, _real=getattr(np.linalg, name),
+                    **kw):
+            log.append((_name, np.shape(a)))
+            return _real(a, *args, **kw)
 
-    def counted(a, *args, **kw):
-        log.append(np.shape(a))
-        return svd(a, *args, **kw)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
 
 
 def test_polish_returns_a_converged_point_without_factorization(
@@ -562,7 +581,7 @@ def test_polish_returns_a_converged_point_without_factorization(
     S = np.linalg.svd(J, full_matrices=False)[1]
     assert S[-1] > 1e-3 * S[0]
     log = []
-    _count_svd(monkeypatch, log)
+    _count_factorizations(monkeypatch, log)
     # one ulp off in x, the residual is 2 eps M[:, 0], within round-off: a
     # step would move e, and a point that takes none is not factored
     for x, fn_in in ((1.0, 0.0), (np.nextafter(1.0, 2.0), 4.44e-16)):
@@ -576,7 +595,7 @@ def test_polish_returns_a_converged_point_without_factorization(
 
 def test_polish_stops_at_round_off():
     # from a perturbed root the polish reaches the evaluation round-off of
-    # the residual and stops there, factoring once per step it took
+    # the residual and stops there, one least-squares solve per step
     for i in range(20):
         _, e_star, pairs = consistent_dataset(
             4, rng=np.random.default_rng([4, i]))
@@ -584,7 +603,7 @@ def test_polish_stops_at_round_off():
         es = e_star.as_array()
         log = []
         with pytest.MonkeyPatch.context() as mp:
-            _count_svd(mp, log)
+            _count_factorizations(mp, log)
             e, fn, bound = _polish(M, es * (1.0 + 1e-6), np.inf)
         u = lift(e)
         assert fn == np.abs(M @ u - 1.0).max()
@@ -592,7 +611,42 @@ def test_polish_stops_at_round_off():
         assert fn <= bound
         assert np.linalg.norm(e - es) <= 1e-9 * np.linalg.norm(es)
         assert 1 <= len(log) <= relativistic.POLISH_STEPS
-        assert set(log) == {(4, 4)}
+        assert set(log) == {("lstsq", (4, 4))}
+
+
+def test_polish_step_drops_singular_values_below_its_cut(monkeypatch):
+    # a repeated pair at z = w = 0: the Jacobian has two zero columns and
+    # four equal rows, so one singular value is kept and the rest are
+    # round-off or zero; the lstsq step is the SVD step truncated at
+    # eps max(J.shape) S[0] (keeping a round-off value of 6e-16 S[0]
+    # would move the step by about 60 times its own size)
+    a, b, c, alpha, beta, sigma = Q42
+    M = np.array([[a, 2.0 * b, c, -alpha, -2.0 * beta, -sigma]] * 4)
+    y = 0.1
+    x = (-b * y + np.sqrt(b * b * y * y - a * (c * y * y - 1.0))) / a
+    e = np.array([x * (1.0 + 1e-6), y, 0.0, 0.0])
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def logged(J, f, rcond):
+        out = lstsq(J, f, rcond=rcond)
+        calls.append((J, f, rcond, out[0]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", logged)
+    monkeypatch.setattr(relativistic, "POLISH_STEPS", 1)
+    e_out, _, _ = _polish(M, e, np.inf)
+    [(J, f, rcond, step)] = calls
+    cut = np.finfo(float).eps * max(J.shape)
+    assert rcond == cut
+    assert not J[:, 2:].any()
+    U, S, Vt = np.linalg.svd(J, full_matrices=False)
+    n = int(np.count_nonzero(S > cut * S[0]))
+    assert n == 1
+    kept = Vt[:n].T @ ((U[:, :n].T @ f) / S[:n])
+    tol = 8 * np.finfo(float).eps * np.abs(kept).max()
+    assert np.abs(step - kept).max() <= tol
+    assert np.abs(e - e_out - step).max() <= 8 * np.finfo(float).eps * x
 
 
 def test_solve_four_polishes_below_tol_where_round_off_exceeds_it():
@@ -721,12 +775,7 @@ def test_pair_geometry_is_the_solver_table_row():
 
 def test_solve_four_factors_only_its_rank_flags_after_polishing(monkeypatch):
     log = []
-    _count_svd(monkeypatch, log)
-
-    def no_lstsq(*args, **kw):
-        raise AssertionError("lstsq called")
-
-    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    _count_factorizations(monkeypatch, log)
     polish = relativistic._polish
 
     def logged(*args):
@@ -741,17 +790,18 @@ def test_solve_four_factors_only_its_rank_flags_after_polishing(monkeypatch):
         rep = solve_four(pairs)
         last = len(log) - 1 - log[::-1].index("polish")
         # after the last polish, only the batched SVD of the rank flags
-        assert log[last + 1:] == [(len(rep.roots), 4, 4)]
+        assert log[last + 1:] == [("svd", (len(rep.roots), 4, 4))]
 
 
 def test_solve_four_counts_its_factorizations(monkeypatch):
     # case 5 of the seed-11 four_pair corpus: one SVD of the lifted system,
-    # one per polish step and one batched SVD for the rank flags. A step
-    # lifts its new point once, beyond the one lift of each polished point;
-    # here one point is within tolerance as split and is not factored
+    # one least-squares solve per polish step and one batched SVD for the
+    # rank flags. A step lifts its new point once, beyond the one lift of
+    # each polished point; here one point is within tolerance as split and
+    # is not factored
     _, _, pairs = consistent_dataset(4, rng=np.random.default_rng([11, 4, 5]))
     log, lifts, steps = [], [], []
-    _count_svd(monkeypatch, log)
+    _count_factorizations(monkeypatch, log)
     lift_, polish = relativistic.lift, relativistic._polish
 
     def counted_lift(e):
@@ -767,7 +817,8 @@ def test_solve_four_counts_its_factorizations(monkeypatch):
     monkeypatch.setattr(relativistic, "lift", counted_lift)
     monkeypatch.setattr(relativistic, "_polish", counted_polish)
     rep = solve_four(pairs)
-    assert log == [(4, 6)] + [(4, 4)] * sum(steps) + [(len(rep.roots), 4, 4)]
+    assert log == ([("svd", (4, 6))] + [("lstsq", (4, 4))] * sum(steps)
+                   + [("svd", (len(rep.roots), 4, 4))])
     assert sorted(steps) == [0, 1]
 
 
@@ -865,6 +916,25 @@ def test_an_overflowing_pair_table_is_out_of_domain():
     for solve, n in ((solve_six, 6), (solve_four, 4)):
         with pytest.raises(OutOfDomain, match="^pair 2: .* overflow"):
             solve(some[:n])
+
+
+def test_quad_coeffs_read_the_pair_table_and_share_its_overflow_check():
+    # quad_coeffs warned "overflow encountered in vecdot" on a pair scaled
+    # by 1e100 and returned non-finite coefficients; on finite pairs the
+    # halved and negated lifted row has the bits of the geometry formulas
+    _, _, pairs = consistent_dataset(6, seed=1)
+    s = np.array([0.8, 0.0, 0.0])
+    identity = MeasurementPair(StokesVector(1.0, s), StokesVector(1.0, s))
+    for p in [*pairs, identity]:
+        assert [v.hex() for v in quad_coeffs(p)] == [
+            v.hex() for v in quad_coeffs_from_geometry(pair_geometry(p))]
+    some = [_scaled(p, 1e100) if i == 3 else p for i, p in enumerate(pairs)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfDomain, match="^pair 0: .* overflow"):
+            quad_coeffs(some[3])
+        with pytest.raises(OutOfDomain, match="^pair 3: .* overflow"):
+            relativistic.quad_coeffs_list(some)
 
 
 @pytest.mark.parametrize("solve, need, word", [(solve_four, 4, "four"),
