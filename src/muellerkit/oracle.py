@@ -77,11 +77,11 @@ def random_pairs(k: ComplexParameter, count, rng):
 def rotation_dataset(seed=None, rng=None):
     """Two consistent measurements of one random rotation device.
 
-    A single rotation fixes the family angle only when both probes share
-    the cone angle about the device axis (equal axis components of the
-    unit input directions); the second probe is therefore built by
-    rotating the first about the axis by a random angle, then tilting the
-    output pair along the same rotation. Returns (k, pair1, pair2).
+    The second probe is the first rotated about the device axis by a
+    random angle, so both share one cone angle about it. ``solve_two_3d``
+    does not need this (any two non-parallel probes fix a rotation); the
+    construction is kept so that seeded datasets do not change. Returns
+    (k, pair1, pair2).
     """
     if rng is None:
         rng = np.random.default_rng(seed)

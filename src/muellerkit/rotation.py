@@ -8,8 +8,10 @@ parametrized by an angle Gamma:
     beta  = cos(Gamma) / (S sqrt(2 (S^2 + S.S')))
     n0 = beta (S^2 + S.S'),   n = alpha (S + S') + beta (S x S')
 
-with n0^2 + n^2 = 1. Two independent measurements pin Gamma down up to
-pi; Gamma + pi negates (n0, n), which is the same device (double cover).
+with n0^2 + n^2 = 1; Gamma + pi negates (n0, n), which is the same device
+(double cover). Two independent measurements fix the device:
+``solve_two_3d`` finds (n0, n) in closed form from the Gibbs vector
+c = n / n0 and reads Gamma back on the first pair's family.
 
 The arithmetic is on 3-vectors, so it is done in Python floats: each
 vector is read once as floats and |S| once from ``StokesVector.smag``.
@@ -31,7 +33,6 @@ TOL_CONS = 1e-8
 TOL_DEG = 1e-12
 TOL_LEN = 1e-9   # relative s0' - s0 and |S'| - |S| of a rotation pair
 TOL_MAP = 1e-7   # residual of the solved device on both unit pairs
-ROUND_OFF = 16 * np.finfo(float).eps  # per unit length of a ratio form
 
 
 class Family3DSolution(namedtuple(
@@ -118,59 +119,47 @@ def _unit_pair(p: MeasurementPair):
     return [x / smag for x in s], [x / spmag for x in sp]
 
 
-def _ratio(a, b, c, x):
-    """(a.x, (b - a).(b + c)) for float 3-vectors."""
-    return (_dot(a, x), _dot([q - p for p, q in zip(a, b)],
-                             [q + r for q, r in zip(b, c)]))
-
-
-def _gamma_expressions(N1, N1p, N2, N2p):
-    """The four tan(Gamma) = num/den forms from the two-pair elimination:
-    (A.(N2 x N2'), (B - A).(B + C)) for (A, B, C) = (N1, N2, N2') and
-    (N1', N2', N2), and the same with the pairs swapped."""
-    x2, x1 = cross3(N2, N2p), cross3(N1, N1p)
-    return [_ratio(N1, N2, N2p, x2), _ratio(N1p, N2p, N2, x2),
-            _ratio(N2, N1, N1p, x1), _ratio(N2p, N1p, N1, x1)]
-
-
 def solve_two_3d(p1: MeasurementPair, p2: MeasurementPair,
                  tol_cons=TOL_CONS) -> Family3DSolution:
     """Unique rotation device from two independent measurements.
 
-    Gamma is extracted as atan2(num, den) from the one of the four
-    equivalent ratio forms with the largest |den|. Each form is a multiple
-    of (sin Gamma, cos Gamma), so every form is cross-checked against it
-    by direction, |n_i den - num d_i| <= tol_cons |(n_i, d_i)| |(num, den)|
-    plus the round-off ROUND_OFF (|(n_i, d_i)| + |(num, den)|) of forms
-    built from unit vectors; unlike a ratio test this stays resolved
-    where tan Gamma diverges, at half-turns. The ratio fixes Gamma only up
-    to pi, but Gamma + pi negates (n0, n) and so gives the same device:
-    the one device at Gamma is built and must map both unit pairs within
-    TOL_MAP, else InconsistentPairs.
+    A rotation keeps N1.N2: InconsistentPairs where |N1.N2 - N1'.N2'| >
+    tol_cons max(1, |N1.N2|), and DegenerateGeometry for parallel probes,
+    |N1 x N2| <= TOL_DEG. Each frame vector v of (N1, N2, N1 x N2) and its
+    image v' obey d = c x s, with d = v' - v and s = v' + v, for the Gibbs
+    vector c = n / n0 (Rodrigues). So any two of them give (n0, n)
+    proportional to (s_i.d_j, -d_i x d_j). The longest of the three is
+    normalized with its first nonzero entry positive (n0 >= 0, and where
+    n0 = 0 the first nonzero n_j > 0); all zero is the identity. The third
+    vector resolves probes on or coplanar with the axis, and nothing is
+    divided by n0, so half-turns need no branch either. The device must
+    map both unit pairs within TOL_MAP, else InconsistentPairs. Gamma,
+    alpha and beta are read back on the first pair's family, so
+    cos(Gamma) = n0 sqrt(2 / (1 + N1.N1')) >= 0; AntipodalInput where that
+    pair is antipodal.
     """
     N1, N1p = _unit_pair(p1)
     N2, N2p = _unit_pair(p2)
 
-    c1, c2 = _dot(N1, N1p), _dot(N2, N2p)
-    if abs(c1 - c2) > tol_cons * max(1.0, abs(c1)):
+    c, cp = _dot(N1, N2), _dot(N1p, N2p)
+    if abs(c - cp) > tol_cons * max(1.0, abs(c)):
         raise InconsistentPairs(
-            f"N1.N1' = {c1} vs N2.N2' = {c2}: no common rotation")
-
-    exprs = _gamma_expressions(N1, N1p, N2, N2p)
-    if all(math.hypot(num, den) <= TOL_CONS for num, den in exprs):
+            f"N1.N2 = {c} vs N1'.N2' = {cp}: no common rotation")
+    W, Wp = cross3(N1, N2), cross3(N1p, N2p)
+    if math.hypot(*W) <= TOL_DEG:
         raise DegenerateGeometry(
-            "all ratio expressions vanish: pairs do not pin the axis")
+            "parallel probes: the pairs do not pin the axis")
 
-    num, den = max(exprs, key=lambda e: abs(e[1]))
-    h = math.hypot(num, den)
-    for n_i, d_i in exprs:
-        h_i = math.hypot(n_i, d_i)
-        if not (abs(n_i * den - num * d_i)
-                <= tol_cons * h_i * h + ROUND_OFF * (h_i + h)):
-            raise InconsistentPairs("ratio expressions disagree")
-
-    gamma = math.atan2(num, den)
-    alpha, beta, n0, n = _member(N1, N1p, 1.0, gamma)
+    frame = ((N1, N1p), (N2, N2p), (W, Wp))
+    d = [[b - a for a, b in zip(v, vp)] for v, vp in frame]
+    s = [[b + a for a, b in zip(v, vp)] for v, vp in frame]
+    q = max(([_dot(s[i], d[j])] + [-x for x in cross3(d[i], d[j])]
+             for i, j in ((0, 1), (0, 2), (1, 2))),
+            key=lambda v: math.hypot(*v))
+    if not any(q):  # every d = 0: the identity
+        q = [1.0, 0.0, 0.0, 0.0]
+    norm = math.copysign(math.hypot(*q), next(x for x in q if x))
+    n0, n = q[0] / norm, [x / norm for x in q[1:]]
     # the k of k_from_nm at (n0, n, 0, 0): R is that of sol.matrix()
     k = [complex(n0)] + [complex(0.0, 0.0 - x) for x in n]
     R = kernels.mueller_product(k)[1:, 1:].tolist()
@@ -179,4 +168,8 @@ def solve_two_3d(p1: MeasurementPair, p2: MeasurementPair,
     if not res <= TOL_MAP:
         raise InconsistentPairs(
             f"the device at Gamma misses a pair by {res:.3e}")
-    return Family3DSolution(gamma, alpha, beta, n0, n)
+
+    denom = _family_denom(N1, N1p, 1.0)
+    alpha = _dot(n, s[0]) / (2.0 * denom)
+    beta = n0 / denom
+    return Family3DSolution(math.atan2(alpha, beta), alpha, beta, n0, n)

@@ -5,7 +5,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import InvariantMismatch, MuellerKitError
+from .errors import InvariantMismatch, MuellerKitError, OutOfDomain
 
 TOL_INV = 1e-9
 ROUND_OFF = 64 * np.finfo(float).eps  # per unit of s0^2 in an invariant
@@ -171,13 +171,19 @@ class PairGeometry(namedtuple(
         return basis_collinear(self.cross2, self.Avec2, self.Bvec2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pair_geometry(pair: MeasurementPair) -> PairGeometry:
     """Derived geometry of a measurement pair (see ``geometry_table``).
 
     Raises InvariantMismatch when input/output invariants differ beyond
-    tolerance (scalar identity A*B = Avec.Bvec would fail too).
+    tolerance (scalar identity A*B = Avec.Bvec would fail too), and
+    OutOfDomain where the row overflows (its products grow as the square
+    of the Stokes vectors).
     """
     table = geometry_table([pair])
+    if not np.isfinite(table).all():
+        raise OutOfDomain("the pair geometry overflows "
+                          "(Stokes vectors too large)")
     table.setflags(write=False)  # the vector fields view its row
     row = table[0]
     r = row.tolist()

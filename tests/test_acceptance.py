@@ -26,7 +26,6 @@ from muellerkit.oracle import (consistent_dataset, direct_linear_solve,
 from muellerkit.littlegroup import sample_little
 from muellerkit.quadform import diagonalize2
 from muellerkit.relativistic import lift, quad_coeffs_from_geometry
-from muellerkit.rotation import _gamma_expressions
 from muellerkit.stokes import pair_geometry
 
 

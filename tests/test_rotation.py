@@ -8,7 +8,7 @@ from muellerkit import (AntipodalInput, DegenerateGeometry, HalfTurn,
                         StokesVector, apply, family_3d, gibbs_3d, kernels,
                         mueller_from_k, rotation_k, solve_two_3d)
 from muellerkit.lorentz import RealParameter, k_from_nm
-from muellerkit.oracle import random_unit, rotation_dataset
+from muellerkit.oracle import random_stokes, random_unit, rotation_dataset
 
 EPS = np.finfo(float).eps
 
@@ -91,7 +91,7 @@ def test_family_of_an_unpolarized_pair_has_no_direction():
 
 def test_solve_two_rejects_a_device_that_misses_a_pair():
     # the second output turned by 1e-3 rad: a loose tol_cons passes the
-    # cone and ratio checks, and the device at Gamma then misses a pair
+    # N1.N2 check, and the solved device then misses a pair
     for seed in range(10):
         rng = np.random.default_rng(seed)
         _, p1, p2 = rotation_dataset(rng=rng)
@@ -162,8 +162,7 @@ def test_solve_two_inconsistent_rejected(rng):
 
 def test_solve_two_two_devices_on_one_cone_angle_rejected():
     # pairs of two different rotations whose probes share one cone angle,
-    # N2.R_b N2 = N1.R_a N1, pass the N1.N1' = N2.N2' check; the four
-    # tan(Gamma) forms then disagree
+    # N2.R_b N2 = N1.R_a N1: no rotation keeps their N1.N2
     rng = np.random.default_rng(41)
     R_a = mueller_from_k(rotation_k(random_unit(rng), 1.1))
     N1 = random_unit(rng)
@@ -178,7 +177,8 @@ def test_solve_two_two_devices_on_one_cone_angle_rejected():
     pairs = [MeasurementPair(v, apply(R, v))
              for R, v in ((R_a, StokesVector(1.0, 0.8 * N1)),
                           (R_b, StokesVector(1.0, 0.8 * N2)))]
-    with pytest.raises(InconsistentPairs, match="ratio expressions disagree"):
+    with pytest.raises(InconsistentPairs, match=r"N1\.N2 = .* vs "
+                       r"N1'\.N2' = .*: no common rotation"):
         solve_two_3d(*pairs)
 
 
@@ -261,12 +261,12 @@ def test_solve_two_half_turn_near_antipodal():
 
 def test_solve_two_half_turn_bound_holds_for_either_rounding_of_smag(
         monkeypatch):
-    # the last bit of |S| moves the error from 2.7e-13 to 1.1e-12: a fixed
-    # 1e-12 held only for the one rounding
+    # the last bit of |S| moved the error of a family-based solve from
+    # 2.7e-13 to 1.1e-12: a fixed 1e-12 held only for the one rounding
     monkeypatch.setattr(StokesVector, "smag",
                         property(lambda v: math.hypot(*v.s)))
     err, bound = _half_turn_error_and_bound()
-    assert 1e-12 < err <= bound
+    assert err <= bound
 
 
 def _numpy_member(s, sp, smag, gamma):
@@ -283,8 +283,9 @@ def _numpy_member(s, sp, smag, gamma):
 
 
 def _numpy_solve_two(p1, p2):
-    """Gamma and the member at Gamma of solve_two_3d, in numpy 3-vector
-    arithmetic: tan(Gamma) from the ratio form with the largest |den|."""
+    """Gamma and the member at Gamma of two cone-angle pairs, in numpy
+    3-vector arithmetic: tan(Gamma) from the ratio form with the largest
+    |den|, an oracle independent of solve_two_3d's closed form."""
     N1, N1p = p1.input.s / p1.input.smag, p1.output.s / p1.output.smag
     N2, N2p = p2.input.s / p2.input.smag, p2.output.s / p2.output.smag
     exprs = [(N1 @ np.cross(N2, N2p), (N2 - N1) @ (N2 + N2p)),
@@ -360,11 +361,103 @@ def _half_turn_pairs(i, count):
 
 @pytest.mark.parametrize("tol_cons", [1e-8, 1e-12])
 def test_solve_two_accepts_genuine_pairs_near_half_turns(tol_cons):
-    # near a half-turn tan(Gamma) diverges and the round-off of a ratio
-    # num/den grows as eps / |den|: genuine pairs must pass the cross-check
-    # of the four forms at any tolerance above their round-off
+    # near a half-turn tan(Gamma) diverges and n0 -> 0: genuine pairs must
+    # pass the checks at any tolerance above their round-off
     count = 660
     for i in range(count):
         L, pairs = _half_turn_pairs(i, count)
         sol = solve_two_3d(*pairs, tol_cons=tol_cons)
         assert np.max(np.abs(sol.matrix().m - L.m)) <= 1e-10
+
+
+def _rotation_pairs(axis, angle, probes):
+    """The device of `angle` about `axis` and its pairs on the input
+    Stokes vectors `probes`."""
+    L = mueller_from_k(rotation_k(axis, angle))
+    return L, [MeasurementPair(v, apply(L, v)) for v in probes]
+
+
+def _genuine_pairs(i, angle_of):
+    """A rotation of random axis and angle angle_of(rng) and two
+    random_stokes probes: no shared cone angle about the axis."""
+    rng = np.random.default_rng([26, i])
+    axis, angle = random_unit(rng), angle_of(rng)
+    return _rotation_pairs(axis, angle,
+                           [random_stokes(rng), random_stokes(rng)])
+
+
+def _matrix_error(pairs, L):
+    return float(np.max(np.abs(solve_two_3d(*pairs).matrix().m - L.m)))
+
+
+def test_solve_two_recovers_genuine_pairs():
+    # a rotation keeps N1.N2, not N.N': these pairs failed N1.N1' = N2.N2'
+    for i in range(1000):
+        L, pairs = _genuine_pairs(i, lambda rng: rng.uniform(0.0, np.pi))
+        assert _matrix_error(pairs, L) <= 1e-12
+
+
+def test_solve_two_recovers_genuine_pairs_near_half_turns():
+    for i in range(300):
+        L, pairs = _genuine_pairs(
+            i, lambda rng: np.pi - 10.0 ** rng.uniform(-12.0, 0.0))
+        assert _matrix_error(pairs, L) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-10, 0.0])
+def test_solve_two_probes_coplanar_with_the_axis(eps):
+    # the second probe is the first turned by pi + eps about the axis: N1,
+    # N2 and the axis are (nearly) coplanar, where (s1.d2, -d1 x d2) of the
+    # two probes alone vanishes
+    for i in range(200):
+        rng = np.random.default_rng([27, i])
+        axis = random_unit(rng)
+        N1 = random_unit(rng)
+        while not 0.05 < abs(float(N1 @ axis)) < 0.95:
+            N1 = random_unit(rng)
+        turn = mueller_from_k(rotation_k(axis, np.pi + eps)).m[1:, 1:]
+        L, pairs = _rotation_pairs(
+            axis, rng.uniform(0.3, 2.0 * np.pi - 0.3),
+            [StokesVector(1.0, 0.8 * N) for N in (N1, turn @ N1)])
+        assert _matrix_error(pairs, L) <= 1e-12
+
+
+def test_solve_two_identity_axis_probe_and_small_angles():
+    rng = np.random.default_rng(28)
+    a, b = random_stokes(rng), random_stokes(rng)
+    sol = solve_two_3d(_pair(a.s0, a.s, a.s0, a.s), _pair(b.s0, b.s, b.s0, b.s))
+    assert (sol.gamma, sol.n0, *sol.n) == (0.0, 1.0, 0.0, 0.0, 0.0)
+    for angle in (1e-10, 1e-6, 1e-3, 0.1, 2.0):
+        axis = random_unit(rng)
+        # a probe on the axis is left in place: d = 0 for it
+        for probes in ([random_stokes(rng), random_stokes(rng)],
+                       [StokesVector(1.0, 0.7 * axis), random_stokes(rng)]):
+            L, pairs = _rotation_pairs(axis, angle, probes)
+            assert _matrix_error(pairs, L) <= 1e-12
+
+
+def test_solve_two_parallel_probes_are_degenerate():
+    # the same probe, a weaker one along it and one opposite to it
+    rng = np.random.default_rng(29)
+    axis, N = random_unit(rng), random_unit(rng)
+    for scale in (0.8, 0.4, -0.4):
+        _, pairs = _rotation_pairs(axis, 1.0, [StokesVector(1.0, 0.8 * N),
+                                               StokesVector(1.0, scale * N)])
+        with pytest.raises(DegenerateGeometry, match="parallel probes"):
+            solve_two_3d(*pairs)
+
+
+def test_solve_two_does_not_depend_on_pair_order_or_intensity_unit():
+    def scaled(v, lam):
+        return StokesVector(lam * v.s0, lam * v.s)
+
+    for i in range(200):
+        _, (p1, p2) = _genuine_pairs(i, lambda rng: rng.uniform(0.0, np.pi))
+        M = solve_two_3d(p1, p2).matrix().m
+        assert np.max(np.abs(solve_two_3d(p2, p1).matrix().m - M)) <= 1e-14
+        for lam in (1e-6, 1e-3, 1e3, 1e6):
+            pairs = [MeasurementPair(scaled(p.input, lam),
+                                     scaled(p.output, lam))
+                     for p in (p1, p2)]
+            assert np.max(np.abs(
+                solve_two_3d(*pairs).matrix().m - M)) <= 1e-14

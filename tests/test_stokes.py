@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from muellerkit import (InvariantMismatch, MeasurementPair, MuellerKitError,
-                        StokesVector, invariant, pair_geometry)
+                        OutOfDomain, StokesVector, invariant, pair_geometry)
+from muellerkit.oracle import consistent_dataset
 
 
 def test_invariant_fully_polarized_zero():
@@ -150,3 +153,16 @@ def test_derived_properties_are_computed_not_stored():
         assert np.array_equal(v.direction, s / v.smag)
         assert not v.direction.flags.writeable
         assert not hasattr(v, "__dict__")
+
+
+def test_pair_geometry_of_an_overflowing_pair_is_out_of_domain():
+    # scaled by 1e100, the dot products of the row overflow: pair_geometry
+    # warned "overflow encountered in vecdot" and returned inf and NaN
+    _, _, pairs = consistent_dataset(6, seed=1)
+    big = MeasurementPair(*(StokesVector(1e100 * v.s0, 1e100 * v.s)
+                            for v in pairs[0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfDomain, match="overflows "
+                           r"\(Stokes vectors too large\)"):
+            pair_geometry(big)
