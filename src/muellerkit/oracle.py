@@ -19,12 +19,10 @@ from .errors import DegenerateGeometry, RankDeficient
 from .lorentz import (ComplexParameter, MuellerMatrix, RealParameter,
                       apply, is_lorentz, k_from_nm, mueller_from_k, nm_from_k,
                       residuals, rotation_k)
-from .relativistic import (ExpansionCoeffs, QuadCoeffs, _quad_terms,
-                           companion_roots, constraint_residual,
-                           params_to_expansion)
-from .stokes import (ASUM, AVEC2, BDIFF, BVEC2, CROSS2, MeasurementPair,
-                     StokesVector, basis_collinear, geometry_table,
-                     pair_geometry)
+from .relativistic import (ExpansionCoeffs, _quad, companion_roots,
+                           constraint_residual, params_to_expansion)
+from .stokes import (AVEC2, BVEC2, CROSS2, MeasurementPair, StokesVector,
+                     basis_collinear, geometry_table, pair_geometry)
 
 CHI_MAX = 2.0
 S0_RANGE = (0.5, 2.0)
@@ -111,12 +109,6 @@ def _scale_pair(pair: MeasurementPair, lam: float) -> MeasurementPair:
     return MeasurementPair(
         StokesVector(lam * pair.input.s0, lam * pair.input.s),
         StokesVector(lam * pair.output.s0, lam * pair.output.s))
-
-
-def _quad(row):
-    """QuadCoeffs of a geometry_table row given as a list of floats."""
-    return QuadCoeffs(*_quad_terms(row[ASUM], row[BDIFF], row[AVEC2],
-                                   row[BVEC2]))
 
 
 def _on_surface(cands, e: ExpansionCoeffs):

@@ -94,14 +94,19 @@ def quad_coeffs(p: MeasurementPair) -> QuadCoeffs:
     return quad_coeffs_list([p])[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def quad_coeffs_list(pairs) -> list:
-    """QuadCoeffs of each pair, read back from the lifted rows
-    (a, 2b, c, -alpha, -2beta, -sigma) of one pair table: halving and
-    negating are exact, so these are the bits of quad_coeffs_from_geometry.
-    A pair whose row overflows raises OutOfDomain, as in the solvers."""
-    return [QuadCoeffs(a, 0.5 * b2, c, -m_alpha, -0.5 * m_beta2, -m_sigma)
-            for a, b2, c, m_alpha, m_beta2, m_sigma
-            in _pair_table(pairs)[:, _LIFT].tolist()]
+    """QuadCoeffs of each pair, from its geometry_table row. A pair whose
+    row or coefficients overflow raises OutOfDomain, as in the solvers."""
+    out = []
+    for i, r in enumerate(geometry_table(pairs).tolist()):
+        q = _quad(r)
+        if not all(map(math.isfinite, [*r, *q])):
+            raise OutOfDomain(f"pair {i}: its geometry or lifted "
+                              "coefficients overflow (Stokes vectors too "
+                              "large)")
+        out.append(q)
+    return out
 
 
 def _quad_terms(A, B, A2, B2):
@@ -112,6 +117,12 @@ def _quad_terms(A, B, A2, B2):
             B * B - A2,
             B * (A * A - B2),
             (A2 + B2 - A * A) * B2 - A * A * B * B)
+
+
+def _quad(row):
+    """QuadCoeffs of a geometry_table row given as a list of floats."""
+    return QuadCoeffs(*_quad_terms(row[ASUM], row[BDIFF], row[AVEC2],
+                                   row[BVEC2]))
 
 
 def quad_coeffs_from_geometry(g: PairGeometry) -> QuadCoeffs:
@@ -338,12 +349,17 @@ def _pair_table(pairs):
     return T
 
 
+_I6, _J6 = np.triu_indices(6, 1)  # the 15 pairs i < j of six
+
+
 def _k_spread(K):
-    """Max over pairs i, j of min(||ki - kj||, ||ki + kj||) for each
-    candidate of K (pairs, candidates, 4), as a list."""
-    d = np.linalg.norm(np.stack((K[:, None] - K[None], K[:, None] + K[None])),
-                       axis=-1)
-    return d.min(axis=0).max(axis=(0, 1)).tolist()
+    """Max over pairs i < j of min(||ki - kj||, ||ki + kj||) for each
+    candidate of K (6 pairs, candidates, 4), as a list. The norms are
+    taken of the differences themselves: a Gram form |ki|^2 + |kj|^2 -
+    2 |Re<ki, kj>| cancels where the k nearly agree."""
+    Ki, Kj = K[_I6], K[_J6]
+    d = np.linalg.norm(np.stack((Ki - Kj, Ki + Kj)), axis=-1)
+    return d.min(axis=0).max(axis=0).tolist()
 
 
 def _split_block(sq_a, prod, sq_b, scale):
@@ -485,8 +501,9 @@ def solve_six(pairs, tol_l=1e-6) -> SixReport:
     The six per-pair quadratics are linear in the monomials
     u = (x^2, xy, y^2, z^2, zw, w^2); the 6x6 system (rows
     (a, 2b, c, -alpha, -2beta, -sigma), right side 1) is solved by dense
-    LU, with the Cramer determinants reported for reference; its rows come
-    from the pair table (see the module docstring). u must be rank-1
+    LU, with det(M) and the Cramer values det(M) u_j reported for
+    reference; its rows come from the pair table (see the module
+    docstring), and its condition is S_max / S_min. u must be rank-1
     consistent in each block to TOL_R1, else Rank1Violation. It is split
     into (x, y, z, w) by the root of each block's larger square and
     polished on the six constraints down to round-off (see _polish); both
@@ -501,20 +518,20 @@ def solve_six(pairs, tol_l=1e-6) -> SixReport:
         raise ValueError("exactly six pairs required")
     T = _pair_table(pairs)
     M = T[:, _LIFT]
-    rhs = np.ones(6)
 
-    cond = float(np.linalg.cond(M))
+    S = np.linalg.svd(M, compute_uv=False).tolist()  # as np.linalg.cond
+    cond = S[0] / S[-1] if S[-1] > 0.0 else math.inf
     if not cond <= COND_MAX:
         raise SingularSystem(f"lifted 6x6 system condition {cond:.3e} "
                              f"exceeds {COND_MAX:.0e}")
-    u = np.linalg.solve(M, rhs)
+    u = np.linalg.solve(M, np.ones(6))
 
-    C = np.repeat(M[None], 7, axis=0)  # M, then column j replaced by rhs
-    C[np.arange(1, 7), :, np.arange(6)] = rhs
+    # Cramer's rule: det(M) u_j is the det of M with column j replaced by 1
+    det = float(np.linalg.det(M))
     cramer = dict(zip(("det", "x2", "xy", "y2", "z2", "zw", "w2"),
-                      np.linalg.det(C).tolist()))
+                      [det, *(det * v for v in u.tolist())]))
 
-    scale = max(1.0, float(np.linalg.norm(u)))
+    scale = max(1.0, math.sqrt(u @ u))  # the bits of np.linalg.norm(u)
     d1 = abs(u[1] ** 2 - u[0] * u[2])
     d2 = abs(u[4] ** 2 - u[3] * u[5])
     if d1 > TOL_R1 * scale ** 2 or d2 > TOL_R1 * scale ** 2:

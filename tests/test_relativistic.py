@@ -394,24 +394,55 @@ def test_solve_six_consistent_instances(rng):
 
 
 def test_solve_six_cramer_matches_per_matrix_det():
-    # the stacked det over M and its six Cramer matrices must give the
-    # values of one det call per matrix, bit for bit
-    for i in range(20):
+    # Cramer's rule as an independent oracle: det is np.linalg.det(M) and
+    # each Cramer value is det(M) u_j, bit for bit; each agrees with one
+    # det call on M with column j replaced by the right side 1, within
+    # the round-off cond(M) eps |det| max(1, max |u|) of the two forms
+    names = ("x2", "xy", "y2", "z2", "zw", "w2")
+    for i in range(50):
         _, _, pairs = consistent_dataset(6, rng=np.random.default_rng([6, i]))
+        rep = solve_six(pairs)
         M = _lifted([quad_coeffs(p) for p in pairs])
-        expect = {"det": float(np.linalg.det(M)).hex()}
-        for j, name in enumerate(("x2", "xy", "y2", "z2", "zw", "w2")):
+        det = float(np.linalg.det(M))
+        assert list(rep.cramer) == ["det", *names]
+        assert rep.cramer["det"].hex() == det.hex()
+        bound = (np.linalg.cond(M) * np.finfo(float).eps * abs(det)
+                 * max(1.0, np.abs(rep.u).max()))
+        for j, name in enumerate(names):
+            assert rep.cramer[name].hex() == float(det * rep.u[j]).hex()
             Mj = M.copy()
             Mj[:, j] = 1.0
-            expect[name] = float(np.linalg.det(Mj)).hex()
-        cramer = solve_six(pairs).cramer
-        assert {k: v.hex() for k, v in cramer.items()} == expect
+            assert abs(rep.cramer[name] - np.linalg.det(Mj)) <= bound
 
 
 def test_solve_six_identical_pairs_singular():
     _, p, _ = _chain(1)
     with pytest.raises(SingularSystem):
         solve_six([p] * 6)
+    # one repeated pair among five distinct ones: the condition is 4.2e17
+    _, _, pairs = consistent_dataset(6, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem, match="condition 4.176e"):
+            solve_six(pairs[:5] + [pairs[0]])
+
+
+def test_k_spread_of_nearly_equal_k_is_the_all_pairs_norm():
+    # six k equal to within 1e-12, some of them negated (k and -k are one
+    # device): the spread is the all-pairs norm of the differences, bit
+    # for bit, about 5e-12; a Gram form |ki|^2 + |kj|^2 - 2 |Re<ki, kj>|
+    # cancels here and reads 4e-8 and 8e-8
+    rng = np.random.default_rng(12)
+    k = rng.normal(size=(1, 2, 4)) + 1j * rng.normal(size=(1, 2, 4))
+    K = k + 1e-12 * (rng.normal(size=(6, 2, 4))
+                     + 1j * rng.normal(size=(6, 2, 4)))
+    K[[1, 4]] *= -1.0
+    d = np.minimum(np.linalg.norm(K[:, None] - K[None], axis=-1),
+                   np.linalg.norm(K[:, None] + K[None], axis=-1))
+    spread = relativistic._k_spread(K)
+    assert spread == d.max(axis=(0, 1)).tolist()
+    assert all(1e-13 < s < 1e-10 for s in spread)
+    assert relativistic._k_spread(K[:, :0]) == []
 
 
 def test_solve_six_report_matches_the_per_candidate_rules():
