@@ -1,5 +1,4 @@
-"""The factorized Mueller product L = A(k) conj(A(k)), and its action on
-Stokes vectors, as numpy kernels.
+"""The factorized Mueller product L = A(k) conj(A(k)) as a numpy kernel.
 
 The complex 4x4 factor matrix of k = (k0, k1, k2, k3) is
 
@@ -8,12 +7,10 @@ The complex 4x4 factor matrix of k = (k0, k1, k2, k3) is
     [ -k2  ik3    k0  -ik1 ]
     [ -k3 -ik2   ik1    k0 ]
 
-built by index: entry (i, j) is COEF[i, j] * k[SOURCE[i, j]]. Both
-kernels work on any stack of parameters, shape (..., 4). Every entry of
+built by index: entry (i, j) is COEF[i, j] * k[SOURCE[i, j]]. The
+kernel works on any stack of parameters, shape (..., 4). Every entry of
 A(k) conj(A(k)) is a sum of conjugate pairs, so the product is real for
 any complex k; its imaginary part is round-off and is dropped.
-``mueller_apply`` gives L(k) v without forming L: two stacked
-matrix-vector products with the factor, conj(A) v and then A times that.
 """
 
 import numpy as np
@@ -37,11 +34,3 @@ def mueller_product(K):
     A = np.asarray(K, complex)[..., SOURCE] * COEF
     return (A @ A.conj()).real
 
-
-def mueller_apply(K, v):
-    """L(k) v = A(k) (conj(A(k)) v), real, shape (..., 4), for a complex
-    parameter stack K (..., 4) and real 4-vectors v (..., 4), the leading
-    axes broadcast; it equals mueller_product(K) @ v up to round-off."""
-    A = np.asarray(K, complex)[..., SOURCE] * COEF
-    w = A.conj() @ np.asarray(v, float)[..., None]
-    return (A @ w)[..., 0].real

@@ -35,13 +35,13 @@ evaluation round-off and the caller's tolerance (or stops falling), both
 point gets one canonical global sign, duplicates are dropped and the rest
 ordered by e, and all candidates are checked against all pairs in one
 stacked pass (``_validate``: one q = k0^2 - k.k of each k = E e, read by
-its unit check and its normalization in place, and L(k) s applied
-through ``kernels.mueller_apply`` without forming L); the reported k are
-records over one read-only copy of that block. ``family_4d`` reads its
-roots back through the same pass on its one-pair table. The order depends on
-e alone, not on residuals at round-off level or on the order of the
-pairs; solve_four's rank flags come from one batched SVD of the
-Jacobians at its returned roots.
+its unit check and its normalization in place, and |L s - s'| of the
+L = mueller_from_k(k) of each k); the reported k are records over one
+read-only copy of that block. ``family_4d`` reads its roots back through
+the same pass on its one-pair table. The order depends on e alone, not on
+residuals at round-off level or on the order of the pairs; solve_four's
+rank flags come from one batched SVD of the Jacobians at its returned
+roots.
 """
 
 import math
@@ -479,9 +479,9 @@ def _validate(T, es):
     misses the unit surface by a few eps sum |k_i|^2 / |q|, its own scale,
     and a non-finite k fails the first rule (this holds while
     sum |k_i|^2 / |q| does not overflow). Returns K, normalized where
-    accepted, the transitivity residuals |L(k) s - s'| (pairs, candidates)
-    and the rejection mask (pairs, candidates), True where that per-pair
-    path would raise a MuellerKitError.
+    accepted, the residuals |L s - s'| of mueller_from_k's L for each k
+    (pairs, candidates) and the rejection mask (pairs, candidates), True
+    where that per-pair path would raise a MuellerKitError.
     """
     es = es.reshape(-1, 4)  # no point: (0, 4), so K is empty
     V = np.swapaxes(T[:, _BASIS].reshape(-1, 8, 4) @ es.T, 1, 2)
@@ -491,7 +491,8 @@ def _validate(T, es):
     bad = ~unit_ok_q(q, K, TOL_K_RAW) | (np.abs(q) < 1e-12)
     K /= np.sqrt(np.where(bad, 1.0, q))[..., None]  # rejected: left as is
 
-    d = kernels.mueller_apply(K, T[:, None, _VIN]) - T[:, None, _VOUT]
+    L = kernels.mueller_product(K)
+    d = (L @ T[:, None, _VIN, None])[..., 0] - T[:, None, _VOUT]
     return K, np.sqrt(np.vecdot(d, d)), bad
 
 
@@ -570,11 +571,10 @@ def solve_six(pairs, tol_l=1e-6) -> SixReport:
 @dataclass
 class FourReport:
     roots: list           # (ExpansionCoeffs, max |constraint residual|), by e
-    per_pair_residuals: list  # inf where a pair rejects the root
+    per_pair_residuals: list  # |L s - s'| of each pair's own k, per root
     rank_deficient: list  # Jacobian-degenerate flags aligned with roots
     n_starts: int         # sign candidates read back from lifted points
-    k: list               # each root's k on the first pair's basis; normalized
-                          # unless per_pair_residuals[i][0] is inf
+    k: list               # each root's normalized k on the first pair's basis
 
 
 def _rank1_conic(u0, v1, v2, i, j, k):
@@ -681,7 +681,8 @@ def solve_four(pairs, tol=1e-10) -> FourReport:
     set; successive 2-D slices of the null space are tried until one yields
     real points. Roots get the canonical global sign, are deduplicated,
     ordered by e and validated by transitivity on every pair in one
-    stacked pass; a pair that rejects a root reports an infinite residual.
+    stacked pass; a root any pair rejects is dropped, and NoConvergedRoot
+    names the rejection when no root is left.
     """
     if len(pairs) != 4:
         raise ValueError("exactly four pairs required")
@@ -713,7 +714,15 @@ def solve_four(pairs, tol=1e-10) -> FourReport:
     unique = _canonical_unique(found)
     es = np.array([e for _, e in unique])
     K, res, bad = _validate(T, es)
-    res[bad] = np.inf
+    if bad.any():
+        keep = ~bad.any(axis=0)
+        if not keep.any():
+            raise NoConvergedRoot(
+                f"all {len(unique)} roots rejected: k = E e is off the unit "
+                "surface or not normalizable (root 0 on pair "
+                f"{int(np.argmax(bad[:, 0]))})")
+        unique = [u for u, ok in zip(unique, keep.tolist()) if ok]
+        es, res, K = es[keep], res[:, keep], K[:, keep]
     return FourReport(roots=[(ExpansionCoeffs(*e), fn) for fn, e in unique],
                       per_pair_residuals=res.T.tolist(),
                       rank_deficient=_rank_deficient(M, es),

@@ -11,7 +11,8 @@ parametrized by an angle Gamma:
 with n0^2 + n^2 = 1; Gamma + pi negates (n0, n), which is the same device
 (double cover). Two independent measurements fix the device:
 ``solve_two_3d`` finds (n0, n) in closed form from the Gibbs vector
-c = n / n0 and reads Gamma back on the first pair's family.
+c = n / n0 and reads Gamma back on the first pair's family (on the
+second's where the first pair is antipodal).
 
 The arithmetic is on 3-vectors, so it is done in Python floats: each
 vector is read once as floats and |S| once from ``StokesVector.smag``.
@@ -135,8 +136,9 @@ def solve_two_3d(p1: MeasurementPair, p2: MeasurementPair,
     divided by n0, so half-turns need no branch either. The device must
     map both unit pairs within TOL_MAP, else InconsistentPairs. Gamma,
     alpha and beta are read back on the first pair's family, so
-    cos(Gamma) = n0 sqrt(2 / (1 + N1.N1')) >= 0; AntipodalInput where that
-    pair is antipodal.
+    cos(Gamma) = n0 sqrt(2 / (1 + N1.N1')) >= 0, or on the second pair's
+    where the first is antipodal (1 + N1.N1' <= TOL_DEG); AntipodalInput
+    only where both are.
     """
     N1, N1p = _unit_pair(p1)
     N2, N2p = _unit_pair(p2)
@@ -169,7 +171,8 @@ def solve_two_3d(p1: MeasurementPair, p2: MeasurementPair,
         raise InconsistentPairs(
             f"the device at Gamma misses a pair by {res:.3e}")
 
-    denom = _family_denom(N1, N1p, 1.0)
-    alpha = _dot(n, s[0]) / (2.0 * denom)
+    i = 0 if 1.0 + _dot(N1, N1p) > TOL_DEG else 1
+    denom = _family_denom(*frame[i], 1.0)
+    alpha = _dot(n, s[i]) / (2.0 * denom)
     beta = n0 / denom
     return Family3DSolution(math.atan2(alpha, beta), alpha, beta, n0, n)

@@ -6,10 +6,11 @@ import pytest
 from muellerkit import (ComplexParameter, ConstraintViolation, ExpansionCoeffs,
                         MeasurementPair, MuellerKitError, NoValidCandidate,
                         StokesVector, apply, boost_k, k_from_expansion,
-                        little_element, mueller_from_k, sample_little,
-                        solve_six)
+                        family_4d, little_element, mueller_from_k,
+                        sample_little, solve_four, solve_six)
 from muellerkit import kernels, relativistic
-from muellerkit.lorentz import TOL_K, minkowski_square, unit_ok, unit_ok_q
+from muellerkit.lorentz import (TOL_K, minkowski_square, residuals, unit_ok,
+                               unit_ok_q)
 from muellerkit.oracle import consistent_dataset, random_lorentz, random_stokes
 from muellerkit.relativistic import (_BASIS, _LIFT, TOL_K_RAW,
                                      _canonical_unique, _pair_table,
@@ -61,29 +62,6 @@ def test_max_im_is_round_off_on_and_off_the_unit_surface():
     for k in K:
         with pytest.raises(ConstraintViolation):
             mueller_from_k(ComplexParameter(k))
-
-
-def test_mueller_apply_matches_the_product():
-    # L(k) v from the two factor products equals mueller_product(K) @ v
-    # within 8 eps |k|^2 |v|, on and off the unit surface and for strong
-    # boosts, with the leading axes broadcast
-    rng = np.random.default_rng(10)
-    boosts = [boost_k(rng.normal(size=3), chi).k for chi in range(0, 21)]
-    K = np.concatenate([
-        np.array([random_lorentz(rng=rng).k for _ in range(30)]),
-        rng.normal(size=(30, 4)) + 1j * rng.normal(size=(30, 4)),
-        np.array(boosts)]).reshape(9, 9, 4)
-    v = rng.normal(size=(9, 1, 4)) * rng.uniform(0.1, 10.0, size=(9, 1, 1))
-    out = kernels.mueller_apply(K, v)
-    ref = (kernels.mueller_product(K) @ v[..., None])[..., 0]
-    assert out.shape == (9, 9, 4) and out.dtype == float
-    bound = (8 * EPS * np.sum(np.abs(K) ** 2, axis=-1)
-             * np.linalg.norm(v, axis=-1))
-    assert (np.abs(out - ref).max(axis=-1) <= bound).all()
-    k, w = K[8, 8], v[8, 0]
-    assert kernels.mueller_apply(k, w).shape == (4,)
-    assert np.abs(kernels.mueller_apply(k, w)
-                  - kernels.mueller_product(k) @ w).max() <= bound[8, 8]
 
 
 def _two_check_rejects(K):
@@ -229,7 +207,19 @@ def _assert_same(stacked, reference):
                    for a, b in zip(cand.k_list, ks))
 
 
+def _assert_matrix_residuals(ks, pairs, res):
+    """Each residual is |L s - s'| of the L = mueller_from_k(k) printed for
+    its pair, within 8 eps sum |k_i|^2 |s|."""
+    for k, p, r in zip(ks, pairs, res, strict=True):
+        [ref] = residuals(mueller_from_k(k), [p])
+        bound = (8 * EPS * np.sum(np.abs(k.k) ** 2)
+                 * np.linalg.norm(p.input.as_array()))
+        assert abs(r - ref) <= bound
+
+
 def test_stacked_six_validation_matches_scalar_path():
+    # the stacked residuals of solve_six, solve_four (pair 0, whose k it
+    # reports) and family_4d are those of the matrices the CLI prints
     for seed in range(50):
         _, _, pairs = consistent_dataset(6, seed=seed)
         try:
@@ -245,6 +235,17 @@ def test_stacked_six_validation_matches_scalar_path():
         # valid candidates first, each group in the order of e
         order = [(c.worst > 1e-6, tuple(c.e)) for c in rep.candidates]
         assert order == sorted(order)
+        for c in rep.candidates:
+            _assert_matrix_residuals(c.k_list, pairs, c.per_pair_residuals)
+
+        _, e, four = consistent_dataset(4, seed=seed)
+        rep4 = solve_four(four)
+        for k, res in zip(rep4.k, rep4.per_pair_residuals, strict=True):
+            _assert_matrix_residuals([k], four[:1], res[:1])
+        roots = family_4d(four[0], e.y, e.z, e.w)
+        _assert_matrix_residuals([k for _, k, _ in roots],
+                                 four[:1] * len(roots),
+                                 [r for _, _, r in roots])
 
 
 def test_candidate_rejected_by_one_pair_is_dropped():

@@ -13,6 +13,7 @@ from muellerkit import (ConstraintViolation, DegenerateGeometry,
                         nm_from_k, params_to_expansion, quad_coeffs,
                         solve_four, solve_six)
 from muellerkit import boost_k, relativistic
+from muellerkit.lorentz import residuals
 from muellerkit.oracle import (consistent_dataset, make_pair, random_lorentz,
                                random_pairs, random_stokes)
 from muellerkit.relativistic import (_lift_jacobian, _polish,
@@ -20,6 +21,8 @@ from muellerkit.relativistic import (_lift_jacobian, _polish,
                                      quad_coeffs_from_geometry,
                                      quad_coeffs_polarized)
 from muellerkit.stokes import pair_geometry
+
+EPS = np.finfo(float).eps
 
 # frozen oracle chain at seed 42: random device + random probe
 E42 = [-2.1157007644421757, -0.6603830070866943,
@@ -333,6 +336,33 @@ def test_companion_roots_are_np_roots_bit_for_bit():
             assert np.array(one, complex).tobytes() == ref
 
 
+def test_slice_points_where_the_pencil_vanishes(monkeypatch):
+    # the two blocks agree at s = 0, so both conics read 1 - t^2 on the
+    # line s = 0 and meet at t = -1 and t = 1: the quartic has the double
+    # root s = 0 exactly, the pencil b2 f - a2 g vanishes there, and t
+    # comes from f itself
+    u0 = np.array([1.0, 0.0, -1.0, 1.0, 0.0, -1.0])
+    v1 = np.array([0.3, 0.7, -0.2, -0.5, 0.4, 0.9])
+    v2 = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+    calls = []
+    real_roots = relativistic._real_roots
+
+    def recorded(coeffs):
+        calls.append(coeffs)
+        return real_roots(coeffs)
+
+    monkeypatch.setattr(relativistic, "_real_roots", recorded)
+    points = relativistic._slice_points(u0, v1, v2)
+    assert [-1.0, 0.0, 1.0] in calls  # f on the line s = 0
+    for u in ([2.0, 0.0, 0.0, 2.0, 0.0, 0.0],
+              [0.0, 0.0, -2.0, 0.0, 0.0, -2.0]):
+        assert any(np.abs(p - u).max() <= 4 * EPS for p in points)
+    for u in points:
+        scale = EPS * max(1.0, float(u @ u))
+        assert abs(u[1] ** 2 - u[0] * u[2]) <= 8 * scale
+        assert abs(u[4] ** 2 - u[3] * u[5]) <= 8 * scale
+
+
 def test_family_4d_no_real_root():
     _, p, _ = _chain(42)
     with pytest.raises(NoRealRoot):
@@ -359,17 +389,21 @@ def test_family_4d_null_half_turn_is_a_degenerate_slice():
 def test_family_4d_near_half_turn_has_one_far_linear_root():
     # a fully polarized probe turned by pi - d: at d = 1e-9 the x^2
     # coefficient a rounds to 0.0, so the slice is linear with one root,
-    # far out, whose residual is about d; at d = 0 the slope vanishes too
+    # far out. Its residual is that of the matrix it prints, about sqrt(2)
+    # (entries near 8e18), as verify reads it; at d = 0 the slope vanishes
+    # too
     def turned(d):
         return MeasurementPair(StokesVector(1.0, [1.0, 0.0, 0.0]),
                                StokesVector(1.0, [-np.cos(d), np.sin(d), 0.0]))
 
     near = turned(1e-9)
     assert quad_coeffs(near).a == 0.0
-    [(e, _, res)] = family_4d(near, 0.3, 0.1, 0.2)
+    [(e, k, res)] = family_4d(near, 0.3, 0.1, 0.2)
     assert e.x == pytest.approx(-8.33e17, rel=1e-3)
     assert (e.y, e.z, e.w) == (0.3, 0.1, 0.2)
-    assert res == pytest.approx(1e-9, rel=1e-3)
+    [ref] = residuals(mueller_from_k(k), [near])
+    assert res == pytest.approx(ref, rel=1e-12)
+    assert res == pytest.approx(np.sqrt(2.0), rel=1e-3)
     with pytest.raises(NoRealRoot, match="degenerate linear slice"):
         family_4d(turned(0.0), 0.3, 0.1, 0.2)
 
@@ -853,13 +887,43 @@ def test_solve_four_counts_its_factorizations(monkeypatch):
     assert sorted(steps) == [0, 1]
 
 
+def test_solve_four_drops_a_root_a_pair_rejects(monkeypatch):
+    # as solve_six drops a candidate: a root any pair rejects leaves the
+    # report, so every residual is finite and every k normalized; with no
+    # root left the solve raises NoConvergedRoot naming the rejection
+    _, _, pairs = consistent_dataset(4, rng=np.random.default_rng(3))
+    full = solve_four(pairs)
+    assert len(full.roots) >= 2
+    validate = relativistic._validate
+
+    def rejecting(pair, roots):
+        def patched(T, es):
+            K, res, bad = validate(T, es)
+            bad[pair, roots] = True
+            return K, res, bad
+        return patched
+
+    monkeypatch.setattr(relativistic, "_validate", rejecting(2, [0]))
+    rep = solve_four(pairs)
+    assert rep.roots == full.roots[1:]
+    assert rep.per_pair_residuals == full.per_pair_residuals[1:]
+    assert rep.rank_deficient == full.rank_deficient[1:]
+    assert [k.k.tolist() for k in rep.k] == [k.k.tolist() for k in full.k[1:]]
+    assert rep.n_starts == full.n_starts
+    monkeypatch.setattr(relativistic, "_validate", rejecting(1, slice(None)))
+    with pytest.raises(NoConvergedRoot,
+                       match=rf"all {len(full.roots)} roots rejected: .*"
+                       r"\(root 0 on pair 1\)"):
+        solve_four(pairs)
+
+
 def test_solve_four_propagates_programming_errors(monkeypatch):
-    def broken(K, v):
-        raise TypeError("bug in mueller_apply")
+    def broken(K):
+        raise TypeError("bug in mueller_product")
 
     _, _, four = consistent_dataset(4, rng=np.random.default_rng(3))
     _, e, six = consistent_dataset(6, seed=1)
-    monkeypatch.setattr(relativistic.kernels, "mueller_apply", broken)
+    monkeypatch.setattr(relativistic.kernels, "mueller_product", broken)
     with pytest.raises(TypeError):
         solve_four(four)
     with pytest.raises(TypeError):

@@ -461,3 +461,38 @@ def test_solve_two_does_not_depend_on_pair_order_or_intensity_unit():
                      for p in (p1, p2)]
             assert np.max(np.abs(
                 solve_two_3d(*pairs).matrix().m - M)) <= 1e-14
+
+
+def test_solve_two_reads_gamma_on_the_second_pair_where_the_first_is_antipodal():
+    # a turn by pi - delta maps a probe perpendicular to its axis onto its
+    # antipode (1 + N1.N1' about delta^2 / 2): the closed form still fixes
+    # the device, and Gamma, alpha and beta are read on the second pair's
+    # family, whose member at Gamma is the device
+    def check(L, pairs):
+        N, Np = (v.s / v.smag for v in (pairs[0].input, pairs[0].output))
+        assert 1.0 + float(N @ Np) <= 1e-12
+        sol = solve_two_3d(*pairs)
+        assert np.max(np.abs(sol.matrix().m - L.m)) <= 1e-12
+        member = family_3d(pairs[1], sol.gamma)
+        assert abs(member.n0 - sol.n0) <= 1e-12
+        assert np.max(np.abs(member.n - sol.n)) <= 1e-12
+
+    check(*_rotation_pairs([0.0, 0.0, 1.0], np.pi - 1e-9, [
+        StokesVector(1.0, [1.0, 0.0, 0.0]),
+        StokesVector(1.0, np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0))]))
+    for i in range(300):
+        rng = np.random.default_rng([30, i])
+        axis = random_unit(rng)
+        N1 = np.cross(axis, random_unit(rng))
+        s0 = rng.uniform(0.5, 2.0)
+        probe = StokesVector(s0, s0 * rng.uniform(0.2, 1.0)
+                             * N1 / np.linalg.norm(N1))
+        delta = 0.0 if i % 10 == 0 else 10.0 ** rng.uniform(-12.0, -7.0)
+        check(*_rotation_pairs(axis, np.pi - delta,
+                               [probe, random_stokes(rng)]))
+
+    # both probes perpendicular to the axis: both pairs are antipodal
+    _, pairs = _rotation_pairs([0.0, 0.0, 1.0], np.pi - 1e-9, [
+        StokesVector(1.0, [0.8, 0.0, 0.0]), StokesVector(1.0, [0.0, 0.6, 0.0])])
+    with pytest.raises(AntipodalInput):
+        solve_two_3d(*pairs)
