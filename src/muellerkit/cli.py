@@ -12,8 +12,11 @@ finishes. Exit codes: 0 success, 1 input/usage error (an unwritable
 failed validation, degenerate data) or a NaN or infinite result, which
 JSON cannot hold (``error: <command>: ...``, nothing written); on exit 2
 only ``solve6`` and ``verify`` write output. Residuals |L s - s'| are
-``lorentz.residuals``. Set MUELLERKIT_LOG=DEBUG to log the traceback
-of a solver failure (exit 2) at debug level.
+``lorentz.residuals`` in ``verify``, ``solve2`` and ``family3``; in
+``solve4``, ``solve6`` and ``family4`` they are those the lifted
+solvers' stacked validation (``relativistic._validate``) takes of each
+pair's L = mueller_from_k(k). Set MUELLERKIT_LOG=DEBUG to log the
+traceback of a solver failure (exit 2) at debug level.
 """
 
 import argparse
@@ -81,6 +84,13 @@ def _finite(text):
     """argparse type: a float that is neither NaN nor infinite."""
     if not np.isfinite(v := float(text)):
         raise argparse.ArgumentTypeError(f"non-finite value {text!r}")
+    return v
+
+
+def _tolerance(text):
+    """argparse type: a finite float >= 0."""
+    if (v := _finite(text)) < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {v}")
     return v
 
 
@@ -283,13 +293,13 @@ def _build_parser():
     add("family3", cmd_family3, data=dict(required=True), gamma=num)
     add("solve2", cmd_solve2,
         data=dict(required=True),
-        tol=dict(type=_finite, default=rotation.TOL_CONS))
+        tol=dict(type=_tolerance, default=rotation.TOL_CONS))
     add("family4", cmd_family4, data=dict(required=True), y=num, z=num, w=num)
     add("solve4", cmd_solve4,
         data=dict(required=True),
-        tol=dict(type=_finite, default=1e-10))
+        tol=dict(type=_tolerance, default=1e-10))
     add("solve6", cmd_solve6,
-        data=dict(required=True), tol=dict(type=_finite, default=1e-6))
+        data=dict(required=True), tol=dict(type=_tolerance, default=1e-6))
     add("diag", cmd_diag, data=dict(required=True))
     seed = dict(type=_natural, default=0)
     add("little", cmd_little,
@@ -302,7 +312,7 @@ def _build_parser():
                      help="convert a CSV pair table to a JSON dataset"))
     add("verify", cmd_verify,
         matrix=dict(required=True), data=dict(required=True),
-        tol=dict(type=_finite, default=1e-8))
+        tol=dict(type=_tolerance, default=1e-8))
     return ap
 
 

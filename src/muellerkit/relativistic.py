@@ -94,19 +94,10 @@ def quad_coeffs(p: MeasurementPair) -> QuadCoeffs:
     return quad_coeffs_list([p])[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def quad_coeffs_list(pairs) -> list:
-    """QuadCoeffs of each pair, from its geometry_table row. A pair whose
-    row or coefficients overflow raises OutOfDomain, as in the solvers."""
-    out = []
-    for i, r in enumerate(geometry_table(pairs).tolist()):
-        q = _quad(r)
-        if not all(map(math.isfinite, [*r, *q])):
-            raise OutOfDomain(f"pair {i}: its geometry or lifted "
-                              "coefficients overflow (Stokes vectors too "
-                              "large)")
-        out.append(q)
-    return out
+    """QuadCoeffs of each pair, from its geometry_table row (which raises
+    OutOfDomain for an entry not within +-S_MAX, as in the solvers)."""
+    return [_quad(r) for r in geometry_table(pairs).tolist()]
 
 
 def _quad_terms(A, B, A2, B2):
@@ -247,8 +238,8 @@ def family_4d(p: MeasurementPair, y: float, z: float, w: float):
     as the solvers read theirs: k = E e on the pair's table row,
     normalized, and checked by ``_validate``; a root it rejects (k off the
     unit surface, or not normalizable) raises ConstraintViolation. A pair
-    whose table row overflows, or a slice whose coefficients or
-    discriminant overflow, raises OutOfDomain.
+    with a Stokes entry not within +-S_MAX (see ``geometry_table``), or a
+    slice whose coefficients or discriminant overflow, raises OutOfDomain.
     a and 2b y count as zero against the pair's lifted row, which does not
     grow with (y, z, w): a degenerate slice raises NoRealRoot.
     """
@@ -324,14 +315,12 @@ _VOUT = slice(GEOMETRY_WIDTH + 10, GEOMETRY_WIDTH + 14)
 _BASIS = slice(GEOMETRY_WIDTH + 14, GEOMETRY_WIDTH + 46)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _pair_table(pairs):
     """One row of floats per pair (columns above), each pair's scalars
     computed once; row[_LIFT] . lift(e) = 1 is the pair's quadratic
     constraint. The appended columns are taken in Python floats: on a few
-    rows that costs less than the same arithmetic on arrays. Raises
-    OutOfDomain, naming the first pair, where a row overflows (its terms
-    grow as the fourth power of the Stokes vectors)."""
+    rows that costs less than the same arithmetic on arrays; within the
+    domain of ``geometry_table`` (entries within +-S_MAX) none overflows."""
     rows = geometry_table(pairs).tolist()
     for r, p in zip(rows, pairs):
         a, b, c, alpha, beta, sigma = _quad_terms(r[ASUM], r[BDIFF],
@@ -341,12 +330,7 @@ def _pair_table(pairs):
               p.output.s0, *p.output.s.tolist()]
         r += _basis_entries(r[ASUM], r[BDIFF], r[AVEC], r[BVEC], r[CROSS],
                             r[AVEC2], r[BVEC2])
-    T = np.array(rows)
-    if not np.isfinite(T).all():
-        i = int(np.argmin(np.isfinite(T).all(axis=1)))
-        raise OutOfDomain(f"pair {i}: its geometry or lifted coefficients "
-                          "overflow (Stokes vectors too large)")
-    return T
+    return np.array(rows)
 
 
 _I6, _J6 = np.triu_indices(6, 1)  # the 15 pairs i < j of six

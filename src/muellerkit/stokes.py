@@ -10,6 +10,7 @@ from .errors import InvariantMismatch, MuellerKitError, OutOfDomain
 TOL_INV = 1e-9
 ROUND_OFF = 64 * np.finfo(float).eps  # per unit of s0^2 in an invariant
 COLLINEAR_TOL = 1e-12
+S_MAX = 2.0 ** 253  # largest term (A2 + B2 - B^2) A2 <= 336 S_MAX^4 < 2^1021
 
 
 def cross3(a, b):
@@ -127,22 +128,30 @@ def geometry_table(pairs) -> np.ndarray:
     A, B, Avec (3), Bvec (3), Avec x Bvec (3), Avec^2, Bvec^2,
     |Avec x Bvec|^2, Avec.Bvec (column names above).
 
-    The one definition of the per-pair arithmetic: ``pair_geometry`` and
-    the pair table of the lifted solvers both read it. Sums, differences
-    and cross products are taken in Python floats, the dot products of
-    all pairs by ``np.vecdot``: numpy's dot kernel gives them the bits of
-    ``Avec @ Avec``. Raises InvariantMismatch, through
-    ``check_invariants`` on the floats the row is built from.
+    The one definition of the per-pair arithmetic and its domain:
+    ``pair_geometry`` and the pair table of the lifted solvers both read
+    it. Sums, differences and cross products are taken in Python floats,
+    the dot products of all pairs by ``np.vecdot``: numpy's dot kernel
+    gives them the bits of ``Avec @ Avec``. Raises InvariantMismatch,
+    through ``check_invariants`` on the floats the row is built from,
+    then OutOfDomain for the first pair with an entry (NaN too) not
+    within +-S_MAX, ahead of ``np.vecdot``.
     """
-    rows = []
+    rows, entries = [], []
     for p in pairs:
         s0, s = p.input.s0, p.input.s.tolist()
         t0, t = p.output.s0, p.output.s.tolist()
         check_invariants(s0, s, t0, t)
+        entries += (s0, *s, t0, *t)
         (s1, s2, s3), (t1, t2, t3) = s, t
         a = [s1 + t1, s2 + t2, s3 + t3]
         b = [s1 - t1, s2 - t2, s3 - t3]
         rows.append([s0 + t0, s0 - t0, *a, *b, *cross3(a, b)])
+    wide = [i for i, v in enumerate(entries) if not abs(v) <= S_MAX]
+    if wide:
+        raise OutOfDomain(f"pair {wide[0] // 8}: Stokes entry "
+                          f"{entries[wide[0]]!r} is not within +-2^253 "
+                          "(S_MAX): its lifted coefficients may overflow")
     R = np.array(rows).reshape(-1, CROSS.stop)  # no pairs: no rows
     V = R[:, 2:].reshape(-1, 3, 3)  # Avec, Bvec, Avec x Bvec
     return np.concatenate((R, np.vecdot(V, V),
@@ -171,19 +180,14 @@ class PairGeometry(namedtuple(
         return basis_collinear(self.cross2, self.Avec2, self.Bvec2)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def pair_geometry(pair: MeasurementPair) -> PairGeometry:
     """Derived geometry of a measurement pair (see ``geometry_table``).
 
     Raises InvariantMismatch when input/output invariants differ beyond
     tolerance (scalar identity A*B = Avec.Bvec would fail too), and
-    OutOfDomain where the row overflows (its products grow as the square
-    of the Stokes vectors).
+    OutOfDomain for a Stokes entry not within +-S_MAX.
     """
     table = geometry_table([pair])
-    if not np.isfinite(table).all():
-        raise OutOfDomain("the pair geometry overflows "
-                          "(Stokes vectors too large)")
     table.setflags(write=False)  # the vector fields view its row
     row = table[0]
     r = row.tolist()

@@ -306,6 +306,26 @@ def test_non_finite_input_exits_1(tmp_path, capsys):
             assert code == 1 and out == "" and "non-finite" in err, argv
 
 
+def test_a_negative_tol_is_an_input_error(tmp_path, capsys):
+    # on data each solves, --tol -1 made solve4 exit 0 and solve2, solve6
+    # and verify exit 2 (no solution within a negative tolerance)
+    cases = []
+    for kind, cmd in (("rotation2", "solve2"), ("consistent4", "solve4"),
+                      ("consistent6", "solve6")):
+        data = str(tmp_path / f"{kind}.json")
+        assert run(["gen", "--kind", kind, "--seed", "3", "--output", data],
+                   capsys)[0] == 0
+        cases.append([cmd, "--data", data])
+    code, out, _ = run(cases[0], capsys)
+    assert code == 0
+    matrix = _write(tmp_path, "m.json", json.loads(out)["mueller"])
+    cases.append(["verify", "--matrix", matrix, "--data", cases[0][2]])
+    for argv in cases:
+        code, out, err = run([*argv, "--tol", "-1"], capsys)
+        assert (code, out) == (1, ""), argv
+        assert "argument --tol: must be >= 0, got -1.0" in err
+
+
 def test_solver_failures_exit_2_and_write_nothing(tmp_path, capsys):
     data = str(tmp_path / "r4.json")
     assert run(["gen", "--kind", "random", "--count", "4", "--seed", "1",

@@ -165,6 +165,44 @@ def test_on_surface_rejects_what_the_reference_rejects():
     assert kept[:2] == [5, 0]
 
 
+def _once(real, fail):
+    """real, but its first call returns fail(real, *args)."""
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        return fail(real, *args) if len(calls) == 1 else real(*args)
+    return patched
+
+
+def _collinear(real, p):
+    return real(p)._replace(cross2=0.0)
+
+
+def _degenerate(real, g, r):
+    raise DegenerateGeometry("expansion basis of rank < 4")
+
+
+@pytest.mark.parametrize("name, fail", [("pair_geometry", _collinear),
+                                        ("params_to_expansion", _degenerate)])
+@pytest.mark.parametrize("count", [1, 4])
+def test_consistent_dataset_redraws_a_rejected_base_pair(monkeypatch, name,
+                                                          fail, count):
+    # seeded datasets never reject their base pair, so each rejection (a
+    # collinear basis, an expansion basis of rank < 4) is forced on the
+    # first draw: the result is that of an rng already past that draw
+    rng, ref_rng = (np.random.default_rng([0x7fde, count]) for _ in range(2))
+    random_lorentz(rng=ref_rng)
+    random_stokes(ref_rng)
+    rk, re_star, rpairs = consistent_dataset(count, rng=ref_rng)
+    monkeypatch.setattr(oracle, name, _once(getattr(oracle, name), fail))
+    k, e_star, pairs = consistent_dataset(count, rng=rng)
+    assert k.k.tobytes() == rk.k.tobytes()
+    assert tuple(e_star) == tuple(re_star)
+    assert _floats(pairs) == _floats(rpairs)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("count", [0, -3])
 def test_consistent_dataset_needs_a_pair(count):
     rng = np.random.default_rng(5)

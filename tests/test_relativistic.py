@@ -1,10 +1,13 @@
+import itertools
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from muellerkit import (ConstraintViolation, DegenerateGeometry,
-                        ExpansionCoeffs, InconsistentPairs, MeasurementPair,
+                        ExpansionCoeffs, InconsistentPairs, InvariantMismatch,
+                        MeasurementPair,
                         NoConvergedRoot, NoRealRoot, NoValidCandidate,
                         OutOfDomain, Rank1Violation, SingularSystem,
                         StokesVector, apply,
@@ -20,7 +23,7 @@ from muellerkit.relativistic import (_lift_jacobian, _polish,
                                      expansion_basis, lift,
                                      quad_coeffs_from_geometry,
                                      quad_coeffs_polarized)
-from muellerkit.stokes import pair_geometry
+from muellerkit.stokes import S_MAX, pair_geometry
 
 EPS = np.finfo(float).eps
 
@@ -1030,6 +1033,65 @@ def test_quad_coeffs_read_the_pair_table_and_share_its_overflow_check():
             quad_coeffs(some[3])
         with pytest.raises(OutOfDomain, match="^pair 3: .* overflow"):
             relativistic.quad_coeffs_list(some)
+
+
+def _entries_pair(v):
+    """The pair of unchecked vectors with Stokes entries v (8 floats)."""
+    return MeasurementPair(StokesVector(v[0], v[1:4], validate=False),
+                           StokesVector(v[4], v[5:], validate=False))
+
+
+def test_pairs_with_entries_at_s_max_stay_finite():
+    # every sign pattern of eight entries of magnitude S_MAX (invariants
+    # -2 S_MAX^2 on both sides) is in the domain, and no term overflows
+    pairs = [_entries_pair([c * S_MAX for c in signs])
+             for signs in itertools.product((1.0, -1.0), repeat=8)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geometry = [np.hstack(pair_geometry(p)) for p in pairs]
+        coeffs = relativistic.quad_coeffs_list(pairs)
+        T = relativistic._pair_table(pairs)
+    assert np.isfinite(geometry).all() and np.isfinite(coeffs).all()
+    assert np.isfinite(T).all()
+
+
+@pytest.mark.parametrize("slot", range(8))
+def test_one_entry_past_s_max_is_out_of_domain(slot):
+    # the next float above S_MAX in any one of s0, s, s0', s' is out of
+    # domain, named by its pair's index
+    v = [S_MAX] * 8
+    v[slot] = float(np.nextafter(S_MAX, np.inf))
+    wide = _entries_pair(v)
+    match = "^pair {}: " + re.escape(f"Stokes entry {v[slot]!r} is not within")
+    _, _, pairs = consistent_dataset(6, seed=1)
+    for i in (0, 3):
+        some = [wide if j == i else p for j, p in enumerate(pairs)]
+        for solve, n in ((relativistic.quad_coeffs_list, 6),
+                         (solve_six, 6), (solve_four, 4)):
+            with pytest.raises(OutOfDomain, match=match.format(i)):
+                solve(some[:n])
+    with pytest.raises(OutOfDomain, match=match.format(0)):
+        pair_geometry(wide)
+    with pytest.raises(OutOfDomain, match=match.format(0)):
+        family_4d(wide, 0.1, 0.2, 0.3)
+    # every pair's invariants are checked before the domain of any
+    bad = MeasurementPair(StokesVector(1.0, [0.5, 0.0, 0.0]),
+                          StokesVector(2.0, [0.5, 0.0, 0.0]))
+    with pytest.raises(InvariantMismatch):
+        relativistic.quad_coeffs_list([wide, bad])
+
+
+@pytest.mark.parametrize("v", [
+    [1.0, np.nan, 0.0, 0.0, 1.0, 0.5, 0.0, 0.0],
+    [np.nan, 0.5, 0.0, 0.0, 1.0, 0.5, 0.0, 0.0],
+    [np.inf, 0.0, 0.0, 0.0, np.inf, 0.0, 0.0, 0.0],
+    [1.0, 0.5, 0.0, 0.0, np.inf, np.inf, 0.0, 0.0]])
+def test_non_finite_entries_are_out_of_domain(v):
+    # unchecked vectors whose invariants do not rule them out
+    p = _entries_pair(v)
+    for read in (pair_geometry, quad_coeffs, lambda p: family_4d(p, 0, 0, 0)):
+        with pytest.raises(OutOfDomain, match="^pair 0: Stokes entry "):
+            read(p)
 
 
 @pytest.mark.parametrize("solve, need, word", [(solve_four, 4, "four"),

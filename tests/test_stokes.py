@@ -163,6 +163,6 @@ def test_pair_geometry_of_an_overflowing_pair_is_out_of_domain():
                             for v in pairs[0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OutOfDomain, match="overflows "
-                           r"\(Stokes vectors too large\)"):
+        with pytest.raises(OutOfDomain, match=r"^pair 0: Stokes entry "
+                           r".* is not within \+-2\^253 \(S_MAX\)"):
             pair_geometry(big)
