@@ -12,10 +12,9 @@ finishes. Exit codes: 0 success, 1 input/usage error (an unwritable
 failed validation, degenerate data) or a NaN or infinite result, which
 JSON cannot hold (``error: <command>: ...``, nothing written); on exit 2
 only ``solve6`` and ``verify`` write output. Residuals |L s - s'| are
-``lorentz.residuals`` in ``verify``, ``solve2`` and ``family3``; in
-``solve4``, ``solve6`` and ``family4`` they are those the lifted
-solvers' stacked validation (``relativistic._validate``) takes of each
-pair's L = mueller_from_k(k). Set MUELLERKIT_LOG=DEBUG to log the
+``lorentz.transit_residuals``, so the one of a printed ``mueller`` (on
+every pair for ``solve2``/``family3``, on pair 0 for the lifted solvers)
+is bit for bit what ``verify`` reads. MUELLERKIT_LOG=DEBUG logs the
 traceback of a solver failure (exit 2) at debug level.
 """
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateGeometry, RankDeficient
 from .lorentz import (ComplexParameter, MuellerMatrix, RealParameter,
                       apply, is_lorentz, k_from_nm, mueller_from_k, nm_from_k,
-                      residuals, rotation_k)
+                      rotation_k, transit_residuals)
 from .relativistic import (ExpansionCoeffs, _quad, companion_roots,
                            constraint_residual, params_to_expansion)
 from .stokes import (AVEC2, BVEC2, CROSS2, MeasurementPair, StokesVector,
@@ -183,7 +183,7 @@ def direct_linear_solve(pairs):
     (fewer than four pairs in general position), with ``rank`` 4 rank(X):
     that of the 16-unknown system in vec(M), whose singular values are
     those of X, each four times. Returns (MuellerMatrix, LorentzReport,
-    residual_norm), the last the 2-norm of the pairs' ``residuals``.
+    residual_norm), the last the 2-norm of the ``transit_residuals`` of X, Y.
     """
     X = np.array([p.input.as_array() for p in pairs]).reshape(-1, 4)
     Y = np.array([p.output.as_array() for p in pairs]).reshape(-1, 4)
@@ -193,4 +193,4 @@ def direct_linear_solve(pairs):
             f"measurement stack has rank {4 * rank} < 16: "
             "matrix not determined", rank=4 * int(rank))
     L = MuellerMatrix(Mt.T)
-    return L, is_lorentz(L), math.hypot(*residuals(L, pairs))
+    return L, is_lorentz(L), math.hypot(*transit_residuals(L.m, X, Y))

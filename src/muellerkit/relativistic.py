@@ -35,8 +35,8 @@ evaluation round-off and the caller's tolerance (or stops falling), both
 point gets one canonical global sign, duplicates are dropped and the rest
 ordered by e, and all candidates are checked against all pairs in one
 stacked pass (``_validate``: one q = k0^2 - k.k of each k = E e, read by
-its unit check and its normalization in place, and |L s - s'| of the
-L = mueller_from_k(k) of each k); the reported k are records over one
+its unit check and its normalization in place, and ``transit_residuals``
+of each k's L = mueller_from_k(k)); the reported k are records over one
 read-only copy of that block. ``family_4d`` reads its roots back through
 the same pass on its one-pair table. The order depends on e alone, not on
 residuals at round-off level or on the order of the pairs; solve_four's
@@ -46,7 +46,6 @@ roots.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -57,10 +56,10 @@ from .errors import (ConstraintViolation, DegenerateGeometry,
                      SingularSystem)
 from . import kernels
 from .lorentz import (ComplexParameter, RealParameter, minkowski_square,
-                      records, unit_ok_q)
+                      records, transit_residuals, unit_ok_q)
 from .stokes import (ASUM, AVEC, AVEC2, BDIFF, BVEC, BVEC2, CROSS, CROSS2,
                      GEOMETRY_WIDTH, MeasurementPair, PairGeometry,
-                     basis_collinear, geometry_table)
+                     basis_collinear, frozen, geometry_table)
 
 TOL_CONS = 1e-8
 TOL_R1 = 1e-6
@@ -277,26 +276,24 @@ def family_4d(p: MeasurementPair, y: float, z: float, w: float):
             zip(es, records(ComplexParameter, K[0]), res[0].tolist())]
 
 
-@dataclass
-class Candidate:
-    e: ExpansionCoeffs
-    per_pair_residuals: list
-    k_spread: float
-    k_list: list
+class Candidate(namedtuple("Candidate",
+                           "e per_pair_residuals k_spread k_list")):
+    __slots__ = ()
 
     @property
     def worst(self):
         return max(self.per_pair_residuals)
 
 
-@dataclass
-class SixReport:
-    u: np.ndarray
-    candidates: list
-    cramer: dict
-    rank1_defects: tuple
-    condition: float
-    shared_solution: bool
+class SixReport(namedtuple("SixReport", "u candidates cramer rank1_defects "
+                                        "condition shared_solution")):
+    """u, float64[6]: the solution of the lifted system."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__
+
+    def __new__(cls, u, *fields, **named):
+        return super().__new__(cls, frozen(u, float, (6,)), *fields, **named)
 
 
 def lift(e) -> np.ndarray:
@@ -463,7 +460,7 @@ def _validate(T, es):
     misses the unit surface by a few eps sum |k_i|^2 / |q|, its own scale,
     and a non-finite k fails the first rule (this holds while
     sum |k_i|^2 / |q| does not overflow). Returns K, normalized where
-    accepted, the residuals |L s - s'| of mueller_from_k's L for each k
+    accepted, the ``transit_residuals`` of mueller_from_k's L for each k
     (pairs, candidates) and the rejection mask (pairs, candidates), True
     where that per-pair path would raise a MuellerKitError.
     """
@@ -476,8 +473,7 @@ def _validate(T, es):
     K /= np.sqrt(np.where(bad, 1.0, q))[..., None]  # rejected: left as is
 
     L = kernels.mueller_product(K)
-    d = (L @ T[:, None, _VIN, None])[..., 0] - T[:, None, _VOUT]
-    return K, np.sqrt(np.vecdot(d, d)), bad
+    return K, transit_residuals(L, T[:, None, _VIN], T[:, None, _VOUT]), bad
 
 
 def solve_six(pairs, tol_l=1e-6) -> SixReport:
@@ -538,11 +534,9 @@ def solve_six(pairs, tol_l=1e-6) -> SixReport:
         key=lambda cnd: cnd.worst > tol_l)
 
     valid = [cnd for cnd in candidates if cnd.worst <= tol_l]
-    report = SixReport(
-        u=u, candidates=candidates, cramer=cramer,
-        rank1_defects=(float(d1), float(d2)), condition=cond,
-        shared_solution=bool(valid),
-    )
+    report = SixReport(u=u, candidates=candidates, cramer=cramer,
+                       rank1_defects=(float(d1), float(d2)),
+                       condition=cond, shared_solution=bool(valid))
     if not valid:
         raise NoValidCandidate(
             "no sign assignment passes the transitivity tolerance "
@@ -552,13 +546,13 @@ def solve_six(pairs, tol_l=1e-6) -> SixReport:
     return report
 
 
-@dataclass
-class FourReport:
-    roots: list           # (ExpansionCoeffs, max |constraint residual|), by e
-    per_pair_residuals: list  # |L s - s'| of each pair's own k, per root
-    rank_deficient: list  # Jacobian-degenerate flags aligned with roots
-    n_starts: int         # sign candidates read back from lifted points
-    k: list               # each root's normalized k on the first pair's basis
+class FourReport(namedtuple("FourReport", "roots per_pair_residuals "
+                                          "rank_deficient n_starts k")):
+    """Per root, ordered by e: (e, max |constraint residual|), |L s - s'| of
+    each pair's own k, a Jacobian rank flag and k on pair 0's basis; and
+    n_starts, the sign candidates read back from lifted points."""
+
+    __slots__ = ()
 
 
 def _rank1_conic(u0, v1, v2, i, j, k):

@@ -17,8 +17,6 @@ from muellerkit.relativistic import (_BASIS, _LIFT, TOL_K_RAW,
                                      _split_polish, _validate)
 from muellerkit.stokes import cross3, pair_geometry
 
-EPS = np.finfo(float).eps
-
 
 def _layout(k):
     """A(k) written out as documented in the kernels module."""
@@ -209,12 +207,10 @@ def _assert_same(stacked, reference):
 
 def _assert_matrix_residuals(ks, pairs, res):
     """Each residual is |L s - s'| of the L = mueller_from_k(k) printed for
-    its pair, within 8 eps sum |k_i|^2 |s|."""
+    its pair, bit for bit."""
     for k, p, r in zip(ks, pairs, res, strict=True):
         [ref] = residuals(mueller_from_k(k), [p])
-        bound = (8 * EPS * np.sum(np.abs(k.k) ** 2)
-                 * np.linalg.norm(p.input.as_array()))
-        assert abs(r - ref) <= bound
+        assert r == ref
 
 
 def test_stacked_six_validation_matches_scalar_path():

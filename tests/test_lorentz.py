@@ -7,7 +7,8 @@ from muellerkit import (ComplexParameter, ConstraintViolation, DivisionByZero,
                         MuellerMatrix, RealParameter, StokesVector, apply,
                         boost_k, gibbs_of, is_lorentz, k_from_nm,
                         little_element, mueller_from_k, nm_from_k, rotation_k)
-from muellerkit.lorentz import TOL_K, residuals, unit_ok
+from muellerkit import kernels
+from muellerkit.lorentz import TOL_K, residuals, transit_residuals, unit_ok
 from muellerkit.oracle import random_lorentz, random_pairs
 
 # random_lorentz(seed=42), frozen so representation changes are caught
@@ -229,3 +230,23 @@ def test_residuals_are_the_norm_of_apply_minus_the_output():
                                         - p.output.as_array()))
                    for p in pairs]
     assert residuals(L, []) == []
+
+
+def test_residual_of_a_strided_stack_is_that_of_its_contiguous_copy():
+    # mueller_product returns the real part of a complex product, a strided
+    # view; its residuals are the norms of M s - t of each matrix as its
+    # own contiguous copy (a MuellerMatrix), one broadcast matrix included
+    rng = np.random.default_rng(13)
+    K = np.array([random_lorentz(rng=rng).k for _ in range(24)])
+    L = kernels.mueller_product(K.reshape(4, 6, 4))
+    assert not L.flags.c_contiguous
+    S, T = rng.normal(size=(2, 4, 6, 4))
+    r = transit_residuals(L, S, T)
+    assert np.array_equal(r, transit_residuals(L.copy(), S, T))
+    rows = list(zip(S.reshape(-1, 4), T.reshape(-1, 4)))
+    assert r.ravel().tolist() == [
+        float(np.linalg.norm(MuellerMatrix(m).m @ s - t))
+        for m, (s, t) in zip(L.reshape(-1, 4, 4), rows)]
+    m = MuellerMatrix(L[1, 2]).m
+    assert transit_residuals(L[1, 2], S, T).ravel().tolist() == [
+        float(np.linalg.norm(m @ s - t)) for s, t in rows]

@@ -16,11 +16,12 @@ from muellerkit import (ComplexParameter, DiagResult, ExpansionCoeffs,
                         LorentzReport, MeasurementPair, MuellerKitError,
                         MuellerMatrix, QuadCoeffs, RealParameter,
                         SignatureReport, StokesVector, pair_geometry)
+from muellerkit.relativistic import Candidate, FourReport, SixReport
 
 
 def _records():
     """(record, {array field: the writeable caller array it was built
-    from}) for each of the 14 record types, every one built by keyword."""
+    from}) for each of the 17 record types, every one built by keyword."""
     s, n, m = np.array([0.3, 0.2, 0.1]), np.array([0.1, 0.2, 0.3]), np.zeros(3)
     k = np.array([1.0, 0.0, 0.0, 0.0], complex)
     q, L = np.array([0.1j, 0.0, 0.0]), np.eye(4)
@@ -28,6 +29,10 @@ def _records():
     v = StokesVector(s0=1.0, s=s)
     pair = MeasurementPair(input=v, output=StokesVector(s0=1.0, s=s[::-1]))
     diag = DiagResult(F=-1.0, G=2.0, phi=0.5)
+    e = ExpansionCoeffs(x=1.0, y=0.0, z=0.0, w=0.0)
+    cand = Candidate(e=e, per_pair_residuals=[0.0], k_spread=0.0,
+                     k_list=[ComplexParameter(k)])
+    u = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     return [
         (v, {"s": s}),
         (pair, {}),
@@ -42,13 +47,20 @@ def _records():
         (SignatureReport(xy=diag, zw=diag, signs=(-1, 1, 1, -1),
                          boundary=False, definite_xy=False,
                          definite_zw=False), {}),
-        (ExpansionCoeffs(x=1.0, y=0.0, z=0.0, w=0.0), {}),
+        (e, {}),
         (QuadCoeffs(a=1.0, b=0.0, c=1.0, alpha=0.0, beta=0.0, sigma=0.0),
          {}),
         (Family3DSolution(gamma=0.0, alpha=0.0, beta=1.0, n0=1.0, n=n_rot),
          {"n": n_rot}),
         (LittleGroupElement(k=ComplexParameter(k), n=n_little),
          {"n": n_little}),
+        (cand, {}),
+        (SixReport(u=u, candidates=[cand], cramer={"det": 1.0},
+                   rank1_defects=(0.0, 0.0), condition=1.0,
+                   shared_solution=True), {"u": u}),
+        (FourReport(roots=[(e, 0.0)], per_pair_residuals=[[0.0]],
+                    rank_deficient=[False], n_starts=2,
+                    k=[ComplexParameter(k)]), {}),
     ]
 
 
@@ -118,7 +130,7 @@ def test_the_cases_cover_every_record_type_of_the_package():
              for name, obj in vars(mod).items()
              if isinstance(obj, type) and issubclass(obj, tuple)
              and obj.__module__ == mod_name}
-    assert found == set(NAMES) and len(NAMES) == 14
+    assert found == set(NAMES) and len(NAMES) == 17
 
 
 def test_stokes_validate_is_a_flag_not_a_field():
