@@ -181,9 +181,9 @@ def transit_residuals(M, S, T):
 
 def residuals(L: MuellerMatrix, pairs) -> list:
     """``transit_residuals`` of a matrix on each pair, as floats."""
-    S = np.array([[p.input.s0, *p.input.s.tolist(), p.output.s0,
-                   *p.output.s.tolist()] for p in pairs]).reshape(-1, 8)
-    return transit_residuals(L.m, S[:, :4], S[:, 4:]).tolist()
+    S = np.array([p.input.as_array() for p in pairs]).reshape(-1, 4)
+    T = np.array([p.output.as_array() for p in pairs]).reshape(-1, 4)
+    return transit_residuals(L.m, S, T).tolist()
 
 
 @np.errstate(over="ignore", invalid="ignore")

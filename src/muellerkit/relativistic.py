@@ -46,6 +46,7 @@ roots.
 
 import math
 from collections import namedtuple
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -527,8 +528,7 @@ def solve_six(pairs, tol_l=1e-6) -> SixReport:
     keep = np.flatnonzero(~bad.any(axis=0))
     candidates = sorted(
         (Candidate(e=ExpansionCoeffs(*es[c]), per_pair_residuals=r,
-                   k_spread=spread,
-                   k_list=records(ComplexParameter, K[:, c]))
+                   k_spread=spread, k_list=records(ComplexParameter, K[:, c]))
          for c, r, spread in zip(keep.tolist(), res[:, keep].T.tolist(),
                                  _k_spread(K[:, keep]))),
         key=lambda cnd: cnd.worst > tol_l)
@@ -546,13 +546,13 @@ def solve_six(pairs, tol_l=1e-6) -> SixReport:
     return report
 
 
-class FourReport(namedtuple("FourReport", "roots per_pair_residuals "
-                                          "rank_deficient n_starts k")):
-    """Per root, ordered by e: (e, max |constraint residual|), |L s - s'| of
-    each pair's own k, a Jacobian rank flag and k on pair 0's basis; and
-    n_starts, the sign candidates read back from lifted points."""
-
-    __slots__ = ()
+@dataclass
+class FourReport:
+    roots: list           # (ExpansionCoeffs, max |constraint residual|), by e
+    per_pair_residuals: list  # |L s - s'| of each pair's own k, per root
+    rank_deficient: list  # Jacobian-degenerate flags aligned with roots
+    n_starts: int         # sign candidates read back from lifted points
+    k: list               # each root's normalized k on the first pair's basis
 
 
 def _rank1_conic(u0, v1, v2, i, j, k):

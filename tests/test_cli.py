@@ -485,7 +485,7 @@ def test_startup_loads_every_module_and_no_logging_or_csv(tmp_path):
     lazy, loaded, dataclasses = p.stdout.splitlines()
     assert lazy == "[]"
     assert loaded == str(modules)
-    assert dataclasses == "[]"
+    assert dataclasses == str(["FourReport"])
 
 
 def test_lazy_logging_and_csv_paths_in_a_new_process(tmp_path):

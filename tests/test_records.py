@@ -16,12 +16,12 @@ from muellerkit import (ComplexParameter, DiagResult, ExpansionCoeffs,
                         LorentzReport, MeasurementPair, MuellerKitError,
                         MuellerMatrix, QuadCoeffs, RealParameter,
                         SignatureReport, StokesVector, pair_geometry)
-from muellerkit.relativistic import Candidate, FourReport, SixReport
+from muellerkit.relativistic import Candidate, SixReport
 
 
 def _records():
     """(record, {array field: the writeable caller array it was built
-    from}) for each of the 17 record types, every one built by keyword."""
+    from}) for each of the 16 record types, every one built by keyword."""
     s, n, m = np.array([0.3, 0.2, 0.1]), np.array([0.1, 0.2, 0.3]), np.zeros(3)
     k = np.array([1.0, 0.0, 0.0, 0.0], complex)
     q, L = np.array([0.1j, 0.0, 0.0]), np.eye(4)
@@ -58,9 +58,6 @@ def _records():
         (SixReport(u=u, candidates=[cand], cramer={"det": 1.0},
                    rank1_defects=(0.0, 0.0), condition=1.0,
                    shared_solution=True), {"u": u}),
-        (FourReport(roots=[(e, 0.0)], per_pair_residuals=[[0.0]],
-                    rank_deficient=[False], n_starts=2,
-                    k=[ComplexParameter(k)]), {}),
     ]
 
 
@@ -130,7 +127,7 @@ def test_the_cases_cover_every_record_type_of_the_package():
              for name, obj in vars(mod).items()
              if isinstance(obj, type) and issubclass(obj, tuple)
              and obj.__module__ == mod_name}
-    assert found == set(NAMES) and len(NAMES) == 17
+    assert found == set(NAMES) and len(NAMES) == 16
 
 
 def test_stokes_validate_is_a_flag_not_a_field():
