@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: apply, family3, solve2, family4, solve4, solve6, diag,
-little, gen, verify. All machine output is canonical JSON with floats at
-17 significant digits (see ``serialize``), so a fixed input and seed
-produce byte-identical output across runs.
+little, gen, verify. All machine output is canonical JSON with every float
+written as its shortest round-trip ``repr`` (see ``serialize``), so a
+fixed input and seed produce byte-identical output across runs.
 
 Each subcommand returns its output tree and exit code, and ``main``
 writes the tree once, to stdout or ``--output``, after the subcommand
@@ -47,9 +47,12 @@ def _load(path, parse, what):
         raise InputError(
             f"{path}: parse error at line {e.lineno}, column {e.colno}: "
             f"{e.msg}") from e
+    except ValueError as e:  # an integer literal past Python's digit limit
+        raise InputError(f"{path}: bad {what}: {e}") from e
     try:
         return parse(d)
-    except (KeyError, TypeError, ValueError, MuellerKitError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            MuellerKitError) as e:
         raise InputError(f"{path}: bad {what}: {e}") from e
 
 
@@ -253,9 +256,7 @@ def cmd_gen(args):
     else:
         pairs, k = _gen_dataset(args.kind, args.seed, args.count)
         meta = {"kind": args.kind, "seed": str(args.seed),
-                "truth_k": json.dumps(
-                    {"re": [serialize._fmt(v) for v in k.k.real],
-                     "im": [serialize._fmt(v) for v in k.k.imag]})}
+                "truth_k": json.dumps(serialize.k_to_json(k))}
     return serialize.dataset_to_json(pairs, meta), 0
 
 

@@ -1,13 +1,12 @@
 """Canonical JSON (de)serialization.
 
-``dumps`` writes a tree in one recursive pass. Floats (Python and numpy)
-are written as '%.17g', which is lossless for IEEE doubles; a record (a
-named tuple) is an object of its fields in field order, a dict an object
-in its key order, a list, tuple or ndarray a list; strings, keys, ints,
-bools and None are written by ``json.dumps``. The layout is that of
-``json.dumps(indent=2)`` with a trailing newline, so serializing the same
-objects always yields byte-identical text. Schemas are documented in
-``docs/schemas.md``.
+``dumps`` is ``json.dumps(indent=2)`` plus a trailing newline, on the
+tree with records (named tuples) turned into objects of their fields in
+field order, tuples and ndarrays into lists and numpy scalars into Python
+numbers. A float is written as its shortest round-trip ``repr``, which is
+lossless for every IEEE double and keeps the ``.0`` of an integral float
+and the sign of ``-0.0``, so serializing the same objects always yields
+byte-identical text. Schemas are documented in ``docs/schemas.md``.
 """
 
 import json
@@ -19,52 +18,28 @@ from .lorentz import ComplexParameter, MuellerMatrix
 from .stokes import MeasurementPair, StokesVector
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
-
-
-def _write(obj, out, nl):
-    """Append the text of obj to out; nl is a newline and obj's indent."""
-    if isinstance(obj, (float, np.floating)):
+def _plain(obj):
+    """obj as a tree of dicts, lists and Python scalars; a record (a named
+    tuple) is a dict of its fields in field order."""
+    if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"non-finite number {obj} has no JSON form")
-        out.append(_fmt(obj))
-        return
-    if isinstance(obj, np.integer):
-        obj = int(obj)
-    elif isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    elif isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return float(obj)
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
         obj = obj._asdict()
-    if not isinstance(obj, (dict, list, tuple)):
-        out.append(json.dumps(obj))
-        return
-    is_dict = isinstance(obj, dict)
-    if not obj:
-        out.append("{}" if is_dict else "[]")
-        return
-    inner = nl + "  "
-    sep = ("{" if is_dict else "[") + inner
-    if is_dict:
-        for k, v in obj.items():
-            out += (sep, json.dumps(str(k)), ": ")
-            _write(v, out, inner)
-            sep = "," + inner
-    else:
-        for v in obj:
-            out.append(sep)
-            _write(v, out, inner)
-            sep = "," + inner
-    out += (nl, "}" if is_dict else "]")
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _plain(obj.tolist())
+    return obj
 
 
 def dumps(obj) -> str:
-    """Canonical JSON text of a JSON-able tree (floats at 17 digits).
+    """Canonical JSON text of a JSON-able tree, with a trailing newline.
     Raises ValueError on a NaN or infinite float, which JSON cannot hold."""
-    out = []
-    _write(obj, out, "\n")
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(_plain(obj), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------- objects

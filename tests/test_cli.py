@@ -395,15 +395,15 @@ DIAG_TEXT = """{
     {
       "coefficients": {
         "a": 3.5,
-        "b": -1,
+        "b": -1.0,
         "c": 0.5,
         "alpha": -0.5,
-        "beta": 0,
+        "beta": 0.0,
         "sigma": -1.5
       },
       "xy": {
         "F": 0.19722436226800544,
-        "G": 3.8027756377319948,
+        "G": 3.802775637731995,
         "phi": -1.2767950250211129
       },
       "zw": {
@@ -429,15 +429,15 @@ VERIFY_TEXT = """{
   "residuals": [
     {
       "pair": 0,
-      "residual": 1.1180339887498949,
+      "residual": 1.118033988749895,
       "ok": false
     }
   ],
   "lorentz": {
     "ok": false,
-    "ortho_residual": 3,
-    "det_residual": 2.9999999999999991,
-    "m00": 2
+    "ortho_residual": 3.0,
+    "det_residual": 2.999999999999999,
+    "m00": 2.0
   },
   "all_ok": false
 }
@@ -603,6 +603,31 @@ def test_a_file_that_is_not_utf8_is_an_input_error(argv, tmp_path):
     assert (p.returncode, p.stdout) == (1, "")
     assert p.stderr.startswith("error: bad.bin: ") and "utf-8" in p.stderr
     assert "Traceback" not in p.stderr
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+@pytest.mark.parametrize("argv", [
+    ["little", "--stokes", "s.json"],
+    ["diag", "--data", "d.json"],
+    ["verify", "--data", "d.json", "--matrix", "m.json"],
+    ["verify", "--matrix", "m.json", "--data", "d.json"],
+    ["apply", "--stokes", "s.json", "--matrix", "m.json"],
+    ["apply", "--matrix", "m.json", "--stokes", "s.json"]],
+    ids=lambda a: a[0] + a[-2])
+def test_an_integer_too_large_for_a_float_is_an_input_error(
+        argv, digits, tmp_path, capsys, monkeypatch):
+    # 400 digits parse and overflow float(); 5000 pass Python's int digit
+    # limit, so json.load raises a plain ValueError: both were tracebacks
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "m.json", {"m": list(np.eye(4).reshape(16))})
+    _write(tmp_path, "s.json", {"s0": 1.0, "s": [0.5, 0.2, 0.1]})
+    _one_pair(tmp_path, "d.json", [0.5, 0.0, 0.0], [0.5, 0.0, 0.0])
+    big = tmp_path / argv[-1]  # the last file gets the huge literal
+    big.write_text(big.read_text().replace("1.0", "1" + "0" * digits, 1))
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {argv[-1]}: bad ")
+    assert "Traceback" not in err
 
 
 def test_overflowing_intensities_are_out_of_domain(tmp_path, capsys):

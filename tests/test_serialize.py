@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from muellerkit import mueller_from_k, serialize as S
 from muellerkit.oracle import random_lorentz, random_pairs
@@ -9,9 +11,29 @@ from muellerkit.oracle import random_lorentz, random_pairs
 
 def test_float_formatting_lossless():
     vals = [1.0, -0.1, 1e-300, 1.7976931348623157e308, np.pi,
-            0.1 + 0.2, 3.0, 1e17]
+            0.1 + 0.2, 3.0, 1e17, 5e-324, -0.0]
     for v in vals:
-        assert float(S._fmt(v)) == v
+        back = json.loads(S.dumps(v))
+        assert type(back) is float and back.hex() == v.hex()
+
+
+@example(0.0)
+@example(-0.0)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=200, deadline=None)
+def test_floats_survive_dumps(x):
+    # bare, in a list, a dict, a record and an ndarray: a float reads back
+    # as a float of the same value and the same sign, zero included
+    from muellerkit import DiagResult
+    trees = [(x, lambda t: t), ([x], lambda t: t[0]),
+             ({"x": x}, lambda t: t["x"]),
+             (DiagResult(F=x, G=1.0, phi=0.0), lambda t: t["F"]),
+             (np.array([[x]]), lambda t: t[0][0]),
+             (np.float64(x), lambda t: t)]
+    for tree, pick in trees:
+        back = pick(json.loads(S.dumps(tree)))
+        assert type(back) is float and back == x
+        assert math.copysign(1, back) == math.copysign(1, x)
 
 
 def test_dataset_round_trip_bytes():
@@ -71,7 +93,7 @@ def test_layout_is_that_of_json_dumps_indent_2():
              "g": [0.25, 0.5]}
     assert S.dumps(tree) == json.dumps(plain, indent=2) + "\n"
     assert S.dumps([]) == "[]\n" and S.dumps({}) == "{}\n"
-    assert S.dumps(0.1) == "0.10000000000000001\n"
+    assert S.dumps(0.1) == "0.1\n"
 
 
 def test_a_non_finite_float_raises_rather_than_writing_invalid_json():
