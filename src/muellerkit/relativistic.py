@@ -233,15 +233,17 @@ def k_from_expansion(g: PairGeometry, e: ExpansionCoeffs,
 def family_4d(p: MeasurementPair, y: float, z: float, w: float):
     """Solve the pair's quadratic for x at fixed (y, z, w).
 
-    Returns the 0/1/2 real solutions as (ExpansionCoeffs, ComplexParameter,
-    transitivity residual) triples, ordered by x. Each root is read back
-    as the solvers read theirs: k = E e on the pair's table row,
+    Returns the 1 or 2 real solutions as (ExpansionCoeffs,
+    ComplexParameter, transitivity residual) triples, ordered by x, each
+    read back as the solvers read theirs: k = E e on the pair's table row,
     normalized, and checked by ``_validate``; a root it rejects (k off the
     unit surface, or not normalizable) raises ConstraintViolation. A pair
     with a Stokes entry not within +-S_MAX (see ``geometry_table``), or a
     slice whose coefficients or discriminant overflow, raises OutOfDomain.
-    a and 2b y count as zero against the pair's lifted row, which does not
-    grow with (y, z, w): a degenerate slice raises NoRealRoot.
+    A negative discriminant raises NoRealRoot, as does an a that counts as
+    zero against the pair's lifted row (which does not grow with (y, z,
+    w)): a valid pair has a >= 4 (s0^2 - |s|^2) > 0, or is fully polarized,
+    where b vanishes with a, so such a slice is round-off.
     """
     T = _pair_table([p])
     # the lifted row (a, 2b, c, -alpha, -2beta, -sigma); the quadratic in x
@@ -254,18 +256,14 @@ def family_4d(p: MeasurementPair, y: float, z: float, w: float):
     if not all(map(math.isfinite, (ca, cb, cc, disc))):
         raise OutOfDomain(f"quadratic in x overflows at (y, z, w) = "
                           f"({y:.3e}, {z:.3e}, {w:.3e})")
-    scale = max(map(abs, row))
-    if abs(ca) <= 1e-14 * scale:
-        if abs(cb) <= 1e-14 * scale * abs(y):
-            raise NoRealRoot("degenerate linear slice: no x solves the "
-                             "constraint at this (y, z, w)")
-        xs = [-cc / cb]
-    else:
-        if disc < 0.0:
-            raise NoRealRoot(f"discriminant {disc:.3e} < 0: "
-                             "(y, z, w) off the surface projection")
-        sq = math.sqrt(disc)
-        xs = sorted({(-cb + sq) / (2.0 * ca), (-cb - sq) / (2.0 * ca)})
+    if abs(ca) <= 1e-14 * max(map(abs, row)):
+        raise NoRealRoot("degenerate slice: the x^2 coefficient is "
+                         "round-off; the pair implies no x at this (y, z, w)")
+    if disc < 0.0:
+        raise NoRealRoot(f"discriminant {disc:.3e} < 0: "
+                         "(y, z, w) off the surface projection")
+    sq = math.sqrt(disc)
+    xs = sorted({(-cb + sq) / (2.0 * ca), (-cb - sq) / (2.0 * ca)})
 
     es = [[x, float(y), float(z), float(w)] for x in xs]
     K, res, bad = _validate(T, np.array(es))
@@ -493,8 +491,9 @@ def solve_six(pairs, tol_l=1e-6) -> SixReport:
     of largest magnitude >= 0), are validated on every pair through the
     transitivity residual, and a candidate any pair rejects is dropped.
     The candidates within tol_l on every pair come first, each group
-    ordered by e. Whether all six per-pair parameters agree (a genuinely
-    shared device parameter) is reported, not assumed.
+    ordered by e. shared_solution: some candidate is within tol_l on
+    every pair (False only in NoValidCandidate's report); k_spread, not
+    it, says how far a candidate's six per-pair parameters agree.
     """
     if len(pairs) != 6:
         raise ValueError("exactly six pairs required")

@@ -119,14 +119,14 @@ class MeasurementPair(namedtuple("MeasurementPair", "input output")):
 # table that extends it appends from GEOMETRY_WIDTH on.
 ASUM, BDIFF = 0, 1
 AVEC, BVEC, CROSS = slice(2, 5), slice(5, 8), slice(8, 11)
-AVEC2, BVEC2, CROSS2, ADOTB = 11, 12, 13, 14
-GEOMETRY_WIDTH = 15
+AVEC2, BVEC2, CROSS2 = 11, 12, 13
+GEOMETRY_WIDTH = 14
 
 
 def geometry_table(pairs) -> np.ndarray:
-    """The geometry of each checked pair, one row of 15 floats per pair:
+    """The geometry of each checked pair, one row of 14 floats per pair:
     A, B, Avec (3), Bvec (3), Avec x Bvec (3), Avec^2, Bvec^2,
-    |Avec x Bvec|^2, Avec.Bvec (column names above).
+    |Avec x Bvec|^2 (column names above).
 
     The one definition of the per-pair arithmetic and its domain:
     ``pair_geometry`` and the pair table of the lifted solvers both read
@@ -154,8 +154,7 @@ def geometry_table(pairs) -> np.ndarray:
                           "(S_MAX): its lifted coefficients may overflow")
     R = np.array(rows).reshape(-1, CROSS.stop)  # no pairs: no rows
     V = R[:, 2:].reshape(-1, 3, 3)  # Avec, Bvec, Avec x Bvec
-    return np.concatenate((R, np.vecdot(V, V),
-                           np.vecdot(V[:, 0], V[:, 1])[:, None]), axis=1)
+    return np.concatenate((R, np.vecdot(V, V)), axis=1)
 
 
 def basis_collinear(cross2, Avec2, Bvec2):
@@ -193,4 +192,5 @@ def pair_geometry(pair: MeasurementPair) -> PairGeometry:
     r = row.tolist()
     return PairGeometry(A=r[ASUM], B=r[BDIFF], Avec=row[AVEC],
                         Bvec=row[BVEC], Avec2=r[AVEC2], Bvec2=r[BVEC2],
-                        AdotB=r[ADOTB], cross=row[CROSS], cross2=r[CROSS2])
+                        AdotB=float(row[AVEC] @ row[BVEC]), cross=row[CROSS],
+                        cross2=r[CROSS2])

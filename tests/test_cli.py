@@ -340,12 +340,12 @@ def test_solver_failures_exit_2_and_write_nothing(tmp_path, capsys):
     code, out, err = run(["family4", "--data", half_turn, "--y", "0.1",
                           "--z", "0.2", "--w", "0.3"], capsys)
     assert code == 2 and out == ""
-    assert err.startswith("error: NoRealRoot: degenerate linear slice")
+    assert err.startswith("error: NoRealRoot: degenerate slice")
 
 
 def test_family4_overflowing_slice_exits_2(tmp_path, capsys):
-    # the slice's x^2 constant overflows to inf; it read as a degenerate
-    # linear slice
+    # the slice's constant term overflows to inf; the overflow is named
+    # before the slice is judged degenerate
     four = str(tmp_path / "four.json")
     assert run(["gen", "--kind", "consistent4", "--seed", "2",
                 "--output", four], capsys)[0] == 0

@@ -1,6 +1,7 @@
 import itertools
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from muellerkit import (ConstraintViolation, DegenerateGeometry,
                         nm_from_k, params_to_expansion, quad_coeffs,
                         solve_four, solve_six)
 from muellerkit import boost_k, relativistic
-from muellerkit.lorentz import residuals
 from muellerkit.oracle import (consistent_dataset, make_pair, random_lorentz,
                                random_pairs, random_stokes)
 from muellerkit.relativistic import (_lift_jacobian, _polish,
@@ -374,41 +374,46 @@ def test_family_4d_no_real_root():
 
 @pytest.mark.parametrize("y, z, w", [(1e200, 0.0, 0.0), (0.0, 1e200, 0.0)])
 def test_family_4d_overflowing_slice_is_out_of_domain(y, z, w):
-    # the constant term overflows to inf, so every coefficient counted as
-    # zero against it and the slice read as degenerate
+    # the constant term overflows to inf; the overflow is named before the
+    # slice is judged degenerate
     _, _, pairs = consistent_dataset(4, seed=2)
     with pytest.raises(OutOfDomain, match="overflows"):
         family_4d(pairs[0], y, z, w)
 
 
 def test_family_4d_null_half_turn_is_a_degenerate_slice():
-    # (1, e1) -> (1, -e1): the slice is linear in x with a zero slope
+    # (1, e1) -> (1, -e1): the x^2 coefficient is zero
     p = MeasurementPair(StokesVector(1.0, [1.0, 0.0, 0.0]),
                         StokesVector(1.0, [-1.0, 0.0, 0.0]))
-    with pytest.raises(NoRealRoot, match="degenerate linear slice"):
+    with pytest.raises(NoRealRoot, match="degenerate slice"):
         family_4d(p, 0.1, 0.2, 0.3)
 
 
-def test_family_4d_near_half_turn_has_one_far_linear_root():
+def test_family_4d_near_half_turn_slice_is_degenerate():
     # a fully polarized probe turned by pi - d: at d = 1e-9 the x^2
-    # coefficient a rounds to 0.0, so the slice is linear with one root,
-    # far out. Its residual is that of the matrix it prints, about sqrt(2)
-    # (entries near 8e18), as verify reads it; at d = 0 the slope vanishes
-    # too
-    def turned(d):
-        return MeasurementPair(StokesVector(1.0, [1.0, 0.0, 0.0]),
-                               StokesVector(1.0, [-np.cos(d), np.sin(d), 0.0]))
-
-    near = turned(1e-9)
+    # coefficient a rounds to 0.0, and the slice is degenerate. On the
+    # same floats, exactly, a = -1e-18 and the quadratic in x at this
+    # (y, z, w) has a negative discriminant: the far root that a linear
+    # slice would give (x near -8.3e17) is round-off, not implied
+    d = 1e-9
+    near = MeasurementPair(StokesVector(1.0, [1.0, 0.0, 0.0]),
+                           StokesVector(1.0, [-np.cos(d), np.sin(d), 0.0]))
+    y, z, w = 0.3, 0.1, 0.2
     assert quad_coeffs(near).a == 0.0
-    [(e, k, res)] = family_4d(near, 0.3, 0.1, 0.2)
-    assert e.x == pytest.approx(-8.33e17, rel=1e-3)
-    assert (e.y, e.z, e.w) == (0.3, 0.1, 0.2)
-    [ref] = residuals(mueller_from_k(k), [near])
-    assert res == ref
-    assert res == pytest.approx(np.sqrt(2.0), rel=1e-3)
-    with pytest.raises(NoRealRoot, match="degenerate linear slice"):
-        family_4d(turned(0.0), 0.3, 0.1, 0.2)
+    with pytest.raises(NoRealRoot, match="degenerate slice"):
+        family_4d(near, y, z, w)
+
+    s0, t0 = Fraction(near.input.s0), Fraction(near.output.s0)
+    s = [Fraction(v) for v in near.input.s.tolist()]
+    t = [Fraction(v) for v in near.output.s.tolist()]
+    Av = [u + v for u, v in zip(s, t)]
+    Bv = [u - v for u, v in zip(s, t)]
+    a, b, c, alpha, beta, sigma = relativistic._quad_terms(
+        s0 + t0, s0 - t0, sum(v * v for v in Av), sum(v * v for v in Bv))
+    assert a < 0 and float(a) == pytest.approx(-1e-18)
+    y, z, w = map(Fraction, (y, z, w))
+    cc = c * y * y - alpha * z * z - 2 * beta * z * w - sigma * w * w - 1
+    assert (2 * b * y) ** 2 - 4 * a * cc < 0
 
 
 def test_solve_six_consistent_instances(rng):
@@ -834,7 +839,7 @@ def test_pair_geometry_is_the_solver_table_row():
             assert g.cross2 == float(g.cross @ g.cross)
             assert np.array_equal(g.cross, np.cross(g.Avec, g.Bvec))
             expect = [g.A, g.B, *g.Avec, *g.Bvec, *g.cross, g.Avec2,
-                      g.Bvec2, g.cross2, g.AdotB,
+                      g.Bvec2, g.cross2,
                       *_lifted([quad_coeffs_from_geometry(g)])[0],
                       *p.input.as_array(), *p.output.as_array(),
                       *expansion_basis(g).ravel()]
