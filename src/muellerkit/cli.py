@@ -47,6 +47,8 @@ def _load(path, parse, what):
         raise InputError(
             f"{path}: parse error at line {e.lineno}, column {e.colno}: "
             f"{e.msg}") from e
+    except RecursionError as e:  # nesting past the interpreter's limit
+        raise InputError(f"{path}: parse error: {e}") from e
     except ValueError as e:  # an integer literal past Python's digit limit
         raise InputError(f"{path}: bad {what}: {e}") from e
     try:

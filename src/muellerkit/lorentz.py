@@ -160,8 +160,7 @@ def nm_from_k(k: ComplexParameter) -> RealParameter:
 
 
 def mueller_from_k(k: ComplexParameter) -> MuellerMatrix:
-    """L = A(k) conj(A(k)); the unit condition, checked first, is what
-    makes L a Lorentz matrix (the product is real for any k)."""
+    """L = A(k) conj(A(k)), Lorentz by the unit condition, checked first."""
     k.require_unit()
     return MuellerMatrix(kernels.mueller_product(k.k))
 
@@ -173,9 +172,8 @@ def apply(L: MuellerMatrix, v: StokesVector) -> StokesVector:
 
 def transit_residuals(M, S, T):
     """|M s - t|, the one transitivity residual, over stacks M (..., 4, 4),
-    S and T (..., 4). M is made C-contiguous: matmul rounds a strided view
-    (the real part of a complex product) differently."""
-    d = (np.ascontiguousarray(M) @ S[..., None])[..., 0] - T
+    S and T (..., 4)."""
+    d = (M @ S[..., None])[..., 0] - T
     return np.sqrt(np.vecdot(d, d))
 
 

@@ -630,6 +630,34 @@ def test_an_integer_too_large_for_a_float_is_an_input_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["family3", "--gamma", "0.3", "--data", "d.json"],
+    ["solve2", "--data", "d.json"],
+    ["family4", "--y", "0", "--z", "0", "--w", "0", "--data", "d.json"],
+    ["solve4", "--data", "d.json"],
+    ["solve6", "--data", "d.json"],
+    ["diag", "--data", "d.json"],
+    ["little", "--stokes", "s.json"],
+    ["verify", "--matrix", "m.json", "--data", "d.json"],
+    ["verify", "--data", "d.json", "--matrix", "m.json"],
+    ["apply", "--matrix", "m.json", "--stokes", "s.json"],
+    ["apply", "--stokes", "s.json", "--matrix", "m.json"]],
+    ids=lambda a: a[0] + a[-2])
+def test_json_nested_past_the_recursion_limit_is_an_input_error(
+        argv, tmp_path, capsys, monkeypatch):
+    # json.load raises RecursionError from a nesting depth of about 1,000:
+    # it escaped every JSON reader as a traceback
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "m.json", {"m": list(np.eye(4).reshape(16))})
+    _write(tmp_path, "s.json", {"s0": 1.0, "s": [0.5, 0.2, 0.1]})
+    _one_pair(tmp_path, "d.json", [0.5, 0.0, 0.0], [0.5, 0.0, 0.0])
+    (tmp_path / argv[-1]).write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {argv[-1]}: parse error: ")
+    assert "Traceback" not in err
+
+
 def test_overflowing_intensities_are_out_of_domain(tmp_path, capsys):
     # scaled by 1e100: solve6 ended in a LinAlgError traceback, and solve4
     # reported a collinear pair basis

@@ -232,21 +232,28 @@ def test_residuals_are_the_norm_of_apply_minus_the_output():
     assert residuals(L, []) == []
 
 
-def test_residual_of_a_strided_stack_is_that_of_its_contiguous_copy():
-    # mueller_product returns the real part of a complex product, a strided
-    # view; its residuals are the norms of M s - t of each matrix as its
-    # own contiguous copy (a MuellerMatrix), one broadcast matrix included
+def test_a_stacked_product_is_its_single_products():
+    # mueller_product is C-contiguous at every stack shape and each matrix
+    # of a stack is its single product bit for bit; the residuals of a
+    # stack are the norms of M s - t of each matrix as a MuellerMatrix,
+    # one broadcast matrix included
     rng = np.random.default_rng(13)
-    K = np.array([random_lorentz(rng=rng).k for _ in range(24)])
-    L = kernels.mueller_product(K.reshape(4, 6, 4))
-    assert not L.flags.c_contiguous
+    K = np.array([random_lorentz(rng=rng).k for _ in range(64)])
+    single = np.array([kernels.mueller_product(k) for k in K])
+    for n in range(1, 65):
+        for shape in ((n,), (n, 1), (1, n)):
+            L = kernels.mueller_product(K[:n].reshape(*shape, 4))
+            assert L.shape == (*shape, 4, 4) and L.flags.c_contiguous
+            assert np.array_equal(L.reshape(-1, 4, 4), single[:n])
+    L = kernels.mueller_product(K[:24].reshape(4, 6, 4))
+    assert L.flags.c_contiguous
+    assert np.array_equal(L.reshape(-1, 4, 4), single[:24])
     S, T = rng.normal(size=(2, 4, 6, 4))
     r = transit_residuals(L, S, T)
-    assert np.array_equal(r, transit_residuals(L.copy(), S, T))
     rows = list(zip(S.reshape(-1, 4), T.reshape(-1, 4)))
     assert r.ravel().tolist() == [
         float(np.linalg.norm(MuellerMatrix(m).m @ s - t))
-        for m, (s, t) in zip(L.reshape(-1, 4, 4), rows)]
+        for m, (s, t) in zip(single, rows)]
     m = MuellerMatrix(L[1, 2]).m
     assert transit_residuals(L[1, 2], S, T).ravel().tolist() == [
         float(np.linalg.norm(m @ s - t)) for s, t in rows]

@@ -461,12 +461,20 @@ def test_solve_six_identical_pairs_singular():
     _, p, _ = _chain(1)
     with pytest.raises(SingularSystem):
         solve_six([p] * 6)
-    # one repeated pair among five distinct ones: the condition is 4.2e17
+    # one repeated pair among five distinct ones: the lifted matrix is
+    # exactly singular, and the message names its round-off condition
+    # S_max / S_min (about 1e17), beyond COND_MAX, with no warning
     _, _, pairs = consistent_dataset(6, seed=3)
+    pairs = pairs[:5] + [pairs[0]]
+    S = np.linalg.svd(relativistic._pair_table(pairs)[:, relativistic._LIFT],
+                      compute_uv=False)
+    cond = float(S[0] / S[-1])
+    assert cond > relativistic.COND_MAX
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SingularSystem, match="condition 4.176e"):
-            solve_six(pairs[:5] + [pairs[0]])
+        with pytest.raises(SingularSystem,
+                           match=re.escape(f"condition {cond:.3e} ")):
+            solve_six(pairs)
 
 
 def test_k_spread_of_nearly_equal_k_is_the_all_pairs_norm():
@@ -739,23 +747,31 @@ def test_solve_four_polishes_below_tol_where_round_off_exceeds_it():
 
 
 def test_solve_four_accepts_a_root_within_its_round_off(monkeypatch):
-    # without polish steps the split points of this dataset have residuals
-    # 2.9e-10 and 2.6e-10: above tol, within their round-off bound 6.4e-10;
-    # no step can resolve a residual below that bound, so they are roots
-    _, e_star, pairs = consistent_dataset(
-        4, rng=np.random.default_rng([2110, 4, 77]))
+    # at tol = 0 and without polish steps, a split point is accepted by its
+    # round-off bound alone: its residual is above tol, within the bound
+    # 4 eps max(|M| |lift(e)|), and no step can resolve a residual below
+    # that. 126 of these 200 datasets keep a root so, e* among them on 93;
+    # the others raise NoConvergedRoot
     monkeypatch.setattr(relativistic, "POLISH_STEPS", 0)
-    rep = solve_four(pairs)
-    es = _canonical(e_star.as_array())
-    assert min(np.linalg.norm(e.as_array() - es) / np.linalg.norm(es)
-               for e, _ in rep.roots) < 1e-8
-    M = _lifted([quad_coeffs(p) for p in pairs])
     eps = np.finfo(float).eps
-    assert max(fn for _, fn in rep.roots) > 1e-10
-    for e, fn in rep.roots:
-        u = lift(e)
-        assert fn == np.abs(M @ u - 1.0).max()
-        assert fn <= 4 * eps * (np.abs(M) @ np.abs(u)).max()
+    solved = found = 0
+    for i in range(200):
+        _, e_star, pairs = consistent_dataset(
+            4, rng=np.random.default_rng([2110, 4, i]))
+        try:
+            rep = solve_four(pairs, tol=0.0)
+        except NoConvergedRoot:
+            continue
+        solved += 1
+        es = _canonical(e_star.as_array())
+        found += min(np.linalg.norm(e.as_array() - es) / np.linalg.norm(es)
+                     for e, _ in rep.roots) < 1e-8
+        M = _lifted([quad_coeffs(p) for p in pairs])
+        for e, fn in rep.roots:
+            u = lift(e)
+            assert fn == np.abs(M @ u - 1.0).max()
+            assert 0.0 < fn <= 4 * eps * (np.abs(M) @ np.abs(u)).max()
+    assert solved >= 100 and found >= solved // 2
 
 
 def _permuted(pairs, i):

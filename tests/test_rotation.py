@@ -271,23 +271,27 @@ def test_solve_two_half_turn_bound_holds_for_either_rounding_of_smag(
 
 def _numpy_member(s, sp, smag, gamma):
     """The family member at gamma in numpy 3-vector arithmetic: (alpha,
-    beta, n0, n), (n0, n) renormalized."""
-    denom = smag * smag + float(s @ sp)
+    beta, n0, n), (n0, n) renormalized, in the precision of the inputs."""
+    denom = smag * smag + s @ sp
     root = np.sqrt(2.0 * denom)
     alpha = np.sin(gamma) / root
     beta = np.cos(gamma) / (smag * root)
     n0 = beta * denom
     n = alpha * (s + sp) + beta * np.cross(s, sp)
-    norm = np.sqrt(n0 * n0 + float(n @ n))
+    norm = np.sqrt(n0 * n0 + n @ n)
     return alpha, beta, n0 / norm, n / norm
 
 
 def _numpy_solve_two(p1, p2):
     """Gamma and the member at Gamma of two cone-angle pairs, in numpy
     3-vector arithmetic: tan(Gamma) from the ratio form with the largest
-    |den|, an oracle independent of solve_two_3d's closed form."""
-    N1, N1p = p1.input.s / p1.input.smag, p1.output.s / p1.output.smag
-    N2, N2p = p2.input.s / p2.input.smag, p2.output.s / p2.output.smag
+    |den|, an oracle independent of solve_two_3d's closed form. It runs in
+    np.longdouble (64-bit mantissa on x86-64), so the 16 ulps of _close
+    bound solve_two_3d's own rounding, not the sum of two: near-antipodal
+    pairs amplify each side's by 1 / (1 + N1.N1'), about 12 at [7, 274]."""
+    N1, N1p, N2, N2p = (v / np.sqrt(v @ v) for v in (
+        p.s.astype(np.longdouble)
+        for p in (p1.input, p1.output, p2.input, p2.output)))
     exprs = [(N1 @ np.cross(N2, N2p), (N2 - N1) @ (N2 + N2p)),
              (-N1p @ np.cross(N2p, N2), (N2p - N1p) @ (N2p + N2)),
              (N2 @ np.cross(N1, N1p), (N1 - N2) @ (N1 + N1p)),
